@@ -27,6 +27,7 @@ from .errors import (
 )
 from .geometry import farfield_phase
 from .herald import (
+    QUADRATURE_SCHEMES,
     accidental_fraction,
     count_rate,
     delta_c_scan,
@@ -41,7 +42,7 @@ from .optics import (
     visibility,
 )
 from .qcore import BASIS_LABELS, concurrence_pure
-from .scenario import load_scenario
+from .scenario import load_scenario, polarizer_from_values
 
 __all__ = ["main"]
 
@@ -61,41 +62,33 @@ def _csv_writer(path):
             yield csv.writer(handle, lineterminator="\n")
 
 
-def _parse_polarizer(text):
+def _parse_polarizer(text, name):
+    """Analyzer from ``kind:V1,V2,...``; values that parse as numbers become numbers."""
     kind, _, rest = text.partition(":")
-    if kind == "linear":
+    values = []
+    for part in rest.split(","):
         try:
-            return Polarizer.linear(float(rest))
-        except ValueError as exc:
-            raise InvalidInputError(f"bad linear polarizer angle {rest!r}") from exc
-    if kind == "circular":
-        if rest not in ("+", "-"):
-            raise InvalidInputError("circular polarizer takes '+' or '-'")
-        return Polarizer.circular(1 if rest == "+" else -1)
-    if kind == "general":
-        parts = rest.split(",")
-        if len(parts) != 4:
-            raise InvalidInputError(
-                "general polarizer takes re+,im+,re-,im- (four comma-separated numbers)"
-            )
-        try:
-            numbers = [float(p) for p in parts]
-        except ValueError as exc:
-            raise InvalidInputError(f"bad general polarizer components {rest!r}") from exc
-        return Polarizer.general(complex(numbers[0], numbers[1]),
-                                 complex(numbers[2], numbers[3]))
-    raise InvalidInputError(
-        f"unknown polarizer {text!r}; use linear:ANGLE, circular:+/- or general:..."
-    )
+            values.append(float(part))
+        except ValueError:
+            values.append(part)
+    return polarizer_from_values(kind, values, name)
+
+
+def _finite(value, name):
+    if not math.isfinite(value):
+        raise InvalidInputError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _grid(lo, hi, count, name):
     if count < 1:
         raise InvalidInputError(f"{name} point count must be >= 1")
+    if not math.isfinite(hi - lo):  # also catches bounds too far apart for linspace
+        raise InvalidInputError(
+            f"{name} grid bounds ({lo}, {hi}) must be finite, with a finite span"
+        )
     if hi < lo:
         raise InvalidInputError(f"{name} grid bounds are reversed ({lo} > {hi})")
-    if count == 1:
-        return np.array([lo])
     return np.linspace(lo, hi, count)
 
 
@@ -131,11 +124,11 @@ def cmd_state(args):
         pol1 = pol2 = None
         delta = None
     if args.polarizer1 is not None:
-        pol1 = _parse_polarizer(args.polarizer1)
+        pol1 = _parse_polarizer(args.polarizer1, "--polarizer1")
     if args.polarizer2 is not None:
-        pol2 = _parse_polarizer(args.polarizer2)
+        pol2 = _parse_polarizer(args.polarizer2, "--polarizer2")
     if args.delta21 is not None:
-        delta = args.delta21
+        delta = _finite(args.delta21, "--delta21")
     if pol1 is None or pol2 is None or delta is None:
         raise InvalidInputError(
             "state needs --config or all of --polarizer1/--polarizer2/--delta21"
@@ -224,7 +217,7 @@ def cmd_uncertainty(args):
 
 def cmd_malus(args):
     half_pi = math.pi / 2.0
-    ratio = args.delta21 / half_pi
+    ratio = _finite(args.delta21, "--delta21") / half_pi
     if abs(ratio - round(ratio)) > 1e-9 or round(ratio) % 2 == 0:
         raise InvalidInputError(
             "malus needs delta21 at an odd multiple of pi/2 (quarter-wave phase)"
@@ -283,7 +276,7 @@ def build_parser():
     uncertainty.add_argument("--points-chi", dest="points_chi", type=int)
     uncertainty.add_argument("--points-trap", dest="points_trap", type=int)
     uncertainty.add_argument("--trap-dims", dest="trap_dims", type=int)
-    uncertainty.add_argument("--scheme", choices=["gauss-legendre", "tensor-midpoint"])
+    uncertainty.add_argument("--scheme", choices=QUADRATURE_SCHEMES)
     uncertainty.add_argument("--seed", type=int, default=None,
                              help="run a Monte Carlo cross-check with this seed")
     uncertainty.add_argument("--samples", type=int, default=20000,

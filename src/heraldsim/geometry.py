@@ -97,8 +97,8 @@ class DetectorPatch:
     def __post_init__(self):
         if not 0.0 < self.theta_center < np.pi:
             raise InvalidInputError("theta_center must lie strictly inside (0, pi)")
-        if self.span_theta < 0.0 or self.span_chi < 0.0:
-            raise InvalidInputError("patch spans must be nonnegative")
+        if not (0.0 <= self.span_theta < np.inf and 0.0 <= self.span_chi < np.inf):
+            raise InvalidInputError("patch spans must be nonnegative and finite")
         if not -np.pi / 2 < self.chi_center < np.pi / 2:
             raise InvalidInputError("chi_center must lie strictly inside (-pi/2, pi/2)")
 

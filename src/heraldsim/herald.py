@@ -67,6 +67,9 @@ __all__ = [
     "delta_c_scan",
 ]
 
+#: names accepted by ``QuadratureSpec.scheme``
+QUADRATURE_SCHEMES = ("gauss-legendre", "tensor-midpoint")
+
 #: patches wider than this in theta leave the small-patch rate regime
 SMALL_PATCH_LIMIT = 0.1
 
@@ -93,13 +96,15 @@ class ExperimentConfig:
     coincidence_window: float = 0.0
 
     def __post_init__(self):
-        if self.repetition_rate <= 0.0:
-            raise InvalidInputError("repetition_rate must be positive")
+        # chained comparisons are False for nan, and the upper bounds exclude inf
+        if not 0.0 < self.repetition_rate < np.inf:
+            raise InvalidInputError("repetition_rate must be positive and finite")
         if not 0.0 <= self.detector_efficiency <= 1.0:
             raise InvalidInputError("detector_efficiency must lie in [0, 1]")
-        if self.dark_count_rate < 0.0 or self.coincidence_window < 0.0:
+        if not (0.0 <= self.dark_count_rate < np.inf
+                and 0.0 <= self.coincidence_window < np.inf):
             raise InvalidInputError(
-                "dark_count_rate and coincidence_window must be nonnegative"
+                "dark_count_rate and coincidence_window must be nonnegative and finite"
             )
 
 
@@ -129,10 +134,10 @@ class QuadratureSpec:
             count = getattr(self, name)
             if not isinstance(count, int) or count < 1:
                 raise InvalidInputError(f"{name} must be an integer >= 1")
-        if self.scheme not in ("gauss-legendre", "tensor-midpoint"):
+        if self.scheme not in QUADRATURE_SCHEMES:
             raise InvalidInputError(f"unknown quadrature scheme {self.scheme!r}")
-        if self.trap_truncation <= 0.0:
-            raise InvalidInputError("trap_truncation must be positive")
+        if not 0.0 < self.trap_truncation < np.inf:
+            raise InvalidInputError("trap_truncation must be positive and finite")
         if self.trap_dims not in (3, 6):
             raise InvalidInputError("trap_dims must be 3 or 6")
 

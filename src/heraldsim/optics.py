@@ -28,6 +28,7 @@ from .qcore import (
     LEVEL_E,
     LEVEL_MINUS,
     LEVEL_PLUS,
+    _as_complex_array,
     excited_pair_state,
     joint_index,
     project_to_ground_manifold,
@@ -114,14 +115,11 @@ def polarizer_to_jones(polarizer):
 
 
 def _validated_jones(jones, name):
-    vec = np.asarray(jones, dtype=complex)
-    if vec.shape != (2,):
-        raise InvalidInputError(f"{name} must be a length-2 Jones vector")
-    if not np.all(np.isfinite(vec.real)) or not np.all(np.isfinite(vec.imag)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    if abs(np.linalg.norm(vec) - 1.0) > JONES_NORM_ATOL:
+    vec = _as_complex_array(jones, (2,), name)
+    norm = np.linalg.norm(vec)
+    if abs(norm - 1.0) > JONES_NORM_ATOL:
         raise InvalidInputError(
-            f"{name} norm {np.linalg.norm(vec):.12g} is not 1 within {JONES_NORM_ATOL:g}"
+            f"{name} norm {norm:.12g} is not 1 within {JONES_NORM_ATOL:g}"
         )
     return vec
 

@@ -70,7 +70,7 @@ def _as_complex_array(value, shape, name):
     arr = np.asarray(value, dtype=complex)
     if arr.shape != shape:
         raise InvalidInputError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
 

@@ -1,383 +1,226 @@
 """Scenario documents: JSON files describing one experiment end to end.
 
-Every physical quantity in the document carries its unit in the key
-name (``separation_um``, ``dark_count_rate_hz``, ...), unknown keys are
-rejected, and the parsed ``Scenario`` keeps the document values
-verbatim so that load -> save -> load is exact.  SI-unit physics
-objects are built from it with :meth:`Scenario.experiment` and
-:meth:`Scenario.quadrature`.
+Units are in the key names (``separation_um``, ``dark_count_rate_hz``).
+One field table, ``_SCENARIO``, gives each key's kind and default and
+drives all parsing; numbers must be finite.  A ``Scenario`` keeps the
+validated document verbatim, so load -> save -> load is exact, and
+builds the SI-unit physics objects, which hold the range checks.
 """
 
+import copy
 import json
-from dataclasses import asdict, dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ScenarioError
 from .geometry import AtomPairLayout, DetectorPatch, TrapModel
-from .herald import ExperimentConfig, QuadratureSpec
+from .herald import QUADRATURE_SCHEMES, ExperimentConfig, QuadratureSpec
 from .optics import Polarizer
 
-__all__ = [
-    "PolarizerSection",
-    "DetectorSection",
-    "QuadratureSection",
-    "ScanSection",
-    "Scenario",
-    "load_scenario",
-    "save_scenario",
-]
+__all__ = ["Scenario", "load_scenario", "save_scenario", "polarizer_from_values"]
+
+# A table row is (key, kind, default).  A kind parses the value at
+# ``where``, its dotted path in the document, and returns it as the
+# document keeps it; REQUIRED is the default of a key the document must give.
+# A nested field table as the kind makes the value a section of its own.
+REQUIRED = object()
 
 
-def _require(mapping, key, context):
-    if key not in mapping:
-        raise ScenarioError(f"missing key {key!r} in {context}")
-    return mapping[key]
-
-
-def _reject_unknown(mapping, allowed, context):
-    if not isinstance(mapping, dict):
-        raise ScenarioError(f"{context} must be an object")
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ScenarioError(f"unknown key(s) {unknown} in {context}")
-
-
-def _number(value, key, context):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{key} in {context} must be a number")
+def _number(value, where):
+    # abs(nan) <= max is False, and the comparison is exact for huge ints
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ScenarioError(f"{where} must be a finite number")
     return float(value)
 
 
-@dataclass(frozen=True)
-class PolarizerSection:
-    """Analyzer entry: kind plus the fields that kind requires."""
-
-    kind: str
-    angle_rad: float = None
-    handedness: str = None
-    eps_plus: tuple = None
-    eps_minus: tuple = None
-
-    @classmethod
-    def from_dict(cls, raw, context):
-        _reject_unknown(
-            raw, ("kind", "angle_rad", "handedness", "eps_plus", "eps_minus"), context
-        )
-        kind = _require(raw, "kind", context)
-        if kind == "linear":
-            return cls(kind=kind, angle_rad=_number(_require(raw, "angle_rad", context),
-                                                    "angle_rad", context))
-        if kind == "circular":
-            handedness = _require(raw, "handedness", context)
-            if handedness not in ("+", "-"):
-                raise ScenarioError(f"handedness in {context} must be '+' or '-'")
-            return cls(kind=kind, handedness=handedness)
-        if kind == "general":
-            parts = []
-            for key in ("eps_plus", "eps_minus"):
-                pair = _require(raw, key, context)
-                if not (isinstance(pair, list) and len(pair) == 2):
-                    raise ScenarioError(f"{key} in {context} must be [re, im]")
-                parts.append(tuple(_number(x, key, context) for x in pair))
-            return cls(kind=kind, eps_plus=parts[0], eps_minus=parts[1])
-        raise ScenarioError(f"unknown polarizer kind {kind!r} in {context}")
-
-    def to_dict(self):
-        doc = {"kind": self.kind}
-        if self.kind == "linear":
-            doc["angle_rad"] = self.angle_rad
-        elif self.kind == "circular":
-            doc["handedness"] = self.handedness
-        else:
-            doc["eps_plus"] = list(self.eps_plus)
-            doc["eps_minus"] = list(self.eps_minus)
-        return doc
-
-    def polarizer(self):
-        if self.kind == "linear":
-            return Polarizer.linear(self.angle_rad)
-        if self.kind == "circular":
-            return Polarizer.circular(1 if self.handedness == "+" else -1)
-        return Polarizer.general(complex(*self.eps_plus), complex(*self.eps_minus))
+def _integer(minimum=None):
+    def parse(value, where):
+        if (isinstance(value, bool) or not isinstance(value, int)
+                or (minimum is not None and value < minimum)):
+            bound = "" if minimum is None else f" >= {minimum}"
+            raise ScenarioError(f"{where} must be an integer{bound}")
+        return value
+    return parse
 
 
-@dataclass(frozen=True)
-class DetectorSection:
-    """One detection channel: patch center, spans, and analyzer."""
-
-    theta_center_rad: float
-    span_theta_mrad: float
-    span_chi_rad: float
-    polarizer: PolarizerSection
-    chi_center_rad: float = 0.0
-
-    _KEYS = (
-        "theta_center_rad",
-        "chi_center_rad",
-        "span_theta_mrad",
-        "span_chi_rad",
-        "polarizer",
-    )
-
-    @classmethod
-    def from_dict(cls, raw, context):
-        _reject_unknown(raw, cls._KEYS, context)
-        return cls(
-            theta_center_rad=_number(
-                _require(raw, "theta_center_rad", context), "theta_center_rad", context
-            ),
-            chi_center_rad=_number(raw.get("chi_center_rad", 0.0),
-                                   "chi_center_rad", context),
-            span_theta_mrad=_number(
-                _require(raw, "span_theta_mrad", context), "span_theta_mrad", context
-            ),
-            span_chi_rad=_number(
-                _require(raw, "span_chi_rad", context), "span_chi_rad", context
-            ),
-            polarizer=PolarizerSection.from_dict(
-                _require(raw, "polarizer", context), f"{context}.polarizer"
-            ),
-        )
-
-    def to_dict(self):
-        return {
-            "theta_center_rad": self.theta_center_rad,
-            "chi_center_rad": self.chi_center_rad,
-            "span_theta_mrad": self.span_theta_mrad,
-            "span_chi_rad": self.span_chi_rad,
-            "polarizer": self.polarizer.to_dict(),
-        }
-
-    def patch(self):
-        return DetectorPatch(
-            theta_center=self.theta_center_rad,
-            chi_center=self.chi_center_rad,
-            span_theta=self.span_theta_mrad * 1e-3,
-            span_chi=self.span_chi_rad,
-            polarizer=self.polarizer.polarizer(),
-        )
+def _enum(*choices):
+    def parse(value, where):
+        if value not in choices:
+            raise ScenarioError(f"{where} must be one of {list(choices)}")
+        return value
+    return parse
 
 
-@dataclass(frozen=True)
-class QuadratureSection:
-    points_theta: int = 8
-    points_chi: int = 8
-    points_trap: int = 8
-    scheme: str = "gauss-legendre"
-    trap_truncation: float = 5.0
-    trap_dims: int = 3
-
-    _KEYS = (
-        "points_theta",
-        "points_chi",
-        "points_trap",
-        "scheme",
-        "trap_truncation",
-        "trap_dims",
-    )
-
-    @classmethod
-    def from_dict(cls, raw, context):
-        _reject_unknown(raw, cls._KEYS, context)
-        values = {}
-        for key in ("points_theta", "points_chi", "points_trap", "trap_dims"):
-            if key in raw:
-                if isinstance(raw[key], bool) or not isinstance(raw[key], int):
-                    raise ScenarioError(f"{key} in {context} must be an integer")
-                values[key] = raw[key]
-        if "scheme" in raw:
-            values["scheme"] = raw["scheme"]
-        if "trap_truncation" in raw:
-            values["trap_truncation"] = _number(
-                raw["trap_truncation"], "trap_truncation", context
-            )
-        return cls(**values)
-
-    def to_dict(self):
-        return asdict(self)
-
-    def spec(self):
-        return QuadratureSpec(
-            points_theta=self.points_theta,
-            points_chi=self.points_chi,
-            points_trap=self.points_trap,
-            scheme=self.scheme,
-            trap_truncation=self.trap_truncation,
-            trap_dims=self.trap_dims,
-        )
+def _numbers(length=None):
+    """List of finite numbers: exactly ``length`` of them, or at least one."""
+    def parse(value, where):
+        if not (isinstance(value, list) and value
+                and (length is None or len(value) == length)):
+            count = "one or more" if length is None else length
+            raise ScenarioError(f"{where} must be a list of {count} numbers")
+        return [_number(item, where) for item in value]
+    return parse
 
 
-@dataclass(frozen=True)
-class ScanSection:
-    """Grid of (delta21, v12) settings for an error scan."""
+def _section(raw, fields, where):
+    """Validated copy of the object ``raw``, with the defaults of ``fields``."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{where} must be an object")
+    doc = {}
+    for key, kind, default in fields:
+        value = raw.get(key, default)
+        if value is REQUIRED:
+            raise ScenarioError(f"missing key {key!r} in {where}")
+        if value is not None or default is not None:  # an optional section may be null
+            path = f"{where}.{key}"
+            doc[key] = (_section(value, kind, path) if isinstance(kind, tuple)
+                        else kind(value, path))
+    unknown = sorted(set(raw) - {key for key, _, _ in fields})
+    if unknown:
+        raise ScenarioError(f"unknown key(s) {unknown} in {where}")
+    return doc
 
-    delta21_start_rad: float
-    delta21_stop_rad: float
-    delta21_points: int
-    v12_values: tuple
 
-    _KEYS = ("delta21_start_rad", "delta21_stop_rad", "delta21_points", "v12_values")
+#: analyzer kinds and the fields each one takes besides ``kind``
+_POLARIZERS = {
+    "linear": (("angle_rad", _number, REQUIRED),),
+    "circular": (("handedness", _enum("+", "-"), REQUIRED),),
+    "general": (("eps_plus", _numbers(2), REQUIRED),
+                ("eps_minus", _numbers(2), REQUIRED)),
+}
 
-    @classmethod
-    def from_dict(cls, raw, context):
-        _reject_unknown(raw, cls._KEYS, context)
-        points = _require(raw, "delta21_points", context)
-        if isinstance(points, bool) or not isinstance(points, int) or points < 1:
-            raise ScenarioError(f"delta21_points in {context} must be an integer >= 1")
-        values = _require(raw, "v12_values", context)
-        if not isinstance(values, list) or not values:
-            raise ScenarioError(f"v12_values in {context} must be a nonempty list")
-        return cls(
-            delta21_start_rad=_number(
-                _require(raw, "delta21_start_rad", context), "delta21_start_rad", context
-            ),
-            delta21_stop_rad=_number(
-                _require(raw, "delta21_stop_rad", context), "delta21_stop_rad", context
-            ),
-            delta21_points=points,
-            v12_values=tuple(_number(v, "v12_values", context) for v in values),
-        )
 
-    def to_dict(self):
-        return {
-            "delta21_start_rad": self.delta21_start_rad,
-            "delta21_stop_rad": self.delta21_stop_rad,
-            "delta21_points": self.delta21_points,
-            "v12_values": list(self.v12_values),
-        }
+def _polarizer(value, where):
+    """Analyzer document; its ``kind`` picks the table of the other fields."""
+    kind = value.get("kind") if isinstance(value, dict) else None
+    fields = _POLARIZERS.get(kind, ()) if isinstance(kind, str) else ()
+    return _section(value, (("kind", _enum(*_POLARIZERS), REQUIRED),) + fields, where)
+
+
+def _build_polarizer(doc):
+    if doc["kind"] == "linear":
+        return Polarizer.linear(doc["angle_rad"])
+    if doc["kind"] == "circular":
+        return Polarizer.circular(1 if doc["handedness"] == "+" else -1)
+    return Polarizer.general(complex(*doc["eps_plus"]), complex(*doc["eps_minus"]))
+
+
+_DETECTOR = (
+    ("theta_center_rad", _number, REQUIRED),
+    ("chi_center_rad", _number, 0.0),
+    ("span_theta_mrad", _number, REQUIRED),
+    ("span_chi_rad", _number, REQUIRED),
+    ("polarizer", _polarizer, REQUIRED),
+)
+
+_SCENARIO = (
+    ("separation_um", _number, REQUIRED),
+    ("wavelength_nm", _number, REQUIRED),
+    ("confinement_nm", _number, REQUIRED),
+    ("repetition_rate_mhz", _number, REQUIRED),
+    ("detector_efficiency", _number, REQUIRED),
+    ("dark_count_rate_hz", _number, REQUIRED),
+    ("coincidence_window_ns", _number, REQUIRED),
+    ("detector1", _DETECTOR, REQUIRED),
+    ("detector2", _DETECTOR, REQUIRED),
+    ("quadrature", (
+        ("points_theta", _integer(), 8),
+        ("points_chi", _integer(), 8),
+        ("points_trap", _integer(), 8),
+        ("scheme", _enum(*QUADRATURE_SCHEMES), "gauss-legendre"),
+        ("trap_truncation", _number, 5.0),
+        ("trap_dims", _integer(), 3),
+    ), {}),
+    ("scan", (
+        ("delta21_start_rad", _number, REQUIRED),
+        ("delta21_stop_rad", _number, REQUIRED),
+        ("delta21_points", _integer(1), REQUIRED),
+        ("v12_values", _numbers(), REQUIRED),
+    ), None),
+)
+
+
+def polarizer_from_values(kind, values, where="polarizer"):
+    """Analyzer whose fields share ``values`` evenly (general: [a, b], [c, d])."""
+    keys = [key for key, _, _ in _POLARIZERS.get(kind, ())]
+    size, extra = divmod(len(values), len(keys) or 1)
+    if keys and (extra or not size):
+        raise ScenarioError(f"{where}: {len(values)} values for {len(keys)} field(s)")
+    doc = {"kind": kind}
+    for index, key in enumerate(keys):
+        group = list(values[index * size:(index + 1) * size])
+        doc[key] = group[0] if size == 1 else group
+    return _build_polarizer(_polarizer(doc, where))
+
+
+class _Scan:
+    """A scan section: the delta21 grid and the v12 values."""
+
+    def __init__(self, doc):
+        self.doc, self.v12_values = doc, tuple(doc["v12_values"])
 
     def delta21_grid(self):
-        if self.delta21_points == 1:
-            return np.array([self.delta21_start_rad])
-        return np.linspace(
-            self.delta21_start_rad, self.delta21_stop_rad, self.delta21_points
-        )
-
-
-_TOP_KEYS = (
-    "separation_um",
-    "wavelength_nm",
-    "confinement_nm",
-    "repetition_rate_mhz",
-    "detector_efficiency",
-    "dark_count_rate_hz",
-    "coincidence_window_ns",
-    "detector1",
-    "detector2",
-    "quadrature",
-    "scan",
-)
+        doc = self.doc
+        return np.linspace(doc["delta21_start_rad"], doc["delta21_stop_rad"],
+                           doc["delta21_points"])
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Parsed scenario document, values kept in their file units."""
+    """Scenario document, validated on construction and kept in its file units."""
 
-    separation_um: float
-    wavelength_nm: float
-    confinement_nm: float
-    repetition_rate_mhz: float
-    detector_efficiency: float
-    dark_count_rate_hz: float
-    coincidence_window_ns: float
-    detector1: DetectorSection
-    detector2: DetectorSection
-    quadrature: QuadratureSection = field(default_factory=QuadratureSection)
-    scan: ScanSection = None
+    document: dict
 
-    @classmethod
-    def from_dict(cls, raw):
-        _reject_unknown(raw, _TOP_KEYS, "scenario")
-        scan = raw.get("scan")
-        return cls(
-            separation_um=_number(
-                _require(raw, "separation_um", "scenario"), "separation_um", "scenario"
-            ),
-            wavelength_nm=_number(
-                _require(raw, "wavelength_nm", "scenario"), "wavelength_nm", "scenario"
-            ),
-            confinement_nm=_number(
-                _require(raw, "confinement_nm", "scenario"), "confinement_nm", "scenario"
-            ),
-            repetition_rate_mhz=_number(
-                _require(raw, "repetition_rate_mhz", "scenario"),
-                "repetition_rate_mhz",
-                "scenario",
-            ),
-            detector_efficiency=_number(
-                _require(raw, "detector_efficiency", "scenario"),
-                "detector_efficiency",
-                "scenario",
-            ),
-            dark_count_rate_hz=_number(
-                _require(raw, "dark_count_rate_hz", "scenario"),
-                "dark_count_rate_hz",
-                "scenario",
-            ),
-            coincidence_window_ns=_number(
-                _require(raw, "coincidence_window_ns", "scenario"),
-                "coincidence_window_ns",
-                "scenario",
-            ),
-            detector1=DetectorSection.from_dict(
-                _require(raw, "detector1", "scenario"), "detector1"
-            ),
-            detector2=DetectorSection.from_dict(
-                _require(raw, "detector2", "scenario"), "detector2"
-            ),
-            quadrature=QuadratureSection.from_dict(
-                raw.get("quadrature", {}), "quadrature"
-            ),
-            scan=None if scan is None else ScanSection.from_dict(scan, "scan"),
-        )
+    def __post_init__(self):
+        doc = _section(self.document, _SCENARIO, "scenario")
+        object.__setattr__(self, "document", doc)
 
     def to_dict(self):
-        doc = {
-            "separation_um": self.separation_um,
-            "wavelength_nm": self.wavelength_nm,
-            "confinement_nm": self.confinement_nm,
-            "repetition_rate_mhz": self.repetition_rate_mhz,
-            "detector_efficiency": self.detector_efficiency,
-            "dark_count_rate_hz": self.dark_count_rate_hz,
-            "coincidence_window_ns": self.coincidence_window_ns,
-            "detector1": self.detector1.to_dict(),
-            "detector2": self.detector2.to_dict(),
-            "quadrature": self.quadrature.to_dict(),
-        }
-        if self.scan is not None:
-            doc["scan"] = self.scan.to_dict()
-        return doc
+        return copy.deepcopy(self.document)
+
+    @property
+    def scan(self):
+        """The (delta21, v12) scan grid, or None without a scan section."""
+        return _Scan(self.document["scan"]) if "scan" in self.document else None
 
     def experiment(self):
         """SI-unit ExperimentConfig described by this document."""
-        layout = AtomPairLayout(
-            separation=self.separation_um * 1e-6,
-            wavelength=self.wavelength_nm * 1e-9,
+        doc = self.document
+        patch1, patch2 = (
+            DetectorPatch(theta_center=det["theta_center_rad"],
+                          chi_center=det["chi_center_rad"],
+                          span_theta=det["span_theta_mrad"] * 1e-3,
+                          span_chi=det["span_chi_rad"],
+                          polarizer=_build_polarizer(det["polarizer"]))
+            for det in (doc["detector1"], doc["detector2"])
         )
         return ExperimentConfig(
-            layout=layout,
-            trap=TrapModel(confinement=self.confinement_nm * 1e-9),
-            detector1=self.detector1.patch(),
-            detector2=self.detector2.patch(),
-            repetition_rate=self.repetition_rate_mhz * 1e6,
-            detector_efficiency=self.detector_efficiency,
-            dark_count_rate=self.dark_count_rate_hz,
-            coincidence_window=self.coincidence_window_ns * 1e-9,
+            layout=AtomPairLayout(separation=doc["separation_um"] * 1e-6,
+                                  wavelength=doc["wavelength_nm"] * 1e-9),
+            trap=TrapModel(confinement=doc["confinement_nm"] * 1e-9),
+            detector1=patch1,
+            detector2=patch2,
+            repetition_rate=doc["repetition_rate_mhz"] * 1e6,
+            detector_efficiency=doc["detector_efficiency"],
+            dark_count_rate=doc["dark_count_rate_hz"],
+            coincidence_window=doc["coincidence_window_ns"] * 1e-9,
         )
 
     def quadrature_spec(self):
-        return self.quadrature.spec()
+        return QuadratureSpec(**self.document["quadrature"])
 
 
 def load_scenario(path):
-    """Parse a scenario JSON file, rejecting unknown keys."""
+    """Parse a scenario JSON file, rejecting unknown keys and non-finite numbers."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             raw = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, bad UTF-8, overlong integers
             raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
-    return Scenario.from_dict(raw)
+    return Scenario(raw)
 
 
 def save_scenario(scenario, path):

@@ -48,6 +48,11 @@ class TestPatchAndAccessories:
             DetectorPatch(theta_center=np.pi, span_theta=0.1, span_chi=0.1, polarizer=pol)
         with pytest.raises(InvalidInputError):
             DetectorPatch(theta_center=1.0, span_theta=-0.1, span_chi=0.1, polarizer=pol)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidInputError):
+                DetectorPatch(theta_center=1.0, span_theta=bad, span_chi=0.1, polarizer=pol)
+            with pytest.raises(InvalidInputError):
+                DetectorPatch(theta_center=1.0, span_theta=0.1, span_chi=bad, polarizer=pol)
         with pytest.raises(InvalidInputError):
             DetectorPatch(
                 theta_center=1.0, span_theta=0.1, span_chi=0.1,

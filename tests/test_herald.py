@@ -147,6 +147,10 @@ class TestConfigValidation:
             reference_config(dark_count_rate=-1.0)
         with pytest.raises(InvalidInputError):
             reference_config(coincidence_window=-1e-9)
+        for bad in (np.nan, np.inf):
+            for name in ("repetition_rate", "dark_count_rate", "coincidence_window"):
+                with pytest.raises(InvalidInputError):
+                    reference_config(**{name: bad})
 
     def test_quadrature_spec_validation(self):
         with pytest.raises(InvalidInputError):
@@ -157,6 +161,9 @@ class TestConfigValidation:
             QuadratureSpec(trap_dims=4)
         with pytest.raises(InvalidInputError):
             QuadratureSpec(trap_truncation=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidInputError):
+                QuadratureSpec(scheme="tensor-midpoint", trap_truncation=bad)
 
     def test_doubled_spec(self):
         doubled = QuadratureSpec(points_theta=3, points_chi=4, points_trap=5).doubled()

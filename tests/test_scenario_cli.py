@@ -77,11 +77,12 @@ def parse_report(text):
 
 class TestScenarioFiles:
     def test_round_trip_preserves_the_document(self, tmp_path):
-        scenario = load_scenario(BASELINE)
-        path = tmp_path / "copy.json"
-        save_scenario(scenario, path)
-        assert load_scenario(path) == scenario
-        assert json.loads(path.read_text()) == scenario.to_dict()
+        for source in (BASELINE, POINT):
+            scenario = load_scenario(source)
+            path = tmp_path / "copy.json"
+            save_scenario(scenario, path)
+            assert load_scenario(path) == scenario
+            assert json.loads(path.read_text()) == scenario.to_dict()
 
     def test_si_conversion(self):
         config = load_scenario(BASELINE).experiment()
@@ -129,6 +130,10 @@ class TestScenarioFiles:
         doc["scan"]["step"] = 0.1
         with pytest.raises(ScenarioError, match="step"):
             load_scenario(write_scenario(tmp_path, doc))
+        doc = small_scenario_dict()
+        doc["detector1"]["polarizer"]["handedness"] = "+"  # not a linear field
+        with pytest.raises(ScenarioError, match="handedness"):
+            load_scenario(write_scenario(tmp_path, doc))
 
     def test_missing_required_key_rejected(self, tmp_path):
         doc = small_scenario_dict()
@@ -145,6 +150,42 @@ class TestScenarioFiles:
         doc["quadrature"]["points_theta"] = 2.5
         with pytest.raises(ScenarioError):
             load_scenario(write_scenario(tmp_path, doc))
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("repetition_rate_mhz",),
+            ("dark_count_rate_hz",),
+            ("detector1", "span_theta_mrad"),
+            ("detector2", "chi_center_rad"),
+            ("quadrature", "trap_truncation"),
+            ("scan", "delta21_stop_rad"),
+            ("scan", "v12_values", 1),
+            ("detector1", "polarizer", "eps_minus", 0),
+        ],
+        ids=lambda path: ".".join(map(str, path)),
+    )
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, path, literal):
+        # json reads NaN, Infinity and 1e999 as floats; each must be refused
+        doc = small_scenario_dict()
+        doc["detector1"]["polarizer"] = {
+            "kind": "general", "eps_plus": [1.0, 0.0], "eps_minus": [0.0, 1.0],
+        }
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = "PLACEHOLDER"
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal))
+        key = [part for part in path if isinstance(part, str)][-1]
+        with pytest.raises(ScenarioError, match=key):
+            load_scenario(config)
+        assert main(["uncertainty", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -200,6 +241,22 @@ class TestSurfaceCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ["--delta21-min", "nan", "--delta21-max", "nan"],
+            ["--delta21-min=-inf", "--delta21-max", "0"],
+            ["--delta21-min=-1e308", "--delta21-max=1e308"],
+            ["--v12-min", "nan", "--v12-max", "nan"],
+            ["--v12-min", "0", "--v12-max", "inf"],
+        ],
+    )
+    def test_non_finite_bounds_exit_2(self, capsys, bounds):
+        assert main(["surface", *bounds]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
+
     def test_writes_file(self, tmp_path):
         out = tmp_path / "surface.csv"
         rc = main(["surface", "--delta21-points", "5", "--v12-points", "3",
@@ -253,9 +310,12 @@ class TestStateCommand:
         assert "error:" in capsys.readouterr().err
 
     def test_bad_polarizer_spec_exit_2(self, capsys):
-        rc = main(["state", "--polarizer1", "diagonal:1", "--polarizer2",
-                   "linear:0", "--delta21", "0"])
-        assert rc == 2
+        for spec in ("diagonal:1", "linear:nan", "circular:x", "general:1,0,0",
+                     "general:1,0,inf,1"):
+            rc = main(["state", "--polarizer1", spec, "--polarizer2",
+                       "linear:0", "--delta21", "0"])
+            assert rc == 2
+            assert "error:" in capsys.readouterr().err
 
     def test_destructive_configuration_exit_3(self, capsys):
         rc = main(
@@ -366,6 +426,12 @@ class TestMalusCommand:
     def test_non_quarter_wave_phase_exit_2(self, capsys):
         assert main(["malus", "--delta21", "1.0"]) == 2
         assert main(["malus", "--delta21", str(np.pi)]) == 2
+        for delta in ("nan", "inf", "-inf"):
+            capsys.readouterr()
+            assert main(["malus", f"--delta21={delta}"]) == 2
+            captured = capsys.readouterr()
+            assert "error:" in captured.err
+            assert captured.out == ""
 
 
 class TestDeterminism:
