@@ -27,7 +27,6 @@ from .errors import (
 )
 from .geometry import farfield_phase
 from .herald import (
-    QUADRATURE_SCHEMES,
     accidental_fraction,
     count_rate,
     delta_c_scan,
@@ -153,13 +152,8 @@ def cmd_uncertainty(args):
     scenario = load_scenario(args.config)
     config = scenario.experiment()
     quad = scenario.quadrature_spec()
-    overrides = {}
-    for name in ("points_theta", "points_chi", "points_trap", "trap_dims"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if args.scheme is not None:
-        overrides["scheme"] = args.scheme
+    overrides = {name: getattr(args, name) for name in ("points_theta", "points_chi")
+                 if getattr(args, name) is not None}
     if overrides:
         quad = dataclasses.replace(quad, **overrides)
 
@@ -274,9 +268,6 @@ def build_parser():
     uncertainty.add_argument("--out", default=None, help="scan CSV path")
     uncertainty.add_argument("--points-theta", dest="points_theta", type=int)
     uncertainty.add_argument("--points-chi", dest="points_chi", type=int)
-    uncertainty.add_argument("--points-trap", dest="points_trap", type=int)
-    uncertainty.add_argument("--trap-dims", dest="trap_dims", type=int)
-    uncertainty.add_argument("--scheme", choices=QUADRATURE_SCHEMES)
     uncertainty.add_argument("--seed", type=int, default=None,
                              help="run a Monte Carlo cross-check with this seed")
     uncertainty.add_argument("--samples", type=int, default=20000,
@@ -308,7 +299,7 @@ def main(argv=None):
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

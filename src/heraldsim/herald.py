@@ -9,12 +9,15 @@ G2-weighted average
     rho = N * sum_nodes  w(node) * G2(node) * |psi(node)><psi(node)|,
 
 with nodes running over both detector patches (solid-angle measure
-cos(chi) dtheta dchi) and the Gaussian trap displacements, and N fixing
-unit trace.  ``generated_state`` evaluates this average with
-deterministic tensor quadrature, compares it against the point-design
-target, and reports the concurrence error and fidelity.
+cos(chi) dtheta dchi) and N fixing unit trace.  The Gaussian trap
+displacements are averaged exactly: their difference is a centered
+normal with per-axis spread sqrt(2) * confinement, so its
+characteristic function multiplies each pair of patch nodes by a
+Gaussian decay factor.  ``generated_state`` evaluates this average,
+compares it against the point-design target, and reports the
+concurrence error and fidelity.
 
-Quadrature is deterministic: fixed node ordering, vectorized
+The patch quadrature is deterministic: fixed node ordering, vectorized
 reductions, no randomness.  ``monte_carlo_state`` is an independent
 randomized evaluation of the same average kept for cross-validation.
 """
@@ -67,14 +70,8 @@ __all__ = [
     "delta_c_scan",
 ]
 
-#: names accepted by ``QuadratureSpec.scheme``
-QUADRATURE_SCHEMES = ("gauss-legendre", "tensor-midpoint")
-
 #: patches wider than this in theta leave the small-patch rate regime
 SMALL_PATCH_LIMIT = 0.1
-
-# trap-node chunk size for the 6-dim mode, keeps the phase matrices small
-_CHUNK = 32768
 
 
 @dataclass(frozen=True)
@@ -110,44 +107,28 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts and scheme for the generated-state average.
+    """Gauss-Legendre node counts per detector patch axis.
 
-    ``points_theta`` and ``points_chi`` apply per detector patch,
-    ``points_trap`` per trap displacement axis.  With
-    ``trap_dims = 3`` the two emitter displacements are folded into
-    their difference (a Gaussian with per-axis spread sqrt(2) * mu);
-    ``trap_dims = 6`` integrates both emitters explicitly at cost
-    points_trap**6.  ``trap_truncation`` bounds midpoint and Monte
-    Carlo sampling at that many standard deviations; the Gauss-Hermite
-    nodes of the default scheme need no truncation.
+    The trap average is exact and takes no nodes.  ``points_trap`` is
+    still accepted and validated because the benchmark's design sweep
+    (``perfbench/workloads.py``) passes it, but nothing reads it and
+    ``doubled`` leaves it as it is.
     """
 
     points_theta: int = 8
     points_chi: int = 8
     points_trap: int = 8
-    scheme: str = "gauss-legendre"
-    trap_truncation: float = 5.0
-    trap_dims: int = 3
 
     def __post_init__(self):
         for name in ("points_theta", "points_chi", "points_trap"):
             count = getattr(self, name)
             if not isinstance(count, int) or count < 1:
                 raise InvalidInputError(f"{name} must be an integer >= 1")
-        if self.scheme not in QUADRATURE_SCHEMES:
-            raise InvalidInputError(f"unknown quadrature scheme {self.scheme!r}")
-        if not 0.0 < self.trap_truncation < np.inf:
-            raise InvalidInputError("trap_truncation must be positive and finite")
-        if self.trap_dims not in (3, 6):
-            raise InvalidInputError("trap_dims must be 3 or 6")
 
     def doubled(self):
-        """Same spec with every node count doubled (convergence checks)."""
+        """Same spec with the patch node counts doubled (convergence checks)."""
         return replace(
-            self,
-            points_theta=2 * self.points_theta,
-            points_chi=2 * self.points_chi,
-            points_trap=2 * self.points_trap,
+            self, points_theta=2 * self.points_theta, points_chi=2 * self.points_chi
         )
 
 
@@ -257,50 +238,22 @@ def accidental_fraction(config, true_rate):
     return accidental / total
 
 
-def _interval_rule(center, width, count, scheme):
-    """1-D nodes/weights on [center - width/2, center + width/2].
+def _interval_rule(center, width, count):
+    """Gauss-Legendre nodes/weights on [center - width/2, center + width/2].
 
     Zero width collapses to a single unit-weight node at the center
     (point detector); the constant cancels in the trace normalization.
     """
     if width == 0.0:
         return np.array([center]), np.array([1.0])
-    if scheme == "gauss-legendre":
-        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(count)
-    else:
-        ref_nodes = (2.0 * np.arange(count) + 1.0) / count - 1.0
-        ref_weights = np.full(count, 2.0 / count)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(count)
     return center + 0.5 * width * ref_nodes, 0.5 * width * ref_weights
-
-
-def _gaussian_rule(sigma, count, scheme, truncation):
-    """1-D nodes/weights integrating against a centered normal density."""
-    if scheme == "gauss-legendre":
-        # Gauss-Hermite nodes absorb the Gaussian weight exactly
-        ref_nodes, ref_weights = np.polynomial.hermite.hermgauss(count)
-        return math.sqrt(2.0) * sigma * ref_nodes, ref_weights / math.sqrt(np.pi)
-    nodes, weights = _interval_rule(0.0, 2.0 * truncation * sigma, count, scheme)
-    density = np.exp(-0.5 * (nodes / sigma) ** 2) / (sigma * math.sqrt(2.0 * np.pi))
-    return nodes, weights * density
-
-
-def _tensor3(nodes, weights):
-    grid_x, grid_y, grid_z = np.meshgrid(nodes, nodes, nodes, indexing="ij")
-    points = np.stack([grid_x.ravel(), grid_y.ravel(), grid_z.ravel()], axis=1)
-    combined = (
-        weights[:, None, None] * weights[None, :, None] * weights[None, None, :]
-    ).ravel()
-    return points, combined
 
 
 def _patch_nodes(patch, layout, quad):
     """Directions and measure weights (incl. cos chi) covering a patch."""
-    theta, w_theta = _interval_rule(
-        patch.theta_center, patch.span_theta, quad.points_theta, quad.scheme
-    )
-    chi, w_chi = _interval_rule(
-        patch.chi_center, patch.span_chi, quad.points_chi, quad.scheme
-    )
+    theta, w_theta = _interval_rule(patch.theta_center, patch.span_theta, quad.points_theta)
+    chi, w_chi = _interval_rule(patch.chi_center, patch.span_chi, quad.points_chi)
     if theta.min() < 0.0 or theta.max() > np.pi:
         raise InvalidInputError("detector patch leaves the valid theta range [0, pi]")
     if np.abs(chi).max() >= np.pi / 2:
@@ -311,41 +264,29 @@ def _patch_nodes(patch, layout, quad):
     return directions, weights
 
 
-def _trap_difference_nodes(trap, quad):
-    """Nodes/weights for the displacement difference u_b - u_a."""
-    if trap.confinement == 0.0:
-        return np.zeros((1, 3)), np.array([1.0])
-    if quad.trap_dims == 3:
-        sigma = math.sqrt(2.0) * trap.confinement
-        nodes, weights = _gaussian_rule(
-            sigma, quad.points_trap, quad.scheme, quad.trap_truncation
-        )
-        return _tensor3(nodes, weights)
-    nodes, weights = _gaussian_rule(
-        trap.confinement, quad.points_trap, quad.scheme, quad.trap_truncation
-    )
-    per_axis_diff = (nodes[None, :] - nodes[:, None]).ravel()
-    per_axis_weight = (weights[:, None] * weights[None, :]).ravel()
-    return _tensor3(per_axis_diff, per_axis_weight)
+def _phase_moments(layout, trap, dirs1, w1, dirs2, w2):
+    """Total weight W and coherence M = sum w * exp(-1j * delta21).
 
-
-def _phase_moments(layout, dirs1, w1, dirs2, w2, du_nodes, du_weights):
-    """Total weight W and coherence M = sum w * exp(-1j * delta21(node)).
-
-    The relative phase of a node is k (d axis + du) . (e2 - e1), so the
-    phase factor splits per channel and each trap node needs only two
-    weighted patch sums.  Reduction order is fixed for determinism.
+    A node pair has relative phase k (d axis + du) . (e2 - e1), where
+    the displacement difference du is normal with per-axis spread
+    sigma = sqrt(2) * confinement.  Averaging over du gives each pair
+    the factor exp(-(k sigma)**2 |e1 - e2|**2 / 2), with
+    |e1 - e2|**2 = 2 (1 - e1 . e2) for unit directions, so M is one
+    weighted sum over the pairs of patch nodes.
     """
-    wavevector = layout.wavenumber
-    base = layout.separation * np.asarray(layout.axis)
-    total_weight = float(w1.sum() * w2.sum() * du_weights.sum())
-    coherence = 0.0 + 0.0j
-    for start in range(0, du_nodes.shape[0], _CHUNK):
-        separation_vecs = base[None, :] + du_nodes[start : start + _CHUNK]
-        sum1 = np.exp(1j * wavevector * (separation_vecs @ dirs1.T)) @ w1
-        sum2 = np.exp(-1j * wavevector * (separation_vecs @ dirs2.T)) @ w2
-        coherence += np.sum(du_weights[start : start + _CHUNK] * sum1 * sum2)
-    return total_weight, complex(coherence)
+    wavenumber = layout.wavenumber
+    sigma = math.sqrt(2.0) * trap.confinement
+    separation = layout.separation * np.asarray(layout.axis)
+    sum1 = w1 * np.exp(1j * wavenumber * (dirs1 @ separation))
+    sum2 = w2 * np.exp(-1j * wavenumber * (dirs2 @ separation))
+    # the (n1, n2) matrix dominates memory: build it in place, and take
+    # two real products so that it is never cast to complex
+    decay = dirs1 @ dirs2.T
+    decay -= 1.0
+    decay *= (wavenumber * sigma) ** 2
+    np.exp(decay, out=decay)
+    coherence = (sum1.real @ decay + 1j * (sum1.imag @ decay)) @ sum2
+    return float(w1.sum() * w2.sum()), complex(coherence)
 
 
 def _assemble_report(target, stat, phase_part, total_weight, coherence):
@@ -355,7 +296,7 @@ def _assemble_report(target, stat, phase_part, total_weight, coherence):
         + np.conj(coherence) * np.outer(stat, phase_part.conj())
     )
     trace = float(np.real(np.trace(rho_raw)))
-    if trace <= 0.0 or trace < 1e-12 * max(total_weight, 1.0):
+    if trace <= 0.0 or trace < 1e-12 * total_weight:
         raise ZeroProbabilityHeraldError(
             "integrated coincidence weight vanishes over the detector patches"
         )
@@ -397,15 +338,15 @@ def generated_state(config, quadrature=QuadratureSpec()):
     """Mixed state produced by finite detectors and trapped-emitter motion.
 
     Averages the heralded projector, weighted by the coincidence weight
-    G2, over both detector patches and the Gaussian emitter
-    displacements, then compares with the point-design target state at
-    the patch centers.
+    G2, over both detector patches (Gauss-Legendre nodes) and, in
+    closed form, over the Gaussian emitter displacements, then compares
+    with the point-design target state at the patch centers.
 
     Parameters
     ----------
     config : ExperimentConfig
     quadrature : QuadratureSpec
-        Node counts and scheme of the deterministic tensor quadrature.
+        Node counts of the deterministic patch quadrature.
 
     Returns
     -------
@@ -423,16 +364,16 @@ def generated_state(config, quadrature=QuadratureSpec()):
     -----
     The unnormalized heralded vector is ``s + t exp(-1j delta21)`` with
     node-independent s, t, so the average only needs the weight and the
-    first phase moment sum w exp(-1j delta21); the quadrature node sum
-    is evaluated exactly in that form.  Detection efficiency and dark
-    counts do not enter: the state is conditioned on the herald.
+    first phase moment sum w exp(-1j delta21), summed exactly over the
+    patch nodes and averaged exactly over the trap.  Detection
+    efficiency and dark counts do not enter: the state is conditioned
+    on the herald.
     """
     jones1, jones2, target = _nominal_target(config)
     dirs1, w1 = _patch_nodes(config.detector1, config.layout, quadrature)
     dirs2, w2 = _patch_nodes(config.detector2, config.layout, quadrature)
-    du_nodes, du_weights = _trap_difference_nodes(config.trap, quadrature)
     total_weight, coherence = _phase_moments(
-        config.layout, dirs1, w1, dirs2, w2, du_nodes, du_weights
+        config.layout, config.trap, dirs1, w1, dirs2, w2
     )
     stat, phase_part = _component_vectors(jones1, jones2)
     return _assemble_report(target, stat, phase_part, total_weight, coherence)
@@ -442,9 +383,9 @@ def monte_carlo_state(config, samples, seed):
     """Randomized evaluation of ``generated_state`` for cross-validation.
 
     Draws directions uniformly over each patch (importance-weighted by
-    cos chi) and displacement differences from the untruncated Gaussian
-    (the mass beyond the default truncation is ~6e-7 and far below
-    sampling noise).  Deterministic for a fixed ``seed``.
+    cos chi) and displacement differences from their Gaussian, where
+    ``generated_state`` averages the displacements in closed form.
+    Deterministic for a fixed ``seed``.
     """
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")

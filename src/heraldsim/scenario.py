@@ -9,6 +9,7 @@ builds the SI-unit physics objects, which hold the range checks.
 
 import copy
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import ScenarioError
 from .geometry import AtomPairLayout, DetectorPatch, TrapModel
-from .herald import QUADRATURE_SCHEMES, ExperimentConfig, QuadratureSpec
+from .herald import ExperimentConfig, QuadratureSpec
 from .optics import Polarizer
 
 __all__ = ["Scenario", "load_scenario", "save_scenario", "polarizer_from_values"]
@@ -129,10 +130,6 @@ _SCENARIO = (
     ("quadrature", (
         ("points_theta", _integer(), 8),
         ("points_chi", _integer(), 8),
-        ("points_trap", _integer(), 8),
-        ("scheme", _enum(*QUADRATURE_SCHEMES), "gauss-legendre"),
-        ("trap_truncation", _number, 5.0),
-        ("trap_dims", _integer(), 3),
     ), {}),
     ("scan", (
         ("delta21_start_rad", _number, REQUIRED),
@@ -176,6 +173,10 @@ class Scenario:
 
     def __post_init__(self):
         doc = _section(self.document, _SCENARIO, "scenario")
+        scan = doc.get("scan")
+        if scan and not math.isfinite(scan["delta21_stop_rad"] - scan["delta21_start_rad"]):
+            raise ScenarioError(
+                "scenario.scan: delta21_stop_rad - delta21_start_rad must be finite")
         object.__setattr__(self, "document", doc)
 
     def to_dict(self):

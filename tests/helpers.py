@@ -9,6 +9,7 @@ from heraldsim import (
     ExperimentConfig,
     Polarizer,
     TrapModel,
+    detection_direction,
 )
 
 SPIN_FLIP = np.array(
@@ -104,3 +105,68 @@ def point_detector_config(polarizer1, polarizer2, theta2=np.pi / 2):
                                   span_theta=0.0, span_chi=0.0),
         repetition_rate=5e6,
     )
+
+
+def _interval_nodes(center, width, count, midpoint):
+    if width == 0.0:
+        return np.array([center]), np.array([1.0])
+    if midpoint:
+        ref_nodes = (2.0 * np.arange(count) + 1.0) / count - 1.0
+        ref_weights = np.full(count, 2.0 / count)
+    else:
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(count)
+    return center + 0.5 * width * ref_nodes, 0.5 * width * ref_weights
+
+
+def _normal_nodes(sigma, count, midpoint, truncation):
+    if midpoint:
+        nodes, weights = _interval_nodes(0.0, 2.0 * truncation * sigma, count, True)
+        density = np.exp(-0.5 * (nodes / sigma) ** 2) / (sigma * np.sqrt(2.0 * np.pi))
+        return nodes, weights * density
+    nodes, weights = np.polynomial.hermite.hermgauss(count)
+    return np.sqrt(2.0) * sigma * nodes, weights / np.sqrt(np.pi)
+
+
+def quadrature_moments(config, points_patch, points_trap, midpoint=False,
+                       trap_dims=3, truncation=5.0):
+    """Weight W and coherence M = sum w exp(-1j delta21) by explicit node sums.
+
+    Oracle for the closed-form trap average.  Both patches take
+    ``points_patch`` nodes per axis (Gauss-Legendre, or the midpoint rule
+    with ``midpoint``) with the cos(chi) measure.  The trap takes
+    ``points_trap`` nodes per axis: Gauss-Hermite on the displacement
+    difference (spread sqrt(2) * confinement) for ``trap_dims=3``, on
+    each emitter's displacement for ``trap_dims=6``, or with
+    ``midpoint`` the midpoint rule truncated at ``truncation`` spreads.
+    """
+    def patch(detector):
+        theta, w_theta = _interval_nodes(
+            detector.theta_center, detector.span_theta, points_patch, midpoint)
+        chi, w_chi = _interval_nodes(
+            detector.chi_center, detector.span_chi, points_patch, midpoint)
+        grid_theta, grid_chi = np.meshgrid(theta, chi, indexing="ij")
+        directions = detection_direction(
+            config.layout.axis, grid_theta.ravel(), grid_chi.ravel())
+        return directions, np.outer(w_theta, w_chi * np.cos(chi)).ravel()
+
+    dirs1, w1 = patch(config.detector1)
+    dirs2, w2 = patch(config.detector2)
+    confinement = config.trap.confinement
+    if confinement == 0.0:
+        axis_nodes, axis_weights = np.zeros(1), np.ones(1)
+    elif trap_dims == 3:
+        axis_nodes, axis_weights = _normal_nodes(
+            np.sqrt(2.0) * confinement, points_trap, midpoint, truncation)
+    else:
+        nodes, weights = _normal_nodes(confinement, points_trap, midpoint, truncation)
+        axis_nodes = (nodes[None, :] - nodes[:, None]).ravel()
+        axis_weights = np.outer(weights, weights).ravel()
+    grids = np.meshgrid(axis_nodes, axis_nodes, axis_nodes, indexing="ij")
+    du = np.stack([grid.ravel() for grid in grids], axis=1)
+    du_weights = np.einsum("i,j,k->ijk", axis_weights, axis_weights, axis_weights).ravel()
+    offsets = config.layout.separation * np.asarray(config.layout.axis) + du
+    wavenumber = config.layout.wavenumber
+    sum1 = np.exp(1j * wavenumber * (offsets @ dirs1.T)) @ w1
+    sum2 = np.exp(-1j * wavenumber * (offsets @ dirs2.T)) @ w2
+    total_weight = float(w1.sum() * w2.sum() * du_weights.sum())
+    return total_weight, complex(np.sum(du_weights * sum1 * sum2))

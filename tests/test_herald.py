@@ -25,16 +25,27 @@ from heraldsim import (
     theta_center_for_delta21,
     wrap_phase,
 )
+from heraldsim import herald
+from heraldsim.optics import _component_vectors
 from heraldsim.qcore import validate_density
 
 from helpers import (
     point_detector_config,
+    quadrature_moments,
     reference_config,
     reference_layout,
     reference_patch,
 )
 
 FAST_QUAD = QuadratureSpec(points_theta=6, points_chi=6, points_trap=6)
+
+
+def _oracle_report(config, points_patch, points_trap, **rule):
+    """Report assembled from the brute-force node sums of ``quadrature_moments``."""
+    jones1, jones2, target = herald._nominal_target(config)
+    stat, phase_part = _component_vectors(jones1, jones2)
+    moments = quadrature_moments(config, points_patch, points_trap, **rule)
+    return herald._assemble_report(target, stat, phase_part, *moments)
 
 
 def _with_delta21(config, delta):
@@ -156,18 +167,12 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             QuadratureSpec(points_theta=0)
         with pytest.raises(InvalidInputError):
-            QuadratureSpec(scheme="simpson")
-        with pytest.raises(InvalidInputError):
-            QuadratureSpec(trap_dims=4)
-        with pytest.raises(InvalidInputError):
-            QuadratureSpec(trap_truncation=0.0)
-        for bad in (np.nan, np.inf):
-            with pytest.raises(InvalidInputError):
-                QuadratureSpec(scheme="tensor-midpoint", trap_truncation=bad)
+            QuadratureSpec(points_trap=0)
 
     def test_doubled_spec(self):
+        # the trap average takes no nodes, so points_trap stays as given
         doubled = QuadratureSpec(points_theta=3, points_chi=4, points_trap=5).doubled()
-        assert (doubled.points_theta, doubled.points_chi, doubled.points_trap) == (6, 8, 10)
+        assert (doubled.points_theta, doubled.points_chi, doubled.points_trap) == (6, 8, 5)
 
 
 class TestGeneratedStatePointLimit:
@@ -200,6 +205,20 @@ class TestGeneratedStatePointLimit:
                 assert report.heralding_weight == pytest.approx(
                     g2(report.delta21_nominal, report.v12), abs=1e-12
                 )
+
+    def test_tiny_patch_is_not_a_vanishing_herald(self):
+        # the weight of a 1 urad x 0.1 urad patch is 1e-13 sr; the herald
+        # still fires, and the state is the point-design one
+        point = point_detector_config(Polarizer.linear(0.0), Polarizer.linear(0.3))
+        tiny = dataclasses.replace(
+            point,
+            detector2=dataclasses.replace(point.detector2, span_theta=1e-6, span_chi=1e-7),
+        )
+        report = generated_state(tiny)
+        assert report.heralding_weight < 1e-12
+        assert report.concurrence_generated == pytest.approx(
+            generated_state(point).concurrence_generated, abs=1e-10
+        )
 
     def test_nominal_zero_probability_raises(self):
         config = point_detector_config(Polarizer.linear(0.0), Polarizer.linear(0.0))
@@ -258,26 +277,25 @@ class TestGeneratedStateFinitePatches:
         assert abs(base.fidelity - fine.fidelity) < 1e-3
 
     def test_difference_mode_matches_explicit_six_dim_trap(self):
+        # the closed-form trap average against Gauss-Hermite node sums
+        # over the displacement difference and over both emitters; six
+        # nodes per axis already resolve the trap to rounding error
         config = reference_config(confinement=15e-9)
-        quad3 = QuadratureSpec(points_theta=6, points_chi=6, points_trap=6, trap_dims=3)
-        quad6 = QuadratureSpec(points_theta=6, points_chi=6, points_trap=6, trap_dims=6)
-        report3 = generated_state(config, quad3)
-        report6 = generated_state(config, quad6)
-        assert abs(report3.delta_c - report6.delta_c) < 1e-4
-        assert abs(report3.fidelity - report6.fidelity) < 1e-4
-        assert report3.heralding_weight == pytest.approx(
-            report6.heralding_weight, rel=1e-6
-        )
+        closed = generated_state(config, QuadratureSpec(points_theta=6, points_chi=6))
+        for trap_dims in (3, 6):
+            oracle = _oracle_report(config, 6, 6, trap_dims=trap_dims)
+            assert abs(closed.delta_c - oracle.delta_c) < 1e-10
+            assert abs(closed.fidelity - oracle.fidelity) < 1e-10
+            assert closed.heralding_weight == pytest.approx(
+                oracle.heralding_weight, rel=1e-10
+            )
 
     def test_midpoint_scheme_agrees_with_gauss(self):
+        # Gauss-Legendre patches with the exact trap average against the
+        # midpoint rule on both patches and the truncated trap Gaussian
         config = reference_config()
         gauss = generated_state(config)
-        midpoint = generated_state(
-            config,
-            QuadratureSpec(
-                points_theta=16, points_chi=16, points_trap=16, scheme="tensor-midpoint"
-            ),
-        )
+        midpoint = _oracle_report(config, 16, 16, midpoint=True)
         assert abs(gauss.delta_c - midpoint.delta_c) < 1e-4
         assert abs(gauss.fidelity - midpoint.fidelity) < 1e-4
 

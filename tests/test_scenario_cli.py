@@ -41,10 +41,6 @@ def small_scenario_dict():
         "quadrature": {
             "points_theta": 4,
             "points_chi": 4,
-            "points_trap": 4,
-            "scheme": "gauss-legendre",
-            "trap_truncation": 5.0,
-            "trap_dims": 3,
         },
         "scan": {
             "delta21_start_rad": -np.pi / 2,
@@ -97,7 +93,7 @@ class TestScenarioFiles:
     def test_quadrature_and_scan_sections(self):
         scenario = load_scenario(BASELINE)
         spec = scenario.quadrature_spec()
-        assert (spec.points_theta, spec.points_chi, spec.points_trap) == (8, 8, 8)
+        assert (spec.points_theta, spec.points_chi) == (8, 8)
         grid = scenario.scan.delta21_grid()
         assert len(grid) == 21
         assert grid[0] == pytest.approx(-np.pi / 2, rel=1e-15)
@@ -159,7 +155,7 @@ class TestScenarioFiles:
             ("dark_count_rate_hz",),
             ("detector1", "span_theta_mrad"),
             ("detector2", "chi_center_rad"),
-            ("quadrature", "trap_truncation"),
+            ("confinement_nm",),
             ("scan", "delta21_stop_rad"),
             ("scan", "v12_values", 1),
             ("detector1", "polarizer", "eps_minus", 0),
@@ -253,6 +249,12 @@ class TestSurfaceCommand:
     )
     def test_non_finite_bounds_exit_2(self, capsys, bounds):
         assert main(["surface", *bounds]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
+
+    def test_directory_as_out_exit_2(self, tmp_path, capsys):
+        assert main(["surface", "--out", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err
         assert captured.out == ""
@@ -364,7 +366,7 @@ class TestUncertaintyCommand:
         assert rc == 0
         coarse = parse_report(capsys.readouterr().out)
         rc = main(["uncertainty", "--config", path, "--points-theta", "12",
-                   "--points-chi", "12", "--points-trap", "12"])
+                   "--points-chi", "12"])
         assert rc == 0
         fine = parse_report(capsys.readouterr().out)
         # both must be converged already at the small-scan settings
@@ -390,15 +392,32 @@ class TestUncertaintyCommand:
                    str(tmp_path / "scan.csv")])
         assert rc == 2
 
-    def test_missing_file_exit_2(self, tmp_path, capsys):
-        rc = main(["uncertainty", "--config", str(tmp_path / "absent.json")])
+    @pytest.mark.parametrize("name", ["absent.json", ""], ids=["absent", "directory"])
+    def test_missing_file_exit_2(self, tmp_path, capsys, name):
+        rc = main(["uncertainty", "--config", str(tmp_path / name)])
         assert rc == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
 
-    def test_unknown_scenario_key_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "section, fields, named",
+        [
+            (None, {"extra": 1}, "extra"),
+            ("quadrature", {"trap_dims": 3}, "trap_dims"),
+            ("scan", {"delta21_start_rad": -1e308, "delta21_stop_rad": 1e308},
+             "scenario.scan"),
+        ],
+        ids=["unknown-key", "retired-key", "overflowing-span"],
+    )
+    def test_rejected_scenario_exit_2(self, tmp_path, capsys, section, fields, named):
         doc = small_scenario_dict()
-        doc["extra"] = 1
+        (doc[section] if section else doc).update(fields)
         rc = main(["uncertainty", "--config", write_scenario(tmp_path, doc)])
         assert rc == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and named in captured.err
+        assert captured.out == ""
 
     def test_point_detector_scenario(self, capsys):
         rc = main(["uncertainty", "--config", POINT])
