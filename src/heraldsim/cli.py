@@ -183,27 +183,11 @@ def cmd_uncertainty(args):
         print(f"scan_min_fidelity      = {_fmt(result.min_fidelity)}")
         if args.out is not None:
             with _csv_writer(args.out) as writer:
-                writer.writerow(
-                    [
-                        "delta21_rad",
-                        "v12",
-                        "delta_c",
-                        "fidelity",
-                        "concurrence_target",
-                        "concurrence_generated",
-                    ]
-                )
+                writer.writerow(["delta21_rad", "v12", "delta_c", "fidelity",
+                                 "concurrence_target", "concurrence_generated"])
+                # the ScanPoint field order is the CSV column order
                 for point in result.points:
-                    writer.writerow(
-                        [
-                            _fmt(point.delta21),
-                            _fmt(point.v12),
-                            _fmt(point.delta_c),
-                            _fmt(point.fidelity),
-                            _fmt(point.concurrence_target),
-                            _fmt(point.concurrence_generated),
-                        ]
-                    )
+                    writer.writerow([_fmt(v) for v in dataclasses.astuple(point)])
     elif args.out is not None:
         raise InvalidInputError("--out set but the scenario has no scan section")
     return 0

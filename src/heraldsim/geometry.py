@@ -15,7 +15,7 @@ retarded by ``k * (R_B - R_A) . e``; for the unperturbed pair this is
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

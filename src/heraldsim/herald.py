@@ -289,7 +289,24 @@ def _phase_moments(layout, trap, dirs1, w1, dirs2, w2):
     return float(w1.sum() * w2.sum()), complex(coherence)
 
 
-def _assemble_report(target, stat, phase_part, total_weight, coherence):
+def _coherence(config, quadrature):
+    """Weight W and first phase moment M of the patch and trap average."""
+    dirs1, w1 = _patch_nodes(config.detector1, config.layout, quadrature)
+    dirs2, w2 = _patch_nodes(config.detector2, config.layout, quadrature)
+    return _phase_moments(config.layout, config.trap, dirs1, w1, dirs2, w2)
+
+
+def _report(config, total_weight, coherence):
+    """Generated state from (W, M) next to the point-design target of ``config``."""
+    jones1 = polarizer_to_jones(config.detector1.polarizer)
+    jones2 = polarizer_to_jones(config.detector2.polarizer)
+    delta21 = farfield_phase(
+        config.layout, config.detector2.theta_center, config.detector2.chi_center
+    ) - farfield_phase(
+        config.layout, config.detector1.theta_center, config.detector1.chi_center
+    )
+    target = heralded_state(jones1, jones2, delta21)
+    stat, phase_part = _component_vectors(jones1, jones2)
     rho_raw = (
         total_weight * (np.outer(stat, stat.conj()) + np.outer(phase_part, phase_part.conj()))
         + coherence * np.outer(phase_part, stat.conj())
@@ -320,18 +337,6 @@ def _assemble_report(target, stat, phase_part, total_weight, coherence):
         delta21_nominal=target.delta21,
         v12=target.v12,
     )
-
-
-def _nominal_target(config):
-    jones1 = polarizer_to_jones(config.detector1.polarizer)
-    jones2 = polarizer_to_jones(config.detector2.polarizer)
-    phase1 = farfield_phase(
-        config.layout, config.detector1.theta_center, config.detector1.chi_center
-    )
-    phase2 = farfield_phase(
-        config.layout, config.detector2.theta_center, config.detector2.chi_center
-    )
-    return jones1, jones2, heralded_state(jones1, jones2, phase2 - phase1)
 
 
 def generated_state(config, quadrature=QuadratureSpec()):
@@ -369,14 +374,7 @@ def generated_state(config, quadrature=QuadratureSpec()):
     efficiency and dark counts do not enter: the state is conditioned
     on the herald.
     """
-    jones1, jones2, target = _nominal_target(config)
-    dirs1, w1 = _patch_nodes(config.detector1, config.layout, quadrature)
-    dirs2, w2 = _patch_nodes(config.detector2, config.layout, quadrature)
-    total_weight, coherence = _phase_moments(
-        config.layout, config.trap, dirs1, w1, dirs2, w2
-    )
-    stat, phase_part = _component_vectors(jones1, jones2)
-    return _assemble_report(target, stat, phase_part, total_weight, coherence)
+    return _report(config, *_coherence(config, quadrature))
 
 
 def monte_carlo_state(config, samples, seed):
@@ -390,7 +388,6 @@ def monte_carlo_state(config, samples, seed):
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    jones1, jones2, target = _nominal_target(config)
 
     def _draw_patch(patch):
         theta = patch.theta_center + patch.span_theta * (rng.random(samples) - 0.5)
@@ -410,8 +407,7 @@ def monte_carlo_state(config, samples, seed):
     weights = cos1 * cos2
     total_weight = float(weights.sum())
     coherence = complex(np.sum(weights * np.exp(-1j * phase)))
-    stat, phase_part = _component_vectors(jones1, jones2)
-    return _assemble_report(target, stat, phase_part, total_weight, coherence)
+    return _report(config, total_weight, coherence)
 
 
 def theta_center_for_delta21(layout, reference_patch, chi_center, delta21):
@@ -431,7 +427,7 @@ def theta_center_for_delta21(layout, reference_patch, chi_center, delta21):
     )
     scale = layout.wavenumber * layout.separation * np.cos(chi_center)
     cos_theta = (reference_phase + delta21) / scale
-    if abs(cos_theta) > 1.0:
+    if not abs(cos_theta) <= 1.0:  # also catches nan
         raise InvalidInputError(
             f"delta21 = {delta21:.6g} is out of reach: needs |cos theta| = "
             f"{abs(cos_theta):.6g} > 1 at this separation"
@@ -456,7 +452,7 @@ def delta_c_scan(config, quadrature, delta21_values, v12_values):
     v12_values = np.atleast_1d(np.asarray(v12_values, dtype=float))
     if delta21_values.size == 0 or v12_values.size == 0:
         raise InvalidInputError("scan grids must be nonempty")
-    if v12_values.min() < 0.0 or v12_values.max() > 1.0:
+    if not (0.0 <= v12_values.min() and v12_values.max() <= 1.0):  # also catches nan
         raise InvalidInputError("v12 grid must lie in [0, 1]")
     points = []
     reference = replace(config.detector1, polarizer=Polarizer.linear(0.0))
@@ -464,13 +460,13 @@ def delta_c_scan(config, quadrature, delta21_values, v12_values):
         theta2 = theta_center_for_delta21(
             config.layout, reference, config.detector2.chi_center, delta
         )
+        detector2 = replace(config.detector2, theta_center=theta2)
+        geometry = replace(config, detector1=reference, detector2=detector2)
+        # the analyzers do not enter W and M, so each geometry is averaged once
+        total_weight, coherence = _coherence(geometry, quadrature)
         for v12 in v12_values:
-            alpha = math.acos(math.sqrt(v12))
-            probe = replace(
-                config.detector2, theta_center=theta2, polarizer=Polarizer.linear(alpha)
-            )
-            scan_config = replace(config, detector1=reference, detector2=probe)
-            report = generated_state(scan_config, quadrature)
+            probe = replace(detector2, polarizer=Polarizer.linear(math.acos(math.sqrt(v12))))
+            report = _report(replace(geometry, detector2=probe), total_weight, coherence)
             points.append(
                 ScanPoint(
                     delta21=float(delta),

@@ -30,7 +30,6 @@ from .qcore import (
     LEVEL_PLUS,
     _as_complex_array,
     excited_pair_state,
-    joint_index,
     project_to_ground_manifold,
 )
 

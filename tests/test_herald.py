@@ -7,11 +7,9 @@ import pytest
 
 from heraldsim import (
     CountRates,
-    ExperimentConfig,
     InvalidInputError,
     Polarizer,
     QuadratureSpec,
-    TrapModel,
     ZeroProbabilityHeraldError,
     accidental_fraction,
     concurrence_analytic,
@@ -26,7 +24,6 @@ from heraldsim import (
     wrap_phase,
 )
 from heraldsim import herald
-from heraldsim.optics import _component_vectors
 from heraldsim.qcore import validate_density
 
 from helpers import (
@@ -42,10 +39,8 @@ FAST_QUAD = QuadratureSpec(points_theta=6, points_chi=6, points_trap=6)
 
 def _oracle_report(config, points_patch, points_trap, **rule):
     """Report assembled from the brute-force node sums of ``quadrature_moments``."""
-    jones1, jones2, target = herald._nominal_target(config)
-    stat, phase_part = _component_vectors(jones1, jones2)
     moments = quadrature_moments(config, points_patch, points_trap, **rule)
-    return herald._assemble_report(target, stat, phase_part, *moments)
+    return herald._report(config, *moments)
 
 
 def _with_delta21(config, delta):
@@ -350,8 +345,9 @@ class TestThetaForPhase:
     def test_out_of_reach_phase_raises(self):
         layout = reference_layout()
         base = reference_patch(Polarizer.linear(0.0))
-        with pytest.raises(InvalidInputError):
-            theta_center_for_delta21(layout, base, 0.0, 60.0)
+        for delta in (60.0, np.nan):
+            with pytest.raises(InvalidInputError, match="out of reach"):
+                theta_center_for_delta21(layout, base, 0.0, delta)
 
 
 class TestScan:
@@ -384,3 +380,28 @@ class TestScan:
             delta_c_scan(config, FAST_QUAD, [], [0.5])
         with pytest.raises(InvalidInputError):
             delta_c_scan(config, FAST_QUAD, [0.0], [1.5])
+        with pytest.raises(InvalidInputError, match="out of reach"):
+            delta_c_scan(config, FAST_QUAD, [0.0, np.nan], [0.5])
+        with pytest.raises(InvalidInputError, match=r"v12 grid must lie in \[0, 1\]"):
+            delta_c_scan(config, FAST_QUAD, [0.0], [0.5, np.nan])
+
+    def test_rows_match_generated_state_of_each_cell(self):
+        # the scan averages each geometry once and swaps only the analyzer;
+        # every row must equal the full pipeline run on that cell's config
+        config = reference_config()
+        result = delta_c_scan(config, FAST_QUAD, [-1.0, 0.0, 2.0], [0.0, 0.3, 1.0])
+        detector1 = dataclasses.replace(config.detector1, polarizer=Polarizer.linear(0.0))
+        for point in result.points:
+            theta2 = theta_center_for_delta21(
+                config.layout, detector1, config.detector2.chi_center, point.delta21
+            )
+            detector2 = dataclasses.replace(
+                config.detector2,
+                theta_center=theta2,
+                polarizer=Polarizer.linear(np.arccos(np.sqrt(point.v12))),
+            )
+            cell = dataclasses.replace(config, detector1=detector1, detector2=detector2)
+            report = generated_state(cell, FAST_QUAD)
+            for name in ("delta_c", "fidelity", "concurrence_target",
+                         "concurrence_generated"):
+                assert abs(getattr(point, name) - getattr(report, name)) <= 1e-15

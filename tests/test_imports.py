@@ -1,0 +1,60 @@
+"""Import hygiene: every imported name is read or re-exported.
+
+Parses the package modules and the test files with ``ast``, so the
+check needs nothing beyond the standard library.  ``__init__.py`` is
+left out: its imports are the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "heraldsim"
+SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES += sorted(TESTS.glob("*.py"))
+
+
+def _exported(tree):
+    """Names listed in a module-level ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(source):
+    """Imported names that are never read and not in ``__all__``."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    used = read | _exported(tree)
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_the_check_sees_unused_names():
+    source = (
+        "import os\nimport os.path as osp\nfrom math import pi, tau\n"
+        "__all__ = ['tau']\nprint(os)\n"
+    )
+    assert unused_imports(source) == [(2, "osp"), (3, "pi")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_read(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
