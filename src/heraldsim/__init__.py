@@ -18,14 +18,9 @@ from .errors import (
 from .geometry import (
     AtomPairLayout,
     DetectorPatch,
-    FiberChannel,
     TrapModel,
-    delta21,
     detection_direction,
     farfield_phase,
-    fiber_phase,
-    perturbed_phase,
-    wrap_phase,
 )
 from .herald import (
     CountRates,
@@ -48,7 +43,6 @@ from .optics import (
     concurrence_analytic,
     g2,
     heralded_state,
-    heralded_state_via_operators,
     polarizer_to_jones,
     visibility,
 )
@@ -57,8 +51,6 @@ from .qcore import (
     concurrence_mixed,
     concurrence_pure,
     fidelity_pure_target,
-    project_to_ground_manifold,
-    pure_to_density,
 )
 from .scenario import Scenario, load_scenario, save_scenario
 
@@ -70,7 +62,6 @@ __all__ = [
     "CountRates",
     "DetectorPatch",
     "ExperimentConfig",
-    "FiberChannel",
     "HeraldSimError",
     "HeraldedOutcome",
     "InvalidInputError",
@@ -89,25 +80,18 @@ __all__ = [
     "concurrence_mixed",
     "concurrence_pure",
     "count_rate",
-    "delta21",
     "delta_c_scan",
     "detection_direction",
     "detection_probability",
     "farfield_phase",
-    "fiber_phase",
     "fidelity_pure_target",
     "g2",
     "generated_state",
     "heralded_state",
-    "heralded_state_via_operators",
     "load_scenario",
     "monte_carlo_state",
-    "perturbed_phase",
     "polarizer_to_jones",
-    "project_to_ground_manifold",
-    "pure_to_density",
     "save_scenario",
     "theta_center_for_delta21",
     "visibility",
-    "wrap_phase",
 ]

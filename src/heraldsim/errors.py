@@ -36,9 +36,9 @@ class ZeroProbabilityHeraldError(HeraldSimError):
 class NumericalFailureError(HeraldSimError):
     """A numerical routine left its validity tolerances.
 
-    Examples: eigenvalues of the concurrence product matrix with an
-    imaginary part above tolerance, or a quadrature result that is not
-    a valid density matrix.
+    Examples: a Wootters spectrum whose squares do not reproduce
+    tr(rho spin_flip(rho)) within tolerance, or a quadrature result
+    that is not a valid density matrix.
     """
 
 

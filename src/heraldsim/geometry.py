@@ -1,4 +1,4 @@
-"""Emitter-pair geometry and the propagation phases seen by the detectors.
+"""Emitter pair, detector patches, trap model and the far-field phase.
 
 A detection direction is parametrized by the longitude ``theta``
 measured from the emitter axis inside the reference plane and the
@@ -11,10 +11,10 @@ with (axis, n1, n2) a right-handed orthonormal frame.  The solid-angle
 measure in these coordinates is ``cos(chi) dtheta dchi``.  A photon
 reaching direction ``e`` from emitter B instead of emitter A is
 retarded by ``k * (R_B - R_A) . e``; for the unperturbed pair this is
-``k * d * cos(theta) * cos(chi)``.
+``k * d * cos(theta) * cos(chi)``.  The herald layer averages the trap
+displacements of ``R_B - R_A`` in closed form.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +25,9 @@ from .optics import Polarizer
 __all__ = [
     "AtomPairLayout",
     "DetectorPatch",
-    "FiberChannel",
     "TrapModel",
     "detection_direction",
     "farfield_phase",
-    "fiber_phase",
-    "delta21",
-    "wrap_phase",
-    "perturbed_phase",
 ]
 
 
@@ -104,18 +99,6 @@ class DetectorPatch:
 
 
 @dataclass(frozen=True)
-class FiberChannel:
-    """Collection into fibers of optical path lengths w_a and w_b (meters)."""
-
-    path_a: float
-    path_b: float
-
-    def __post_init__(self):
-        if self.path_a < 0.0 or self.path_b < 0.0:
-            raise InvalidInputError("fiber path lengths must be nonnegative")
-
-
-@dataclass(frozen=True)
 class TrapModel:
     """Isotropic Gaussian position spread of each emitter in its trap.
 
@@ -167,51 +150,3 @@ def farfield_phase(layout, theta, chi=0.0):
     near the equator with a wide latitude opening.
     """
     return layout.wavenumber * layout.separation * np.cos(theta) * np.cos(chi)
-
-
-def fiber_phase(layout, channel):
-    """Propagation phase k (w_b - w_a) of a fiber-coupled channel."""
-    return layout.wavenumber * (channel.path_b - channel.path_a)
-
-
-def wrap_phase(phase):
-    """Reduce a phase to the interval (-pi, pi]."""
-    reduced = np.mod(phase, 2.0 * np.pi)
-    if np.isscalar(reduced) or reduced.ndim == 0:
-        return float(reduced - 2.0 * np.pi) if reduced > np.pi else float(reduced)
-    reduced = np.where(reduced > np.pi, reduced - 2.0 * np.pi, reduced)
-    return reduced
-
-
-def delta21(phase1, phase2):
-    """Relative detection phase (channel 2 minus channel 1), in (-pi, pi].
-
-    The reduction is for reporting; integration code keeps raw phase
-    differences, which is equivalent because only exp(-1j * delta)
-    enters any observable.
-    """
-    return wrap_phase(np.asarray(phase2) - np.asarray(phase1))
-
-
-def perturbed_phase(layout, theta, chi, displacement_a, displacement_b):
-    """Propagation phase with the emitters displaced inside their traps.
-
-    Computes ``k * (d * axis + u_b - u_a) . e(theta, chi)`` for lab-frame
-    displacement 3-vectors ``u_a`` and ``u_b`` in meters.  Displacements
-    are expected small against the separation; above d/10 the far-field
-    linearization is doubtful and a warning is emitted.
-    """
-    u_a = np.asarray(displacement_a, dtype=float)
-    u_b = np.asarray(displacement_b, dtype=float)
-    if u_a.shape != (3,) or u_b.shape != (3,):
-        raise InvalidInputError("displacements must be 3-vectors")
-    largest = max(np.linalg.norm(u_a), np.linalg.norm(u_b))
-    if largest > layout.separation / 10.0:
-        warnings.warn(
-            f"displacement {largest:.3g} m exceeds a tenth of the separation; "
-            "far-field phase linearization may be inaccurate",
-            stacklevel=2,
-        )
-    offset = layout.separation * np.asarray(layout.axis) + u_b - u_a
-    direction = detection_direction(layout.axis, theta, chi)
-    return layout.wavenumber * float(np.dot(offset, direction))

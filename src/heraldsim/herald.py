@@ -222,8 +222,8 @@ def accidental_fraction(config, true_rate):
     detector (two photons per excitation cycle).  Returns
     ``R_acc / (R_acc + true_rate)``, or 0 when both rates vanish.
     """
-    if true_rate < 0.0:
-        raise InvalidInputError("true_rate must be nonnegative")
+    if not 0.0 <= true_rate < math.inf:
+        raise InvalidInputError("true_rate must be nonnegative and finite")
     dark = config.dark_count_rate
     window = config.coincidence_window
     eta = config.detector_efficiency

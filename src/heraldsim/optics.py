@@ -19,19 +19,14 @@ squared norm of this unnormalized vector is the coincidence weight
 ``g2 = 2 (1 + v12 cos delta21)`` with ``v12 = |<jones1, jones2>|**2``.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, ZeroProbabilityHeraldError
-from .qcore import (
-    LEVEL_E,
-    LEVEL_MINUS,
-    LEVEL_PLUS,
-    _as_complex_array,
-    excited_pair_state,
-    project_to_ground_manifold,
-)
+from .qcore import _as_complex_array
 
 __all__ = [
     "JONES_NORM_ATOL",
@@ -41,7 +36,6 @@ __all__ = [
     "polarizer_to_jones",
     "visibility",
     "heralded_state",
-    "heralded_state_via_operators",
     "concurrence_analytic",
     "g2",
 ]
@@ -73,6 +67,10 @@ class Polarizer:
     def __post_init__(self):
         if self.kind not in ("linear", "circular", "general"):
             raise InvalidInputError(f"unknown polarizer kind {self.kind!r}")
+        if not math.isfinite(self.angle):
+            raise InvalidInputError(f"polarizer angle must be finite, got {self.angle!r}")
+        if not all(cmath.isfinite(c) for c in self.components):
+            raise InvalidInputError("polarizer components must be finite")
         if self.kind == "circular" and self.handedness not in (1, -1):
             raise InvalidInputError("circular handedness must be +1 or -1")
         if self.kind == "general":
@@ -95,9 +93,6 @@ class Polarizer:
     def general(cls, eps_plus, eps_minus):
         """Arbitrary analyzer; the two components are normalized on use."""
         return cls(kind="general", components=(complex(eps_plus), complex(eps_minus)))
-
-    def to_jones(self):
-        return polarizer_to_jones(self)
 
 
 def polarizer_to_jones(polarizer):
@@ -155,17 +150,6 @@ def _fix_global_phase(state):
     return state
 
 
-def _outcome_from_unnormalized(amps, delta21, v12):
-    weight = float(np.real(np.vdot(amps, amps)))
-    if weight < MIN_HERALD_WEIGHT:
-        raise ZeroProbabilityHeraldError(
-            f"coincidence weight {weight:.3g} below {MIN_HERALD_WEIGHT:g}; "
-            "the herald never fires for this configuration"
-        )
-    state = _fix_global_phase(amps / np.sqrt(weight))
-    return HeraldedOutcome(state=state, g2=weight, delta21=float(delta21), v12=v12)
-
-
 @dataclass(frozen=True)
 class HeraldedOutcome:
     """State conditioned on a coincidence, with its weight and settings.
@@ -209,59 +193,31 @@ def heralded_state(jones1, jones2, delta21):
         If the coincidence weight falls below ``MIN_HERALD_WEIGHT``
         (equal analyzers with destructive phase, e.g. v12 = 1 and
         delta21 = pi).
+    InvalidInputError
+        If an analyzer is not a finite unit vector or ``delta21`` is
+        not finite.
     """
     e1 = _validated_jones(jones1, "jones1")
     e2 = _validated_jones(jones2, "jones2")
+    delta21 = _validated_phase(delta21)
     s, t = _component_vectors(e1, e2)
     amps = s + t * np.exp(-1j * delta21)
+    weight = float(np.real(np.vdot(amps, amps)))
+    if weight < MIN_HERALD_WEIGHT:
+        raise ZeroProbabilityHeraldError(
+            f"coincidence weight {weight:.3g} below {MIN_HERALD_WEIGHT:g}; "
+            "the herald never fires for this configuration"
+        )
+    state = _fix_global_phase(amps / np.sqrt(weight))
     v12 = float(abs(np.vdot(e1, e2)) ** 2)
-    return _outcome_from_unnormalized(amps, delta21, v12)
+    return HeraldedOutcome(state=state, g2=weight, delta21=float(delta21), v12=v12)
 
 
-def _decay_operator(jones):
-    """Single-emitter lowering operator weighted by the analyzer.
-
-    Maps |e> to eps_minus |+> + eps_plus |->: the sigma+ photon of the
-    decay to |-> is picked up with amplitude eps_plus, the sigma- photon
-    of the decay to |+> with eps_minus.  Annihilates the lower levels.
-    """
-    op = np.zeros((3, 3), dtype=complex)
-    op[LEVEL_PLUS, LEVEL_E] = jones[1]
-    op[LEVEL_MINUS, LEVEL_E] = jones[0]
-    return op
-
-
-def heralded_state_via_operators(jones1, jones2, phase1, phase2):
-    """Same herald built from explicit detection operators on the level space.
-
-    Each detection channel i applies
-
-        D_i = K_i (x) 1 + exp(-1j * phase_i) 1 (x) K_i
-
-    to the doubly excited pair, where K_i is the analyzer-weighted
-    lowering operator of one emitter and ``phase_i`` the propagation
-    phase from the second emitter to detector i relative to the first.
-    Applying D_1 after D_2 and projecting on the lower levels
-    reproduces ``heralded_state(jones1, jones2, phase2 - phase1)`` up
-    to the common phase convention; this is an independent route kept
-    for cross-checking the closed form.
-
-    Returns
-    -------
-    HeraldedOutcome
-        With ``delta21 = phase2 - phase1`` (unreduced).
-    """
-    e1 = _validated_jones(jones1, "jones1")
-    e2 = _validated_jones(jones2, "jones2")
-    identity = np.eye(3, dtype=complex)
-    ops = []
-    for jones, phase in ((e1, phase1), (e2, phase2)):
-        low = _decay_operator(jones)
-        ops.append(np.kron(low, identity) + np.exp(-1j * phase) * np.kron(identity, low))
-    joint = ops[0] @ (ops[1] @ excited_pair_state())
-    amps, _ = project_to_ground_manifold(joint)
-    v12 = float(abs(np.vdot(e1, e2)) ** 2)
-    return _outcome_from_unnormalized(amps, phase2 - phase1, v12)
+def _validated_phase(delta21):
+    # math.isfinite: the surface table calls this once per cell
+    if not math.isfinite(delta21):
+        raise InvalidInputError(f"delta21 must be finite, got {delta21!r}")
+    return delta21
 
 
 def _validated_v12(v12):
@@ -284,8 +240,9 @@ def concurrence_analytic(delta21, v12):
         If 1 + v12 cos delta21 falls below ``MIN_HERALD_WEIGHT``; the
         herald never fires there, so no conditional state exists.
     InvalidInputError
-        If v12 lies outside [0, 1].
+        If v12 lies outside [0, 1] or delta21 is not finite.
     """
+    delta21 = _validated_phase(delta21)
     v = _validated_v12(v12)
     weight = 1.0 + v * np.cos(delta21)
     if weight < MIN_HERALD_WEIGHT:
@@ -301,5 +258,6 @@ def g2(delta21, v12):
     This is the unnormalized second-order correlation of the two
     detection channels; it vanishes at v12 = 1, delta21 = pi.
     """
+    delta21 = _validated_phase(delta21)
     v = _validated_v12(v12)
     return 2.0 * (1.0 + v * np.cos(delta21))

@@ -1,10 +1,8 @@
-"""Two-qubit state arithmetic: concurrence, fidelity, ground-manifold projection.
+"""Two-qubit state arithmetic: validation, concurrence and fidelity.
 
 Qubits are the two stable lower levels |+> and |-> of a three-level
 emitter.  Pure two-qubit states are length-4 complex arrays ordered
-(++, +-, -+, --); density matrices are 4x4 in the same basis.  States
-of the full pair of {e, +, -} level triplets are length-9 arrays
-indexed by ``3 * level_A + level_B`` with e = 0, + = 1, - = 2.
+(++, +-, -+, --); density matrices are 4x4 in the same basis.
 
 Inputs are validated, never silently renormalized: a state whose norm
 is off by more than ``STATE_NORM_ATOL`` is rejected so that upstream
@@ -17,29 +15,15 @@ from .errors import InvalidInputError, NumericalFailureError
 
 __all__ = [
     "BASIS_LABELS",
-    "LEVEL_E",
-    "LEVEL_PLUS",
-    "LEVEL_MINUS",
-    "GROUND_INDICES",
     "concurrence_pure",
     "concurrence_mixed",
     "fidelity_pure_target",
-    "pure_to_density",
     "validate_state",
     "validate_density",
-    "joint_index",
-    "excited_pair_state",
-    "project_to_ground_manifold",
 ]
 
 #: basis order of all two-qubit vectors and matrices
 BASIS_LABELS = ("++", "+-", "-+", "--")
-
-#: level indices of a single emitter
-LEVEL_E, LEVEL_PLUS, LEVEL_MINUS = 0, 1, 2
-
-#: positions of the two-qubit basis inside the 9-dim joint level space
-GROUND_INDICES = (4, 5, 7, 8)
 
 #: largest tolerated deviation of a pure-state norm from 1
 STATE_NORM_ATOL = 1e-6
@@ -137,12 +121,6 @@ def validate_density(rho, herm_atol=HERMITIAN_ATOL, trace_atol=TRACE_ATOL,
     return mat
 
 
-def pure_to_density(state):
-    """Rank-1 density matrix |state><state| of a normalized pure state."""
-    vec = validate_state(state)
-    return np.outer(vec, vec.conj())
-
-
 def concurrence_pure(state):
     """Concurrence of a normalized two-qubit pure state.
 
@@ -229,39 +207,3 @@ def fidelity_pure_target(rho, target):
     mat = validate_density(rho)
     vec = validate_state(target)
     return float(np.real(vec.conj() @ mat @ vec))
-
-
-def joint_index(level_a, level_b):
-    """Flat index of |level_a, level_b> in the 9-dim joint level space."""
-    if level_a not in (0, 1, 2) or level_b not in (0, 1, 2):
-        raise InvalidInputError("emitter levels must be 0 (e), 1 (+) or 2 (-)")
-    return 3 * level_a + level_b
-
-
-def excited_pair_state():
-    """Length-9 vector with both emitters in the excited level |e, e>."""
-    vec = np.zeros(9, dtype=complex)
-    vec[joint_index(LEVEL_E, LEVEL_E)] = 1.0
-    return vec
-
-
-def project_to_ground_manifold(state):
-    """Project a joint 9-dim level-space state onto the two-qubit manifold.
-
-    Parameters
-    ----------
-    state : array_like
-        Length-9 complex vector over {e, +, -} x {e, +, -}.
-
-    Returns
-    -------
-    amplitudes : ndarray
-        The four amplitudes on (++, +-, -+, --), not renormalized.
-    weight : float
-        Squared norm of the projected part, i.e. the probability of
-        finding both emitters in their lower levels.
-    """
-    vec = _as_complex_array(state, (9,), "state")
-    amps = vec[list(GROUND_INDICES)]
-    weight = float(np.real(np.vdot(amps, amps)))
-    return amps, weight

@@ -7,10 +7,13 @@ from heraldsim import (
     AtomPairLayout,
     DetectorPatch,
     ExperimentConfig,
+    HeraldedOutcome,
     Polarizer,
     TrapModel,
+    ZeroProbabilityHeraldError,
     detection_direction,
 )
+from heraldsim.optics import MIN_HERALD_WEIGHT
 
 SPIN_FLIP = np.array(
     [
@@ -48,6 +51,16 @@ def random_density(rng, rank=4):
     return rho / np.real(np.trace(rho))
 
 
+def pure_to_density(state):
+    """Rank-1 density matrix |state><state|."""
+    return np.outer(state, state.conj())
+
+
+def wrap_phase(phase):
+    """Phase reduced to [-pi, pi]."""
+    return np.angle(np.exp(1j * phase))
+
+
 def werner_state(p):
     """p |Psi+><Psi+| + (1 - p) I/4; concurrence max(0, (3p - 1)/2)."""
     return p * np.outer(BELL_PSI_PLUS, BELL_PSI_PLUS.conj()) + (1.0 - p) * np.eye(4) / 4.0
@@ -60,6 +73,42 @@ def wootters_oracle(rho):
     middle = scipy.linalg.sqrtm(root @ flipped @ root)
     lam = np.sort(np.real(np.linalg.eigvals(middle)))[::-1]
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def heralded_state_via_operators(jones1, jones2, phase1, phase2):
+    """Herald built from explicit detection operators on the emitter levels.
+
+    Oracle for ``heralded_state``.  Each emitter has the levels e = 0,
+    + = 1, - = 2, and a pair state is a length-9 vector indexed by
+    ``3 * level_A + level_B``.  Detection channel i applies
+
+        D_i = K_i (x) 1 + exp(-1j * phase_i) 1 (x) K_i,
+
+    where the lowering operator K_i maps |e> to eps_minus |+> +
+    eps_plus |-> for the analyzer (eps_plus, eps_minus) and annihilates
+    the lower levels, and ``phase_i`` is the propagation phase from the
+    second emitter to detector i relative to the first.  D_1 D_2 |e, e>
+    is projected on (++, +-, -+, --), normalized, and its first
+    non-negligible amplitude is rotated to the real nonnegative axis.
+    ``delta21`` of the outcome is ``phase2 - phase1``, unreduced.
+    """
+    pair = np.zeros(9, dtype=complex)
+    pair[0] = 1.0
+    identity = np.eye(3)
+    for jones, phase in ((jones2, phase2), (jones1, phase1)):
+        lower = np.zeros((3, 3), dtype=complex)
+        lower[1, 0], lower[2, 0] = jones[1], jones[0]
+        pair = (np.kron(lower, identity)
+                + np.exp(-1j * phase) * np.kron(identity, lower)) @ pair
+    amps = pair[[4, 5, 7, 8]]
+    weight = float(np.real(np.vdot(amps, amps)))
+    if weight < MIN_HERALD_WEIGHT:
+        raise ZeroProbabilityHeraldError(f"coincidence weight {weight:.3g}")
+    state = amps / np.sqrt(weight)
+    pivot = state[np.abs(state) > 1e-10][0]
+    return HeraldedOutcome(state=state * (np.conj(pivot) / abs(pivot)), g2=weight,
+                           delta21=phase2 - phase1,
+                           v12=float(abs(np.vdot(jones1, jones2)) ** 2))
 
 
 def reference_layout():

@@ -21,15 +21,15 @@ from heraldsim import (
     g2,
     generated_state,
     heralded_state,
-    heralded_state_via_operators,
     load_scenario,
     polarizer_to_jones,
-    pure_to_density,
 )
 from heraldsim.cli import main
 
 from helpers import (
+    heralded_state_via_operators,
     point_detector_config,
+    pure_to_density,
     random_jones,
     random_pure_state,
     werner_state,

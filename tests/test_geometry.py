@@ -1,4 +1,4 @@
-"""Detector geometry, propagation phases, and trap displacement."""
+"""Emitter layout, detector patches, trap model, directions and far-field phase."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,11 @@ import pytest
 from heraldsim import (
     AtomPairLayout,
     DetectorPatch,
-    FiberChannel,
     InvalidInputError,
     Polarizer,
     TrapModel,
-    delta21,
     detection_direction,
     farfield_phase,
-    fiber_phase,
-    perturbed_phase,
-    wrap_phase,
 )
 
 from helpers import reference_layout
@@ -65,10 +60,6 @@ class TestPatchAndAccessories:
             polarizer=Polarizer.linear(0.0),
         )
         assert patch.span_theta == 0.0
-
-    def test_fiber_channel_rejects_negative_paths(self):
-        with pytest.raises(InvalidInputError):
-            FiberChannel(path_a=-1.0, path_b=0.0)
 
     def test_trap_rejects_negative_confinement(self):
         with pytest.raises(InvalidInputError):
@@ -146,88 +137,3 @@ class TestFarfieldPhase:
             farfield_phase(layout, np.pi / 2, h) - farfield_phase(layout, np.pi / 2, -h)
         ) / (2.0 * h)
         assert abs(slope_chi) < 1e-6 * kd
-
-
-class TestFiberAndWrap:
-    def test_equal_paths_cancel(self):
-        layout = reference_layout()
-        assert fiber_phase(layout, FiberChannel(path_a=1.0, path_b=1.0)) == 0.0
-
-    def test_half_wavelength_offset(self):
-        layout = reference_layout()
-        channel = FiberChannel(path_a=0.0, path_b=325e-9)
-        assert fiber_phase(layout, channel) == pytest.approx(np.pi, rel=1e-12)
-
-    def test_wrap_phase_range_and_edges(self):
-        rng = np.random.default_rng(42)
-        for _ in range(500):
-            phi = rng.uniform(-50.0, 50.0)
-            wrapped = wrap_phase(phi)
-            assert -np.pi < wrapped <= np.pi + 1e-15
-            # difference to the input is an integer number of turns
-            turns = (phi - wrapped) / (2.0 * np.pi)
-            assert turns == pytest.approx(round(turns), abs=1e-9)
-        assert wrap_phase(np.pi) == pytest.approx(np.pi, abs=1e-12)
-        assert wrap_phase(-np.pi) == pytest.approx(np.pi, abs=1e-12)
-        assert wrap_phase(2.0 * np.pi) == pytest.approx(0.0, abs=1e-12)
-        assert wrap_phase(0.0) == 0.0
-
-    def test_delta21_values(self):
-        assert delta21(0.0, np.pi / 2) == pytest.approx(np.pi / 2, abs=1e-12)
-        assert delta21(np.pi / 4, -np.pi / 4) == pytest.approx(-np.pi / 2, abs=1e-12)
-        assert delta21(0.3, 0.3) == 0.0
-        # wraps into (-pi, pi]
-        assert delta21(0.0, 3.0 * np.pi / 2.0) == pytest.approx(-np.pi / 2, abs=1e-12)
-        assert delta21(0.0, -np.pi) == pytest.approx(np.pi, abs=1e-12)
-
-    def test_delta21_antisymmetry_up_to_full_turns(self):
-        rng = np.random.default_rng(43)
-        for _ in range(200):
-            a = rng.uniform(-10.0, 10.0)
-            b = rng.uniform(-10.0, 10.0)
-            total = delta21(a, b) + delta21(b, a)
-            assert wrap_phase(total) == pytest.approx(0.0, abs=1e-9)
-
-
-class TestPerturbedPhase:
-    def test_zero_displacement_matches_farfield(self):
-        layout = reference_layout()
-        zero = np.zeros(3)
-        for theta, chi in ((0.4, 0.0), (np.pi / 2, 0.3), (2.0, -0.6)):
-            assert perturbed_phase(layout, theta, chi, zero, zero) == pytest.approx(
-                farfield_phase(layout, theta, chi), rel=1e-15
-            )
-
-    def test_longitudinal_shift_adds_wavelength_phase(self):
-        layout = reference_layout()
-        theta, chi = 1.1, 0.2
-        direction = detection_direction(layout.axis, theta, chi)
-        shift = (325e-9) * direction  # half a wavelength along the line of sight
-        base = farfield_phase(layout, theta, chi)
-        moved = perturbed_phase(layout, theta, chi, np.zeros(3), shift)
-        assert moved - base == pytest.approx(np.pi, rel=1e-9)
-        # displacing emitter a the same way cancels instead
-        both = perturbed_phase(layout, theta, chi, shift, shift)
-        assert both == pytest.approx(base, rel=1e-12)
-
-    def test_transverse_shift_leaves_phase(self):
-        layout = reference_layout()
-        theta, chi = 0.9, -0.4
-        direction = detection_direction(layout.axis, theta, chi)
-        helper = np.array([0.0, 0.0, 1.0])
-        transverse = np.cross(direction, helper)
-        transverse = 300e-9 * transverse / np.linalg.norm(transverse)
-        assert transverse @ direction == pytest.approx(0.0, abs=1e-20)
-        moved = perturbed_phase(layout, theta, chi, np.zeros(3), transverse)
-        assert moved == pytest.approx(farfield_phase(layout, theta, chi), abs=1e-10)
-
-    def test_warns_on_large_displacement(self):
-        layout = reference_layout()
-        big = np.array([1e-6, 0.0, 0.0])  # a fifth of the separation
-        with pytest.warns(UserWarning):
-            perturbed_phase(layout, 1.0, 0.0, np.zeros(3), big)
-
-    def test_rejects_bad_displacement_shape(self):
-        layout = reference_layout()
-        with pytest.raises(InvalidInputError):
-            perturbed_phase(layout, 1.0, 0.0, np.zeros(2), np.zeros(3))

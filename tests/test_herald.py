@@ -21,7 +21,6 @@ from heraldsim import (
     generated_state,
     monte_carlo_state,
     theta_center_for_delta21,
-    wrap_phase,
 )
 from heraldsim import herald
 from heraldsim.qcore import validate_density
@@ -32,6 +31,7 @@ from helpers import (
     reference_config,
     reference_layout,
     reference_patch,
+    wrap_phase,
 )
 
 FAST_QUAD = QuadratureSpec(points_theta=6, points_chi=6, points_trap=6)
@@ -135,8 +135,9 @@ class TestAccidentalFraction:
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_rejects_negative_true_rate(self):
-        with pytest.raises(InvalidInputError):
-            accidental_fraction(reference_config(), true_rate=-1.0)
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(InvalidInputError):
+                accidental_fraction(reference_config(), true_rate=bad)
 
 
 class TestConfigValidation:

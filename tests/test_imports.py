@@ -2,17 +2,21 @@
 
 Parses the package modules and the test files with ``ast``, so the
 check needs nothing beyond the standard library.  ``__init__.py`` is
-left out: its imports are the package's re-exports.
+left out: its imports are the package's re-exports.  Every ``__all__``
+entry must be bound in its module, and the package ``__all__`` must
+list exactly the public names ``__init__.py`` imports.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "heraldsim"
-SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
+SOURCES = [p for p in MODULES if p.name != "__init__.py"]
 SOURCES += sorted(TESTS.glob("*.py"))
 
 
@@ -58,3 +62,21 @@ def test_the_check_sees_unused_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_exported_name_is_bound(path):
+    name = "heraldsim" if path.stem == "__init__" else f"heraldsim.{path.stem}"
+    module = importlib.import_module(name)
+    assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+def test_package_exports_exactly_its_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert _exported(tree) == {name for name in imported if not name.startswith("_")}

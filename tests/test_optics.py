@@ -12,13 +12,11 @@ from heraldsim import (
     concurrence_pure,
     g2,
     heralded_state,
-    heralded_state_via_operators,
     polarizer_to_jones,
-    pure_to_density,
     visibility,
 )
 
-from helpers import random_jones
+from helpers import heralded_state_via_operators, pure_to_density, random_jones
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -50,10 +48,13 @@ class TestPolarizers:
             Polarizer.circular(0)
         with pytest.raises(InvalidInputError):
             Polarizer.general(0.0, 0.0)
-
-    def test_to_jones_shortcut(self):
-        pol = Polarizer.linear(1.1)
-        assert np.array_equal(pol.to_jones(), polarizer_to_jones(pol))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInputError):
+                Polarizer.linear(bad)
+            with pytest.raises(InvalidInputError):
+                Polarizer.general(bad, 1.0)
+            with pytest.raises(InvalidInputError):
+                Polarizer.general(1.0, complex(0.0, bad))
 
 
 class TestVisibility:
@@ -122,6 +123,9 @@ class TestHeraldedState:
         plus = polarizer_to_jones(Polarizer.circular(+1))
         with pytest.raises(ZeroProbabilityHeraldError):
             heralded_state(plus, plus, np.pi)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidInputError):
+                heralded_state(h, plus, bad)
 
     def test_outcome_invariants_on_random_analyzers(self):
         rng = np.random.default_rng(34)
@@ -224,6 +228,9 @@ class TestAnalyticForms:
             concurrence_analytic(0.0, -0.1)
         with pytest.raises(InvalidInputError):
             concurrence_analytic(0.0, 1.1)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInputError):
+                concurrence_analytic(bad, 0.5)
 
     def test_concurrence_singular_point_raises(self):
         with pytest.raises(ZeroProbabilityHeraldError):
@@ -237,6 +244,9 @@ class TestAnalyticForms:
             for v12 in np.linspace(0.0, 1.0, 11):
                 value = g2(delta, v12)
                 assert -1e-12 <= value <= 4.0 + 1e-12
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidInputError):
+                g2(bad, 0.5)
 
     def test_malus_analog(self):
         # linear analyzers offset by alpha at quarter-period phase:

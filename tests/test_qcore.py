@@ -1,4 +1,4 @@
-"""Concurrence, fidelity, and ground-manifold projection."""
+"""Concurrence, fidelity, and state validation."""
 
 import numpy as np
 import pytest
@@ -8,25 +8,15 @@ from heraldsim import (
     concurrence_mixed,
     concurrence_pure,
     fidelity_pure_target,
-    project_to_ground_manifold,
-    pure_to_density,
 )
-from heraldsim.qcore import (
-    GROUND_INDICES,
-    LEVEL_E,
-    LEVEL_MINUS,
-    LEVEL_PLUS,
-    excited_pair_state,
-    joint_index,
-    validate_density,
-    validate_state,
-)
+from heraldsim.qcore import validate_density, validate_state
 
 from helpers import (
     BELL_PHI_PLUS,
     BELL_PSI_MINUS,
     BELL_PSI_PLUS,
     haar_unitary,
+    pure_to_density,
     random_density,
     random_pure_state,
     werner_state,
@@ -188,50 +178,6 @@ class TestFidelity:
         target = random_pure_state(rng)
         noisy = 0.9 * pure_to_density(target) + 0.1 * np.eye(4) / 4.0
         assert fidelity_pure_target(noisy, target) == pytest.approx(0.925, abs=1e-12)
-
-
-class TestGroundManifold:
-    def test_excited_pair_has_no_ground_component(self):
-        amps, weight = project_to_ground_manifold(excited_pair_state())
-        assert weight == 0.0
-        assert np.all(amps == 0.0)
-
-    def test_single_level_assignments(self):
-        # |+,-> must land on the second two-qubit basis slot
-        vec = np.zeros(9, dtype=complex)
-        vec[joint_index(LEVEL_PLUS, LEVEL_MINUS)] = 1.0
-        amps, weight = project_to_ground_manifold(vec)
-        assert weight == pytest.approx(1.0, abs=1e-15)
-        assert np.allclose(amps, [0.0, 1.0, 0.0, 0.0])
-
-    def test_basis_ordering_is_plus_plus_first(self):
-        vec = np.zeros(9, dtype=complex)
-        values = (0.1, 0.2j, 0.3, 0.4j)
-        pairs = (
-            (LEVEL_PLUS, LEVEL_PLUS),
-            (LEVEL_PLUS, LEVEL_MINUS),
-            (LEVEL_MINUS, LEVEL_PLUS),
-            (LEVEL_MINUS, LEVEL_MINUS),
-        )
-        for value, (a, b) in zip(values, pairs):
-            vec[joint_index(a, b)] = value
-        amps, weight = project_to_ground_manifold(vec)
-        assert np.array_equal(amps, np.array(values))
-        assert weight == pytest.approx(sum(abs(v) ** 2 for v in values), abs=1e-15)
-
-    def test_weight_splits_unit_norm(self):
-        rng = np.random.default_rng(21)
-        vec = random_pure_state(rng, dim=9)
-        amps, weight = project_to_ground_manifold(vec)
-        outside = np.delete(vec, list(GROUND_INDICES))
-        assert weight + np.vdot(outside, outside).real == pytest.approx(1.0, abs=1e-12)
-        assert weight == pytest.approx(np.vdot(amps, amps).real, abs=1e-15)
-
-    def test_joint_index_rejects_bad_levels(self):
-        with pytest.raises(InvalidInputError):
-            joint_index(3, LEVEL_E)
-        with pytest.raises(InvalidInputError):
-            joint_index(LEVEL_E, -1)
 
 
 class TestValidation:
