@@ -185,9 +185,10 @@ def cmd_uncertainty(args):
             with _csv_writer(args.out) as writer:
                 writer.writerow(["delta21_rad", "v12", "delta_c", "fidelity",
                                  "concurrence_target", "concurrence_generated"])
-                # the ScanPoint field order is the CSV column order
+                # the ScanPoint field order is the CSV column order; vars()
+                # reads the fields without astuple's deep copy
                 for point in result.points:
-                    writer.writerow([_fmt(v) for v in dataclasses.astuple(point)])
+                    writer.writerow([_fmt(v) for v in vars(point).values()])
     elif args.out is not None:
         raise InvalidInputError("--out set but the scenario has no scan section")
     return 0

@@ -15,6 +15,7 @@ retarded by ``k * (R_B - R_A) . e``; for the unperturbed pair this is
 displacements of ``R_B - R_A`` in closed form.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,32 +114,43 @@ class TrapModel:
             raise InvalidInputError("confinement must be nonnegative and finite")
 
 
+@functools.lru_cache(maxsize=32)
 def _frame(axis):
-    """Right-handed orthonormal frame (axis, n1, n2); deterministic choice."""
+    """Right-handed orthonormal frame (axis, n1, n2); cached per axis tuple, read-only."""
     a = np.asarray(axis, dtype=float)
     a = a / np.linalg.norm(a)
     ref = np.array([0.0, 1.0, 0.0]) if abs(a[0]) >= 0.9 else np.array([1.0, 0.0, 0.0])
     n1 = ref - np.dot(ref, a) * a
     n1 /= np.linalg.norm(n1)
     n2 = np.cross(a, n1)
+    for vec in (a, n1, n2):
+        vec.flags.writeable = False
     return a, n1, n2
+
+
+def _finite_angles(theta, chi):
+    theta = np.asarray(theta, dtype=float)
+    chi = np.asarray(chi, dtype=float)
+    if not (np.isfinite(theta).all() and np.isfinite(chi).all()):
+        raise InvalidInputError("theta and chi must be finite")
+    return theta, chi
 
 
 def detection_direction(axis, theta, chi=0.0):
     """Unit direction(s) at longitude ``theta`` and latitude ``chi``.
 
     ``theta`` and ``chi`` broadcast; the result has their common shape
-    plus a trailing axis of length 3.
+    plus a trailing axis of length 3.  Non-finite angles raise
+    ``InvalidInputError``.
     """
-    a, n1, n2 = _frame(axis)
-    theta = np.asarray(theta, dtype=float)
-    chi = np.asarray(chi, dtype=float)
+    a, n1, n2 = _frame(tuple(axis))
+    theta, chi = _finite_angles(theta, chi)
     cos_chi = np.cos(chi)
-    return (
-        np.multiply.outer(np.cos(theta) * cos_chi, a)
-        + np.multiply.outer(np.sin(theta) * cos_chi, n1)
-        + np.multiply.outer(np.broadcast_to(np.sin(chi), np.broadcast_shapes(theta.shape, chi.shape)).copy(), n2)
-    )
+    # summed in place: one (..., 3) array at a time on large sample sets
+    directions = np.multiply.outer(np.cos(theta) * cos_chi, a)
+    directions += np.multiply.outer(np.sin(theta) * cos_chi, n1)
+    directions += np.multiply.outer(np.sin(chi), n2)
+    return directions
 
 
 def farfield_phase(layout, theta, chi=0.0):
@@ -147,6 +159,8 @@ def farfield_phase(layout, theta, chi=0.0):
     Monotonically decreasing in theta on (0, pi) and even in chi; at
     theta = pi/2 the phase vanishes for every chi while its theta
     sensitivity peaks at k*d per radian, which is why detectors sit
-    near the equator with a wide latitude opening.
+    near the equator with a wide latitude opening.  Non-finite angles
+    raise ``InvalidInputError``.
     """
+    theta, chi = _finite_angles(theta, chi)
     return layout.wavenumber * layout.separation * np.cos(theta) * np.cos(chi)

@@ -2,26 +2,29 @@
 
 The closed-form heralded state assumes point detectors and pinned
 emitters.  Real detectors cover a finite patch of the far-field sphere
-and the emitters move inside their traps, so each coincidence projects
-onto a slightly different state and the experiment produces the
-G2-weighted average
+and the emitters move inside their traps, so the experiment produces
+the G2-weighted average of the heralded projector over both patches
+(measure cos(chi) dtheta dchi, Gauss-Legendre nodes in a fixed order)
+and over the trap displacements.  Their difference is a centered
+normal with per-axis spread sqrt(2) * confinement, so each pair of
+patch nodes takes an exact Gaussian decay factor.  The nominal herald
+is s + t exp(-1j delta21), so the average enters only through the
+weight W and the phase moment M = sum w exp(-1j delta21), m = M / W,
+and every reported figure is closed-form in (W, M, s, t, V):
 
-    rho = N * sum_nodes  w(node) * G2(node) * |psi(node)><psi(node)|,
+    C_gen = (1 - V) |m| / (1 + V Re m),  C_target = (1 - V) / (1 + V cos delta21),
+    tr = W (|s|**2 + |t|**2) + 2 Re(M <s|t>),
+    F = (W (|a|**2 + |b|**2) + 2 Re(M b a*)) / tr,  a = <psi|s>, b = <psi|t>
 
-with nodes running over both detector patches (solid-angle measure
-cos(chi) dtheta dchi) and N fixing unit trace.  The Gaussian trap
-displacements are averaged exactly: their difference is a centered
-normal with per-axis spread sqrt(2) * confinement, so its
-characteristic function multiplies each pair of patch nodes by a
-Gaussian decay factor.  ``generated_state`` evaluates this average,
-compares it against the point-design target, and reports the
-concurrence error and fidelity.
-
-The patch quadrature is deterministic: fixed node ordering, vectorized
-reductions, no randomness.  ``monte_carlo_state`` is an independent
-randomized evaluation of the same average kept for cross-validation.
+for the normalized target psi.  ``generated_state`` also builds the
+4x4 matrix and checks it against the Wootters route; ``delta_c_scan``
+builds none, evaluating (W, M) once per geometry and its rows as one
+array expression.  ``monte_carlo_state`` is an independent randomized
+evaluation of the same average kept for cross-validation.
 """
 
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -41,18 +44,14 @@ from .geometry import (
     farfield_phase,
 )
 from .optics import (
+    MIN_HERALD_WEIGHT,
     Polarizer,
     _component_vectors,
     g2,
     heralded_state,
     polarizer_to_jones,
 )
-from .qcore import (
-    concurrence_mixed,
-    concurrence_pure,
-    fidelity_pure_target,
-    validate_density,
-)
+from .qcore import EIGENVALUE_FLOOR, concurrence_mixed, validate_density
 
 __all__ = [
     "ExperimentConfig",
@@ -72,6 +71,9 @@ __all__ = [
 
 #: patches wider than this in theta leave the small-patch rate regime
 SMALL_PATCH_LIMIT = 0.1
+
+#: largest real (n1, n2) block of patch-node pairs ``_phase_moments`` holds
+_PAIR_BLOCK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -238,6 +240,15 @@ def accidental_fraction(config, true_rate):
     return accidental / total
 
 
+@functools.lru_cache(maxsize=32)
+def _reference_rule(count):
+    """Gauss-Legendre nodes/weights on [-1, 1]; shared, so read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(count)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _interval_rule(center, width, count):
     """Gauss-Legendre nodes/weights on [center - width/2, center + width/2].
 
@@ -246,7 +257,7 @@ def _interval_rule(center, width, count):
     """
     if width == 0.0:
         return np.array([center]), np.array([1.0])
-    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(count)
+    ref_nodes, ref_weights = _reference_rule(count)
     return center + 0.5 * width * ref_nodes, 0.5 * width * ref_weights
 
 
@@ -279,13 +290,21 @@ def _phase_moments(layout, trap, dirs1, w1, dirs2, w2):
     separation = layout.separation * np.asarray(layout.axis)
     sum1 = w1 * np.exp(1j * wavenumber * (dirs1 @ separation))
     sum2 = w2 * np.exp(-1j * wavenumber * (dirs2 @ separation))
-    # the (n1, n2) matrix dominates memory: build it in place, and take
-    # two real products so that it is never cast to complex
-    decay = dirs1 @ dirs2.T
-    decay -= 1.0
-    decay *= (wavenumber * sigma) ** 2
-    np.exp(decay, out=decay)
-    coherence = (sum1.real @ decay + 1j * (sum1.imag @ decay)) @ sum2
+    # the pair matrix dominates memory: build it in row blocks of at most
+    # _PAIR_BLOCK_BYTES, each in place, and take two real products so that
+    # it is never cast to complex
+    rows = min(len(w1), max(1, _PAIR_BLOCK_BYTES // (8 * len(w2))))
+    buffer = np.empty((rows, len(w2)))
+    real, imag = np.zeros(len(w2)), np.zeros(len(w2))
+    for start in range(0, len(w1), rows):
+        block = slice(start, min(start + rows, len(w1)))
+        decay = np.matmul(dirs1[block], dirs2.T, out=buffer[: block.stop - start])
+        decay -= 1.0
+        decay *= (wavenumber * sigma) ** 2
+        np.exp(decay, out=decay)
+        real += sum1.real[block] @ decay
+        imag += sum1.imag[block] @ decay
+    coherence = (real + 1j * imag) @ sum2
     return float(w1.sum() * w2.sum()), complex(coherence)
 
 
@@ -296,43 +315,85 @@ def _coherence(config, quadrature):
     return _phase_moments(config.layout, config.trap, dirs1, w1, dirs2, w2)
 
 
+def _nominal_phase(layout, detector1, detector2):
+    """Relative far-field phase delta21 between the two patch centers."""
+    return float(farfield_phase(layout, detector2.theta_center, detector2.chi_center)
+                 - farfield_phase(layout, detector1.theta_center, detector1.chi_center))
+
+
+def _inner(left, right):
+    """<left|right> over the trailing axis."""
+    return (np.conj(left) * right).sum(axis=-1)
+
+
+def _figures(total_weight, coherence, stat, phase_part, v12, delta21):
+    """Closed-form (C_target, C_generated, fidelity, trace) of generated states.
+
+    Takes W, M, s, t (trailing axis of length 4), V and the nominal
+    delta21 as arrays that broadcast, so one call evaluates a whole
+    grid; ``trace`` is the heralding weight.  Raises
+    ``ZeroProbabilityHeraldError`` where the herald never fires or the
+    trace vanishes, ``NumericalFailureError`` where |M| exceeds W.
+    """
+    v12 = np.clip(v12, 0.0, 1.0)  # roundoff may leave |<e1|e2>|**2 just above 1
+    herald = stat + phase_part * np.exp(-1j * np.asarray(delta21))[..., None]
+    weight = _inner(herald, herald).real
+    if np.min(weight) < MIN_HERALD_WEIGHT:
+        raise ZeroProbabilityHeraldError(
+            f"coincidence weight {np.min(weight):.3g} below {MIN_HERALD_WEIGHT:g}; "
+            "the herald never fires for this configuration"
+        )
+    trace = (total_weight * (_inner(stat, stat) + _inner(phase_part, phase_part)).real
+             + 2.0 * (coherence * _inner(stat, phase_part)).real)
+    if np.any((trace <= 0.0) | (trace < 1e-12 * total_weight)):
+        raise ZeroProbabilityHeraldError(
+            "integrated coincidence weight vanishes over the detector patches"
+        )
+    # W (|s><s| + |t><t|) + M |t><s| + h.c. is positive exactly when |M| <= W
+    if np.any(np.abs(coherence) > total_weight * (1.0 - EIGENVALUE_FLOOR)):
+        raise NumericalFailureError("quadrature produced |M| > W, a non-positive average")
+    a, b = _inner(herald, stat), _inner(herald, phase_part)  # times sqrt(weight)
+    fidelity = (total_weight * (np.abs(a) ** 2 + np.abs(b) ** 2)
+                + 2.0 * (coherence * b * np.conj(a)).real) / (weight * trace)
+    m = coherence / total_weight
+    c_generated = (1.0 - v12) * np.abs(m) / (1.0 + v12 * m.real)
+    return (1.0 - v12) / (1.0 + v12 * np.cos(delta21)), c_generated, fidelity, trace
+
+
 def _report(config, total_weight, coherence):
     """Generated state from (W, M) next to the point-design target of ``config``."""
     jones1 = polarizer_to_jones(config.detector1.polarizer)
     jones2 = polarizer_to_jones(config.detector2.polarizer)
-    delta21 = farfield_phase(
-        config.layout, config.detector2.theta_center, config.detector2.chi_center
-    ) - farfield_phase(
-        config.layout, config.detector1.theta_center, config.detector1.chi_center
+    target = heralded_state(
+        jones1, jones2, _nominal_phase(config.layout, config.detector1, config.detector2)
     )
-    target = heralded_state(jones1, jones2, delta21)
     stat, phase_part = _component_vectors(jones1, jones2)
+    c_target, c_generated, fidelity, trace = map(float, _figures(
+        total_weight, coherence, stat, phase_part, target.v12, target.delta21))
     rho_raw = (
         total_weight * (np.outer(stat, stat.conj()) + np.outer(phase_part, phase_part.conj()))
         + coherence * np.outer(phase_part, stat.conj())
         + np.conj(coherence) * np.outer(stat, phase_part.conj())
     )
-    trace = float(np.real(np.trace(rho_raw)))
-    if trace <= 0.0 or trace < 1e-12 * total_weight:
-        raise ZeroProbabilityHeraldError(
-            "integrated coincidence weight vanishes over the detector patches"
-        )
-    rho = rho_raw / trace
     try:
-        rho = validate_density(rho)
+        rho = validate_density(rho_raw / trace)
     except InvalidInputError as exc:
         raise NumericalFailureError(
             f"quadrature produced an invalid density matrix: {exc}"
         ) from exc
-    c_target = concurrence_pure(target.state)
-    c_generated = concurrence_mixed(rho)
+    wootters = concurrence_mixed(rho)  # health check of the closed form
+    if abs(wootters - c_generated) > 1e-9:
+        raise NumericalFailureError(
+            f"Wootters concurrence {wootters:.12g} misses the closed form "
+            f"{c_generated:.12g}"
+        )
     return UncertaintyReport(
         rho_generated=rho,
         target_state=target.state,
         concurrence_target=c_target,
         concurrence_generated=c_generated,
         delta_c=abs(c_generated - c_target),
-        fidelity=fidelity_pure_target(rho, target.state),
+        fidelity=fidelity,
         heralding_weight=trace,
         delta21_nominal=target.delta21,
         v12=target.v12,
@@ -345,7 +406,9 @@ def generated_state(config, quadrature=QuadratureSpec()):
     Averages the heralded projector, weighted by the coincidence weight
     G2, over both detector patches (Gauss-Legendre nodes) and, in
     closed form, over the Gaussian emitter displacements, then compares
-    with the point-design target state at the patch centers.
+    with the point-design target state at the patch centers.  Detection
+    efficiency and dark counts do not enter: the state is conditioned
+    on the herald.
 
     Parameters
     ----------
@@ -363,16 +426,7 @@ def generated_state(config, quadrature=QuadratureSpec()):
         If the herald never fires at the nominal configuration.
     NumericalFailureError
         If the averaged matrix is not a valid density matrix within
-        tolerance.
-
-    Notes
-    -----
-    The unnormalized heralded vector is ``s + t exp(-1j delta21)`` with
-    node-independent s, t, so the average only needs the weight and the
-    first phase moment sum w exp(-1j delta21), summed exactly over the
-    patch nodes and averaged exactly over the trap.  Detection
-    efficiency and dark counts do not enter: the state is conditioned
-    on the herald.
+        tolerance, or its Wootters concurrence misses the closed form.
     """
     return _report(config, *_coherence(config, quadrature))
 
@@ -454,31 +508,33 @@ def delta_c_scan(config, quadrature, delta21_values, v12_values):
         raise InvalidInputError("scan grids must be nonempty")
     if not (0.0 <= v12_values.min() and v12_values.max() <= 1.0):  # also catches nan
         raise InvalidInputError("v12 grid must lie in [0, 1]")
-    points = []
     reference = replace(config.detector1, polarizer=Polarizer.linear(0.0))
+    jones1 = polarizer_to_jones(reference.polarizer)
+    probes = [polarizer_to_jones(Polarizer.linear(math.acos(math.sqrt(v12))))
+              for v12 in v12_values]
+    stat, phase_part = map(np.array, zip(*(_component_vectors(jones1, e) for e in probes)))
+    visibilities = np.array([abs(np.vdot(jones1, e)) ** 2 for e in probes])
+    # the analyzers do not enter W and M: one average per delta21 geometry,
+    # with the reference detector's nodes computed once
+    dirs1, w1 = _patch_nodes(reference, config.layout, quadrature)
+    geometries = []
     for delta in delta21_values:
         theta2 = theta_center_for_delta21(
             config.layout, reference, config.detector2.chi_center, delta
         )
         detector2 = replace(config.detector2, theta_center=theta2)
-        geometry = replace(config, detector1=reference, detector2=detector2)
-        # the analyzers do not enter W and M, so each geometry is averaged once
-        total_weight, coherence = _coherence(geometry, quadrature)
-        for v12 in v12_values:
-            probe = replace(detector2, polarizer=Polarizer.linear(math.acos(math.sqrt(v12))))
-            report = _report(replace(geometry, detector2=probe), total_weight, coherence)
-            points.append(
-                ScanPoint(
-                    delta21=float(delta),
-                    v12=float(v12),
-                    delta_c=report.delta_c,
-                    fidelity=report.fidelity,
-                    concurrence_target=report.concurrence_target,
-                    concurrence_generated=report.concurrence_generated,
-                )
-            )
+        dirs2, w2 = _patch_nodes(detector2, config.layout, quadrature)
+        geometries.append((*_phase_moments(config.layout, config.trap, dirs1, w1, dirs2, w2),
+                           _nominal_phase(config.layout, reference, detector2)))
+    total_weight, coherence, phases = (np.array(col)[:, None] for col in zip(*geometries))
+    c_target, c_generated, fidelity, _ = _figures(
+        total_weight, coherence, stat, phase_part, visibilities, phases)
+    delta_c = np.abs(c_generated - c_target)
+    # row-major cells (delta21 outer, v12 inner) in ScanPoint field order
+    cells = itertools.product(delta21_values.tolist(), v12_values.tolist())
+    figures = zip(*(x.ravel().tolist() for x in (delta_c, fidelity, c_target, c_generated)))
     return ScanResult(
-        points=tuple(points),
-        max_delta_c=max(p.delta_c for p in points),
-        min_fidelity=min(p.fidelity for p in points),
+        points=tuple(ScanPoint(*cell, *row) for cell, row in zip(cells, figures)),
+        max_delta_c=float(delta_c.max()),
+        min_fidelity=float(fidelity.min()),
     )

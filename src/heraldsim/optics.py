@@ -222,7 +222,7 @@ def _validated_phase(delta21):
 
 def _validated_v12(v12):
     v = float(v12)
-    if not np.isfinite(v) or v < -1e-12 or v > 1.0 + 1e-12:
+    if not math.isfinite(v) or v < -1e-12 or v > 1.0 + 1e-12:
         raise InvalidInputError(f"v12 must lie in [0, 1], got {v!r}")
     return min(max(v, 0.0), 1.0)
 

@@ -14,6 +14,12 @@ from heraldsim import (
     detection_direction,
 )
 from heraldsim.optics import MIN_HERALD_WEIGHT
+from heraldsim.qcore import (
+    concurrence_mixed,
+    concurrence_pure,
+    fidelity_pure_target,
+    validate_density,
+)
 
 SPIN_FLIP = np.array(
     [
@@ -109,6 +115,24 @@ def heralded_state_via_operators(jones1, jones2, phase1, phase2):
     return HeraldedOutcome(state=state * (np.conj(pivot) / abs(pivot)), g2=weight,
                            delta21=phase2 - phase1,
                            v12=float(abs(np.vdot(jones1, jones2)) ** 2))
+
+
+def matrix_route(total_weight, coherence, stat, phase_part, target):
+    """(C_target, C_generated, fidelity, trace) from the 4x4 generated state.
+
+    Oracle for the closed-form figures: builds the unnormalized average
+    W (|s><s| + |t><t|) + M |t><s| + M* |s><t|, normalizes it by its
+    trace and runs the density-matrix checks, the Wootters concurrence
+    and the fidelity with the normalized ``target``.
+    """
+    rho_raw = (total_weight * (np.outer(stat, stat.conj())
+                               + np.outer(phase_part, phase_part.conj()))
+               + coherence * np.outer(phase_part, stat.conj())
+               + np.conj(coherence) * np.outer(stat, phase_part.conj()))
+    trace = float(np.real(np.trace(rho_raw)))
+    rho = validate_density(rho_raw / trace)
+    return (concurrence_pure(target), concurrence_mixed(rho),
+            fidelity_pure_target(rho, target), trace)
 
 
 def reference_layout():

@@ -86,6 +86,14 @@ class TestDirections:
         assert dirs.shape == (5, 3)
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("theta, chi", [
+        (np.nan, 0.0), (np.inf, 0.0), (0.5, -np.inf), ([0.1, np.nan], 0.0),
+        (0.5, [0.0, np.inf]),
+    ])
+    def test_non_finite_angles_raise(self, theta, chi):
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            detection_direction((1.0, 0.0, 0.0), theta, chi)
+
     def test_tilted_axis_consistency(self):
         # the polar angle is measured from the pair axis whatever it is
         axis = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
@@ -122,6 +130,13 @@ class TestFarfieldPhase:
         thetas = np.linspace(0.1, np.pi - 0.1, 40)
         values = [farfield_phase(layout, t, 0.0) for t in thetas]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("theta, chi", [
+        (np.nan, 0.0), (-np.inf, 0.0), (0.5, np.nan), (np.array([0.1, np.inf]), 0.0),
+    ])
+    def test_non_finite_angles_raise(self, theta, chi):
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            farfield_phase(reference_layout(), theta, chi)
 
     def test_equator_sensitivity_matches_wavenumber(self):
         # near theta = pi/2 the phase slope is -k d per rad of theta

@@ -1,6 +1,7 @@
 """Generated-state averaging, rates, scans, and their cross-checks."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,13 +20,18 @@ from heraldsim import (
     farfield_phase,
     g2,
     generated_state,
+    heralded_state,
+    load_scenario,
     monte_carlo_state,
+    polarizer_to_jones,
     theta_center_for_delta21,
 )
 from heraldsim import herald
+from heraldsim.optics import _component_vectors
 from heraldsim.qcore import validate_density
 
 from helpers import (
+    matrix_route,
     point_detector_config,
     quadrature_moments,
     reference_config,
@@ -35,12 +41,35 @@ from helpers import (
 )
 
 FAST_QUAD = QuadratureSpec(points_theta=6, points_chi=6, points_trap=6)
+BASELINE = "scenarios/baseline.json"
 
 
 def _oracle_report(config, points_patch, points_trap, **rule):
     """Report assembled from the brute-force node sums of ``quadrature_moments``."""
     moments = quadrature_moments(config, points_patch, points_trap, **rule)
     return herald._report(config, *moments)
+
+
+def _baseline_scan():
+    scenario = load_scenario(BASELINE)
+    config = scenario.experiment()
+    quad = scenario.quadrature_spec()
+    return config, quad, delta_c_scan(config, quad, scenario.scan.delta21_grid(),
+                                      scenario.scan.v12_values)
+
+
+def _scan_cell(config, delta21, v12):
+    """Config of one scan cell: reference analyzer 1, detector 2 moved and turned."""
+    detector1 = dataclasses.replace(config.detector1, polarizer=Polarizer.linear(0.0))
+    theta2 = theta_center_for_delta21(
+        config.layout, detector1, config.detector2.chi_center, delta21
+    )
+    detector2 = dataclasses.replace(
+        config.detector2,
+        theta_center=theta2,
+        polarizer=Polarizer.linear(np.arccos(np.sqrt(v12))),
+    )
+    return dataclasses.replace(config, detector1=detector1, detector2=detector2)
 
 
 def _with_delta21(config, delta):
@@ -265,6 +294,23 @@ class TestGeneratedStateFinitePatches:
         )
         assert report.heralding_weight == pytest.approx(oracle, rel=1e-4)
 
+    def test_phase_moments_memory_is_bounded(self):
+        # 64 x 64 nodes per patch make 4096**2 node pairs, 134 MB as one
+        # real matrix; row blocks of at most 8 MB bound the peak instead
+        config = reference_config()
+        quad = QuadratureSpec(points_theta=64, points_chi=64)
+        tracemalloc.start()
+        try:
+            generated_state(config, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        weight, coherence = herald._coherence(config, quad)
+        oracle_weight, oracle_coherence = quadrature_moments(config, 64, 6)
+        assert abs(weight - oracle_weight) <= 1e-12 * oracle_weight
+        assert abs(coherence - oracle_coherence) <= 1e-12 * abs(oracle_coherence)
+
     def test_quadrature_convergence_under_doubling(self):
         config = reference_config()
         base = generated_state(config, FAST_QUAD)
@@ -391,18 +437,67 @@ class TestScan:
         # every row must equal the full pipeline run on that cell's config
         config = reference_config()
         result = delta_c_scan(config, FAST_QUAD, [-1.0, 0.0, 2.0], [0.0, 0.3, 1.0])
-        detector1 = dataclasses.replace(config.detector1, polarizer=Polarizer.linear(0.0))
         for point in result.points:
-            theta2 = theta_center_for_delta21(
-                config.layout, detector1, config.detector2.chi_center, point.delta21
-            )
-            detector2 = dataclasses.replace(
-                config.detector2,
-                theta_center=theta2,
-                polarizer=Polarizer.linear(np.arccos(np.sqrt(point.v12))),
-            )
-            cell = dataclasses.replace(config, detector1=detector1, detector2=detector2)
+            cell = _scan_cell(config, point.delta21, point.v12)
             report = generated_state(cell, FAST_QUAD)
             for name in ("delta_c", "fidelity", "concurrence_target",
                          "concurrence_generated"):
                 assert abs(getattr(point, name) - getattr(report, name)) <= 1e-15
+
+    def test_baseline_rows_match_the_wootters_route(self):
+        # the scan builds no density matrix; rebuild each row's matrix and
+        # check the closed-form figures against Wootters and the overlap
+        config, quad, result = _baseline_scan()
+        assert len(result.points) == 105
+        for point in result.points:
+            cell = _scan_cell(config, point.delta21, point.v12)
+            jones1 = polarizer_to_jones(cell.detector1.polarizer)
+            jones2 = polarizer_to_jones(cell.detector2.polarizer)
+            target = heralded_state(jones1, jones2, herald._nominal_phase(
+                cell.layout, cell.detector1, cell.detector2))
+            c_target, c_generated, fidelity, _ = matrix_route(
+                *herald._coherence(cell, quad), *_component_vectors(jones1, jones2),
+                target.state)
+            assert abs(point.concurrence_generated - c_generated) < 1e-12
+            assert abs(point.concurrence_target - c_target) < 1e-12
+            assert abs(point.fidelity - fidelity) < 1e-12
+
+    def test_zero_probability_cell_raises(self):
+        # equal analyzers at delta21 = pi: the herald never fires there
+        config = reference_config()
+        with pytest.raises(ZeroProbabilityHeraldError):
+            delta_c_scan(config, FAST_QUAD, [0.0, np.pi], [0.5, 1.0])
+
+    def test_cached_rules_are_read_only_and_survive_scans(self):
+        nodes, weights = herald._reference_rule(8)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        first = _baseline_scan()[2]
+        second = _baseline_scan()[2]
+        assert first == second
+        fresh_nodes, fresh_weights = np.polynomial.legendre.leggauss(8)
+        assert np.array_equal(nodes, fresh_nodes)
+        assert np.array_equal(weights, fresh_weights)
+
+    def test_scan_traffic(self, monkeypatch):
+        # one (W, M) pass per delta21 geometry, and no node rule recomputed
+        # once the cache holds it: per-row or per-geometry recomputation
+        # would show here first
+        counts = {"moments": 0, "leggauss": 0}
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(herald, "_phase_moments",
+                            counting("moments", herald._phase_moments))
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            counting("leggauss", np.polynomial.legendre.leggauss))
+        _baseline_scan()
+        assert counts["moments"] == 21
+        counts.update(moments=0, leggauss=0)
+        _baseline_scan()
+        assert counts == {"moments": 21, "leggauss": 0}

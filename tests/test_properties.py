@@ -3,8 +3,10 @@
 Geometry and trap motion reach the generated state only through the
 coherence factor m = M / W, and the analyzers only through the
 visibility V, so the generated concurrence has the closed form
-(1 - V)|m| / (1 + V Re m), and |m| <= 1.  Draws are derandomized, so
-every run checks the same examples.
+(1 - V)|m| / (1 + V Re m), and |m| <= 1.  The closed-form figures of
+``herald._figures`` are checked against the 4x4 matrix route of
+``helpers.matrix_route``.  Draws are derandomized, so every run checks
+the same examples.
 """
 
 import dataclasses
@@ -23,9 +25,13 @@ from heraldsim import (
     farfield_phase,
     generated_state,
     herald,
+    heralded_state,
     polarizer_to_jones,
     visibility,
 )
+from heraldsim.optics import _component_vectors
+
+from helpers import matrix_route
 
 QUAD = QuadratureSpec(points_theta=6, points_chi=6)
 #: draws whose nominal herald weight 1 + V cos(delta21) falls below this
@@ -70,12 +76,18 @@ def _visibility(config):
                       polarizer_to_jones(config.detector2.polarizer))
 
 
-def _report(config):
+def _heralding_delta21(config):
+    """Nominal phase of ``config``, skipping draws near the zero-probability herald."""
     delta21 = (farfield_phase(config.layout, config.detector2.theta_center,
                               config.detector2.chi_center)
                - farfield_phase(config.layout, config.detector1.theta_center,
                                 config.detector1.chi_center))
     assume(1.0 + _visibility(config) * np.cos(delta21) >= MIN_HERALD_WEIGHT)
+    return delta21
+
+
+def _report(config):
+    _heralding_delta21(config)
     return generated_state(config, QUAD)
 
 
@@ -87,6 +99,22 @@ def test_concurrence_has_the_coherence_factor_closed_form(config):
     m = _coherence_factor(config)
     closed = (1.0 - v12) * abs(m) / (1.0 + v12 * m.real)
     assert abs(report.concurrence_generated - closed) < 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(configs)
+def test_closed_form_figures_match_the_matrix_route(config):
+    delta21 = _heralding_delta21(config)
+    weight, coherence = herald._coherence(config, QUAD)
+    jones1 = polarizer_to_jones(config.detector1.polarizer)
+    jones2 = polarizer_to_jones(config.detector2.polarizer)
+    target = heralded_state(jones1, jones2, delta21)
+    stat, phase_part = _component_vectors(jones1, jones2)
+    closed = herald._figures(weight, coherence, stat, phase_part, target.v12, delta21)
+    oracle = matrix_route(weight, coherence, stat, phase_part, target.state)
+    for value, expected in zip(closed[:3], oracle[:3]):
+        assert abs(value - expected) < 1e-12
+    assert abs(closed[3] - oracle[3]) < 1e-12 * oracle[3]
 
 
 @PROPERTY_SETTINGS

@@ -358,6 +358,18 @@ class TestUncertaintyCommand:
             min(float(r[3]) for r in rows), rel=1e-15
         )
 
+    def test_zero_probability_scan_cell_exit_3(self, tmp_path, capsys):
+        # equal analyzers (v12 = 1) at delta21 = pi: the herald never fires
+        doc = small_scenario_dict()
+        doc["scan"].update(delta21_start_rad=0.0, delta21_stop_rad=np.pi,
+                           delta21_points=2, v12_values=[0.5, 1.0])
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "scan.csv"
+        rc = main(["uncertainty", "--config", path, "--out", str(out)])
+        assert rc == 3
+        assert "herald never fires" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_quadrature_overrides_change_the_evaluation(self, tmp_path, capsys):
         doc = small_scenario_dict()
         del doc["scan"]
