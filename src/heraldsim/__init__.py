@@ -50,7 +50,6 @@ from .qcore import (
     BASIS_LABELS,
     concurrence_mixed,
     concurrence_pure,
-    fidelity_pure_target,
 )
 from .scenario import Scenario, load_scenario, save_scenario
 
@@ -84,7 +83,6 @@ __all__ = [
     "detection_direction",
     "detection_probability",
     "farfield_phase",
-    "fidelity_pure_target",
     "g2",
     "generated_state",
     "heralded_state",

@@ -25,8 +25,8 @@ from .errors import (
     NumericalFailureError,
     ZeroProbabilityHeraldError,
 )
-from .geometry import farfield_phase
 from .herald import (
+    _nominal_phase,
     accidental_fraction,
     count_rate,
     delta_c_scan,
@@ -114,11 +114,7 @@ def cmd_state(args):
         config = scenario.experiment()
         pol1 = config.detector1.polarizer
         pol2 = config.detector2.polarizer
-        delta = farfield_phase(
-            config.layout, config.detector2.theta_center, config.detector2.chi_center
-        ) - farfield_phase(
-            config.layout, config.detector1.theta_center, config.detector1.chi_center
-        )
+        delta = _nominal_phase(config.layout, config.detector1, config.detector2)
     else:
         pol1 = pol2 = None
         delta = None

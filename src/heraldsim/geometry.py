@@ -1,21 +1,22 @@
 """Emitter pair, detector patches, trap model and the far-field phase.
 
-A detection direction is parametrized by the longitude ``theta``
-measured from the emitter axis inside the reference plane and the
-latitude ``chi`` out of that plane:
+The emitter pair lies on the lab x axis, emitter B a distance ``d``
+along +x from emitter A.  A detection direction is parametrized by the
+longitude ``theta`` measured from x inside the xy plane and the
+latitude ``chi`` out of that plane; in lab components
 
-    e(theta, chi) = cos(theta) cos(chi) * axis
-                    + sin(theta) cos(chi) * n1 + sin(chi) * n2,
+    e(theta, chi) = (cos(theta) cos(chi), sin(theta) cos(chi), sin(chi)).
 
-with (axis, n1, n2) a right-handed orthonormal frame.  The solid-angle
-measure in these coordinates is ``cos(chi) dtheta dchi``.  A photon
-reaching direction ``e`` from emitter B instead of emitter A is
-retarded by ``k * (R_B - R_A) . e``; for the unperturbed pair this is
-``k * d * cos(theta) * cos(chi)``.  The herald layer averages the trap
-displacements of ``R_B - R_A`` in closed form.
+No generality is lost: the fringe phase and the isotropic trap spread
+depend only on each direction's projection on the pair axis and on the
+products e1 . e2, which a common rotation of pair and detectors keeps.
+The solid-angle measure in these coordinates is ``cos(chi) dtheta
+dchi``.  A photon reaching direction ``e`` from emitter B instead of
+emitter A is retarded by ``k * (R_B - R_A) . e``; for the unperturbed
+pair this is ``k * d * cos(theta) * cos(chi)``.  The herald layer
+averages the trap displacements of ``R_B - R_A`` in closed form.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,16 +33,6 @@ __all__ = [
 ]
 
 
-def _unit_axis(axis):
-    vec = np.asarray(axis, dtype=float)
-    if vec.shape != (3,):
-        raise InvalidInputError("axis must be a 3-vector")
-    norm = np.linalg.norm(vec)
-    if not np.isfinite(norm) or norm == 0.0:
-        raise InvalidInputError("axis must be a nonzero finite 3-vector")
-    return tuple(vec / norm)
-
-
 @dataclass(frozen=True)
 class AtomPairLayout:
     """Two trapped emitters a fixed distance apart.
@@ -52,21 +43,16 @@ class AtomPairLayout:
         Distance d between the emitters in meters, > 0.
     wavelength : float
         Emission wavelength in meters, > 0.
-    axis : tuple
-        Unit vector from emitter A to emitter B (normalized on
-        construction); defaults to the lab x axis.
     """
 
     separation: float
     wavelength: float
-    axis: tuple = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
         if not (self.separation > 0.0 and np.isfinite(self.separation)):
             raise InvalidInputError("separation must be positive and finite")
         if not (self.wavelength > 0.0 and np.isfinite(self.wavelength)):
             raise InvalidInputError("wavelength must be positive and finite")
-        object.__setattr__(self, "axis", _unit_axis(self.axis))
 
     @property
     def wavenumber(self):
@@ -81,7 +67,7 @@ class DetectorPatch:
     ``span_theta`` and ``span_chi`` are the full angular widths of the
     patch around its center; zero widths describe an ideal point
     detector.  The patch must stay inside theta in [0, pi] and chi in
-    (-pi/2, pi/2) when integrated over.
+    (-pi/2, pi/2) when integrated over (``_check_patch_extent``).
     """
 
     theta_center: float
@@ -114,18 +100,18 @@ class TrapModel:
             raise InvalidInputError("confinement must be nonnegative and finite")
 
 
-@functools.lru_cache(maxsize=32)
-def _frame(axis):
-    """Right-handed orthonormal frame (axis, n1, n2); cached per axis tuple, read-only."""
-    a = np.asarray(axis, dtype=float)
-    a = a / np.linalg.norm(a)
-    ref = np.array([0.0, 1.0, 0.0]) if abs(a[0]) >= 0.9 else np.array([1.0, 0.0, 0.0])
-    n1 = ref - np.dot(ref, a) * a
-    n1 /= np.linalg.norm(n1)
-    n2 = np.cross(a, n1)
-    for vec in (a, n1, n2):
-        vec.flags.writeable = False
-    return a, n1, n2
+def _check_patch_extent(patch):
+    """Raise ``InvalidInputError`` unless a patch can be averaged over.
+
+    Construction bounds only the center, so a wide patch still gives a
+    detection probability; an average needs every edge inside theta in
+    [0, pi] and a positive cos(chi) weight.
+    """
+    half_theta = 0.5 * patch.span_theta
+    if patch.theta_center - half_theta < 0.0 or patch.theta_center + half_theta > np.pi:
+        raise InvalidInputError("detector patch leaves the valid theta range [0, pi]")
+    if not abs(patch.chi_center) + 0.5 * patch.span_chi < np.pi / 2:
+        raise InvalidInputError("detector patch leaves the valid chi range (-pi/2, pi/2)")
 
 
 def _finite_angles(theta, chi):
@@ -136,21 +122,17 @@ def _finite_angles(theta, chi):
     return theta, chi
 
 
-def detection_direction(axis, theta, chi=0.0):
-    """Unit direction(s) at longitude ``theta`` and latitude ``chi``.
+def detection_direction(theta, chi=0.0):
+    """Unit direction(s) (cos theta cos chi, sin theta cos chi, sin chi).
 
     ``theta`` and ``chi`` broadcast; the result has their common shape
     plus a trailing axis of length 3.  Non-finite angles raise
     ``InvalidInputError``.
     """
-    a, n1, n2 = _frame(tuple(axis))
     theta, chi = _finite_angles(theta, chi)
     cos_chi = np.cos(chi)
-    # summed in place: one (..., 3) array at a time on large sample sets
-    directions = np.multiply.outer(np.cos(theta) * cos_chi, a)
-    directions += np.multiply.outer(np.sin(theta) * cos_chi, n1)
-    directions += np.multiply.outer(np.sin(chi), n2)
-    return directions
+    components = np.cos(theta) * cos_chi, np.sin(theta) * cos_chi, np.sin(chi)
+    return np.stack(np.broadcast_arrays(*components), axis=-1)
 
 
 def farfield_phase(layout, theta, chi=0.0):

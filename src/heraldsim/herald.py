@@ -40,6 +40,7 @@ from .geometry import (
     AtomPairLayout,
     DetectorPatch,
     TrapModel,
+    _check_patch_extent,
     detection_direction,
     farfield_phase,
 )
@@ -51,7 +52,7 @@ from .optics import (
     heralded_state,
     polarizer_to_jones,
 )
-from .qcore import EIGENVALUE_FLOOR, concurrence_mixed, validate_density
+from .qcore import EIGENVALUE_FLOOR, concurrence_mixed
 
 __all__ = [
     "ExperimentConfig",
@@ -261,24 +262,20 @@ def _interval_rule(center, width, count):
     return center + 0.5 * width * ref_nodes, 0.5 * width * ref_weights
 
 
-def _patch_nodes(patch, layout, quad):
+def _patch_nodes(patch, quad):
     """Directions and measure weights (incl. cos chi) covering a patch."""
+    _check_patch_extent(patch)
     theta, w_theta = _interval_rule(patch.theta_center, patch.span_theta, quad.points_theta)
     chi, w_chi = _interval_rule(patch.chi_center, patch.span_chi, quad.points_chi)
-    if theta.min() < 0.0 or theta.max() > np.pi:
-        raise InvalidInputError("detector patch leaves the valid theta range [0, pi]")
-    if np.abs(chi).max() >= np.pi / 2:
-        raise InvalidInputError("detector patch leaves the valid chi range (-pi/2, pi/2)")
     theta_grid, chi_grid = np.meshgrid(theta, chi, indexing="ij")
     weights = (w_theta[:, None] * (w_chi * np.cos(chi))[None, :]).ravel()
-    directions = detection_direction(layout.axis, theta_grid.ravel(), chi_grid.ravel())
-    return directions, weights
+    return detection_direction(theta_grid.ravel(), chi_grid.ravel()), weights
 
 
 def _phase_moments(layout, trap, dirs1, w1, dirs2, w2):
     """Total weight W and coherence M = sum w * exp(-1j * delta21).
 
-    A node pair has relative phase k (d axis + du) . (e2 - e1), where
+    A node pair has relative phase k (d e_x + du) . (e2 - e1), where
     the displacement difference du is normal with per-axis spread
     sigma = sqrt(2) * confinement.  Averaging over du gives each pair
     the factor exp(-(k sigma)**2 |e1 - e2|**2 / 2), with
@@ -287,9 +284,9 @@ def _phase_moments(layout, trap, dirs1, w1, dirs2, w2):
     """
     wavenumber = layout.wavenumber
     sigma = math.sqrt(2.0) * trap.confinement
-    separation = layout.separation * np.asarray(layout.axis)
-    sum1 = w1 * np.exp(1j * wavenumber * (dirs1 @ separation))
-    sum2 = w2 * np.exp(-1j * wavenumber * (dirs2 @ separation))
+    separation = layout.separation
+    sum1 = w1 * np.exp(1j * wavenumber * (separation * dirs1[:, 0]))
+    sum2 = w2 * np.exp(-1j * wavenumber * (separation * dirs2[:, 0]))
     # the pair matrix dominates memory: build it in row blocks of at most
     # _PAIR_BLOCK_BYTES, each in place, and take two real products so that
     # it is never cast to complex
@@ -310,8 +307,8 @@ def _phase_moments(layout, trap, dirs1, w1, dirs2, w2):
 
 def _coherence(config, quadrature):
     """Weight W and first phase moment M of the patch and trap average."""
-    dirs1, w1 = _patch_nodes(config.detector1, config.layout, quadrature)
-    dirs2, w2 = _patch_nodes(config.detector2, config.layout, quadrature)
+    dirs1, w1 = _patch_nodes(config.detector1, quadrature)
+    dirs2, w2 = _patch_nodes(config.detector2, quadrature)
     return _phase_moments(config.layout, config.trap, dirs1, w1, dirs2, w2)
 
 
@@ -375,13 +372,13 @@ def _report(config, total_weight, coherence):
         + coherence * np.outer(phase_part, stat.conj())
         + np.conj(coherence) * np.outer(stat, phase_part.conj())
     )
+    rho = rho_raw / trace
     try:
-        rho = validate_density(rho_raw / trace)
+        wootters = concurrence_mixed(rho)  # validates rho; health check of the closed form
     except InvalidInputError as exc:
         raise NumericalFailureError(
             f"quadrature produced an invalid density matrix: {exc}"
         ) from exc
-    wootters = concurrence_mixed(rho)  # health check of the closed form
     if abs(wootters - c_generated) > 1e-9:
         raise NumericalFailureError(
             f"Wootters concurrence {wootters:.12g} misses the closed form "
@@ -441,19 +438,20 @@ def monte_carlo_state(config, samples, seed):
     """
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")
+    _check_patch_extent(config.detector1)
+    _check_patch_extent(config.detector2)
     rng = np.random.default_rng(seed)
 
     def _draw_patch(patch):
         theta = patch.theta_center + patch.span_theta * (rng.random(samples) - 0.5)
         chi = patch.chi_center + patch.span_chi * (rng.random(samples) - 0.5)
-        return detection_direction(config.layout.axis, theta, chi), np.cos(chi)
+        return detection_direction(theta, chi), np.cos(chi)
 
     dirs1, cos1 = _draw_patch(config.detector1)
     dirs2, cos2 = _draw_patch(config.detector2)
     sigma = math.sqrt(2.0) * config.trap.confinement
-    du = sigma * rng.standard_normal((samples, 3))
-    base = config.layout.separation * np.asarray(config.layout.axis)
-    offset = base[None, :] + du
+    offset = sigma * rng.standard_normal((samples, 3))
+    offset[:, 0] += config.layout.separation
     wavevector = config.layout.wavenumber
     phase = wavevector * (
         np.einsum("ij,ij->i", offset, dirs2) - np.einsum("ij,ij->i", offset, dirs1)
@@ -516,14 +514,14 @@ def delta_c_scan(config, quadrature, delta21_values, v12_values):
     visibilities = np.array([abs(np.vdot(jones1, e)) ** 2 for e in probes])
     # the analyzers do not enter W and M: one average per delta21 geometry,
     # with the reference detector's nodes computed once
-    dirs1, w1 = _patch_nodes(reference, config.layout, quadrature)
+    dirs1, w1 = _patch_nodes(reference, quadrature)
     geometries = []
     for delta in delta21_values:
         theta2 = theta_center_for_delta21(
             config.layout, reference, config.detector2.chi_center, delta
         )
         detector2 = replace(config.detector2, theta_center=theta2)
-        dirs2, w2 = _patch_nodes(detector2, config.layout, quadrature)
+        dirs2, w2 = _patch_nodes(detector2, quadrature)
         geometries.append((*_phase_moments(config.layout, config.trap, dirs1, w1, dirs2, w2),
                            _nominal_phase(config.layout, reference, detector2)))
     total_weight, coherence, phases = (np.array(col)[:, None] for col in zip(*geometries))

@@ -1,4 +1,4 @@
-"""Two-qubit state arithmetic: validation, concurrence and fidelity.
+"""Two-qubit state arithmetic: validation and concurrence.
 
 Qubits are the two stable lower levels |+> and |-> of a three-level
 emitter.  Pure two-qubit states are length-4 complex arrays ordered
@@ -17,7 +17,6 @@ __all__ = [
     "BASIS_LABELS",
     "concurrence_pure",
     "concurrence_mixed",
-    "fidelity_pure_target",
     "validate_state",
     "validate_density",
 ]
@@ -59,15 +58,13 @@ def _as_complex_array(value, shape, name):
     return arr
 
 
-def validate_state(state, atol=STATE_NORM_ATOL):
+def validate_state(state):
     """Check that ``state`` is a normalized two-qubit vector and return it.
 
     Parameters
     ----------
     state : array_like
         Length-4 complex vector in the (++, +-, -+, --) basis.
-    atol : float
-        Largest accepted deviation of the norm from 1.
 
     Returns
     -------
@@ -78,24 +75,23 @@ def validate_state(state, atol=STATE_NORM_ATOL):
     ------
     InvalidInputError
         If the shape is wrong, entries are non-finite, or the norm
-        deviates from 1 by more than ``atol``.
+        deviates from 1 by more than ``STATE_NORM_ATOL``.
     """
     vec = _as_complex_array(state, (4,), "state")
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > atol:
+    if abs(norm - 1.0) > STATE_NORM_ATOL:
         raise InvalidInputError(
-            f"state norm {norm:.12g} deviates from 1 by more than {atol:g}"
+            f"state norm {norm:.12g} deviates from 1 by more than {STATE_NORM_ATOL:g}"
         )
     return vec
 
 
-def validate_density(rho, herm_atol=HERMITIAN_ATOL, trace_atol=TRACE_ATOL,
-                     eig_floor=EIGENVALUE_FLOOR):
+def validate_density(rho):
     """Check that ``rho`` is a valid 4x4 density matrix and return it.
 
-    Hermiticity and unit trace are required within ``herm_atol`` and
-    ``trace_atol``; eigenvalues may undershoot zero by at most
-    ``-eig_floor`` (roundoff slack).
+    Hermiticity and unit trace are required within ``HERMITIAN_ATOL``
+    and ``TRACE_ATOL``; eigenvalues may undershoot zero by at most
+    ``-EIGENVALUE_FLOOR`` (roundoff slack).
 
     Raises
     ------
@@ -104,19 +100,19 @@ def validate_density(rho, herm_atol=HERMITIAN_ATOL, trace_atol=TRACE_ATOL,
     """
     mat = _as_complex_array(rho, (4, 4), "rho")
     herm_dev = np.max(np.abs(mat - mat.conj().T))
-    if herm_dev > herm_atol:
+    if herm_dev > HERMITIAN_ATOL:
         raise InvalidInputError(
-            f"rho is not Hermitian: max deviation {herm_dev:.3g} > {herm_atol:g}"
+            f"rho is not Hermitian: max deviation {herm_dev:.3g} > {HERMITIAN_ATOL:g}"
         )
     trace_dev = abs(np.trace(mat) - 1.0)
-    if trace_dev > trace_atol:
+    if trace_dev > TRACE_ATOL:
         raise InvalidInputError(
-            f"rho trace deviates from 1 by {trace_dev:.3g} > {trace_atol:g}"
+            f"rho trace deviates from 1 by {trace_dev:.3g} > {TRACE_ATOL:g}"
         )
     evals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-    if evals.min() < eig_floor:
+    if evals.min() < EIGENVALUE_FLOOR:
         raise InvalidInputError(
-            f"rho has negative eigenvalue {evals.min():.3g} below {eig_floor:g}"
+            f"rho has negative eigenvalue {evals.min():.3g} below {EIGENVALUE_FLOOR:g}"
         )
     return mat
 
@@ -186,24 +182,3 @@ def concurrence_mixed(rho):
             f"by {abs(np.sum(lam ** 2) - trace_product):.3g}"
         )
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
-
-
-def fidelity_pure_target(rho, target):
-    """Overlap <target| rho |target> with a pure target state.
-
-    Parameters
-    ----------
-    rho : array_like
-        4x4 density matrix.
-    target : array_like
-        Normalized pure state, length 4.
-
-    Returns
-    -------
-    float
-        Fidelity in [0, 1]; equals 1 exactly when ``rho`` is the
-        projector onto ``target``.
-    """
-    mat = validate_density(rho)
-    vec = validate_state(target)
-    return float(np.real(vec.conj() @ mat @ vec))

@@ -17,8 +17,8 @@ from heraldsim.optics import MIN_HERALD_WEIGHT
 from heraldsim.qcore import (
     concurrence_mixed,
     concurrence_pure,
-    fidelity_pure_target,
     validate_density,
+    validate_state,
 )
 
 SPIN_FLIP = np.array(
@@ -117,6 +117,12 @@ def heralded_state_via_operators(jones1, jones2, phase1, phase2):
                            v12=float(abs(np.vdot(jones1, jones2)) ** 2))
 
 
+def fidelity_pure_target(rho, target):
+    """Overlap <target| rho |target> of a density matrix with a pure target."""
+    vec = validate_state(target)
+    return float(np.real(vec.conj() @ validate_density(rho) @ vec))
+
+
 def matrix_route(total_weight, coherence, stat, phase_part, target):
     """(C_target, C_generated, fidelity, trace) from the 4x4 generated state.
 
@@ -201,10 +207,13 @@ def _normal_nodes(sigma, count, midpoint, truncation):
 
 
 def quadrature_moments(config, points_patch, points_trap, midpoint=False,
-                       trap_dims=3, truncation=5.0):
+                       trap_dims=3, truncation=5.0, rotation=np.eye(3)):
     """Weight W and coherence M = sum w exp(-1j delta21) by explicit node sums.
 
-    Oracle for the closed-form trap average.  Both patches take
+    Oracle for the closed-form trap average.  The separation is an
+    explicit vector d e_x, and ``rotation`` (orthogonal 3x3) turns it
+    and every node direction while the trap grid stays lab-aligned.
+    Both patches take
     ``points_patch`` nodes per axis (Gauss-Legendre, or the midpoint rule
     with ``midpoint``) with the cos(chi) measure.  The trap takes
     ``points_trap`` nodes per axis: Gauss-Hermite on the displacement
@@ -218,8 +227,7 @@ def quadrature_moments(config, points_patch, points_trap, midpoint=False,
         chi, w_chi = _interval_nodes(
             detector.chi_center, detector.span_chi, points_patch, midpoint)
         grid_theta, grid_chi = np.meshgrid(theta, chi, indexing="ij")
-        directions = detection_direction(
-            config.layout.axis, grid_theta.ravel(), grid_chi.ravel())
+        directions = detection_direction(grid_theta.ravel(), grid_chi.ravel()) @ rotation.T
         return directions, np.outer(w_theta, w_chi * np.cos(chi)).ravel()
 
     dirs1, w1 = patch(config.detector1)
@@ -237,7 +245,8 @@ def quadrature_moments(config, points_patch, points_trap, midpoint=False,
     grids = np.meshgrid(axis_nodes, axis_nodes, axis_nodes, indexing="ij")
     du = np.stack([grid.ravel() for grid in grids], axis=1)
     du_weights = np.einsum("i,j,k->ijk", axis_weights, axis_weights, axis_weights).ravel()
-    offsets = config.layout.separation * np.asarray(config.layout.axis) + du
+    separation = rotation @ np.array([config.layout.separation, 0.0, 0.0])
+    offsets = separation + du
     wavenumber = config.layout.wavenumber
     sum1 = np.exp(1j * wavenumber * (offsets @ dirs1.T)) @ w1
     sum2 = np.exp(-1j * wavenumber * (offsets @ dirs2.T)) @ w2

@@ -21,17 +21,11 @@ class TestLayout:
         layout = reference_layout()
         assert layout.wavenumber == pytest.approx(2.0 * np.pi / 650e-9, rel=1e-15)
 
-    def test_axis_is_normalized(self):
-        layout = AtomPairLayout(separation=1e-6, wavelength=1e-6, axis=(0.0, 0.0, 2.0))
-        assert np.allclose(layout.axis, [0.0, 0.0, 1.0], atol=1e-15)
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidInputError):
             AtomPairLayout(separation=0.0, wavelength=650e-9)
         with pytest.raises(InvalidInputError):
             AtomPairLayout(separation=5e-6, wavelength=-1.0)
-        with pytest.raises(InvalidInputError):
-            AtomPairLayout(separation=5e-6, wavelength=650e-9, axis=(0.0, 0.0, 0.0))
 
 
 class TestPatchAndAccessories:
@@ -68,21 +62,19 @@ class TestPatchAndAccessories:
 
 class TestDirections:
     def test_unit_norm_and_axis_projection(self):
+        # lab components with the pair on x: the x component is the projection
         rng = np.random.default_rng(41)
-        axis = np.array([1.0, 0.0, 0.0])
         for _ in range(200):
             theta = rng.uniform(0.01, np.pi - 0.01)
             chi = rng.uniform(-1.4, 1.4)
-            direction = detection_direction(axis, theta, chi)
+            direction = detection_direction(theta, chi)
             assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-12)
-            assert direction @ axis == pytest.approx(
-                np.cos(theta) * np.cos(chi), abs=1e-12
-            )
+            assert np.array_equal(direction, [
+                np.cos(theta) * np.cos(chi), np.sin(theta) * np.cos(chi), np.sin(chi)])
 
     def test_broadcasts_over_grids(self):
-        axis = np.array([0.0, 1.0, 0.0])
         thetas = np.linspace(0.1, 3.0, 5)
-        dirs = detection_direction(axis, thetas, 0.0)
+        dirs = detection_direction(thetas, 0.0)
         assert dirs.shape == (5, 3)
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
 
@@ -92,13 +84,7 @@ class TestDirections:
     ])
     def test_non_finite_angles_raise(self, theta, chi):
         with pytest.raises(InvalidInputError, match="must be finite"):
-            detection_direction((1.0, 0.0, 0.0), theta, chi)
-
-    def test_tilted_axis_consistency(self):
-        # the polar angle is measured from the pair axis whatever it is
-        axis = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-        direction = detection_direction(axis, 0.3, 0.2)
-        assert direction @ axis == pytest.approx(np.cos(0.3) * np.cos(0.2), abs=1e-12)
+            detection_direction(theta, chi)
 
 
 class TestFarfieldPhase:

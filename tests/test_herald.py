@@ -311,6 +311,20 @@ class TestGeneratedStateFinitePatches:
         assert abs(weight - oracle_weight) <= 1e-12 * oracle_weight
         assert abs(coherence - oracle_coherence) <= 1e-12 * abs(oracle_coherence)
 
+    def test_moments_are_invariant_under_a_common_rotation(self):
+        # the pair axis is a gauge: turning the separation and every node
+        # direction together keeps (W, M), while the oracle's trap grid
+        # stays lab-aligned, so this also checks the trap isotropy
+        config = _with_delta21(reference_config(confinement=30e-9), np.pi / 2)
+        weight, coherence = herald._coherence(
+            config, QuadratureSpec(points_theta=6, points_chi=6))
+        q, r = np.linalg.qr(np.random.default_rng(29).standard_normal((3, 3)))
+        rotation = q * np.sign(np.diag(r))
+        assert np.allclose(rotation @ rotation.T, np.eye(3), atol=1e-14)
+        oracle_weight, oracle_coherence = quadrature_moments(config, 6, 6, rotation=rotation)
+        assert abs(weight - oracle_weight) <= 1e-12 * oracle_weight
+        assert abs(coherence - oracle_coherence) <= 1e-12 * abs(oracle_coherence)
+
     def test_quadrature_convergence_under_doubling(self):
         config = reference_config()
         base = generated_state(config, FAST_QUAD)
@@ -351,6 +365,19 @@ class TestGeneratedStateFinitePatches:
     def test_monte_carlo_rejects_bad_sample_count(self):
         with pytest.raises(InvalidInputError):
             monte_carlo_state(reference_config(), samples=0, seed=1)
+
+    @pytest.mark.parametrize("patch", [
+        {"theta_center": 0.002, "span_theta": 0.01},
+        {"chi_center": 1.3, "span_chi": 1.0},
+    ], ids=["theta-edge-below-zero", "chi-edge-past-the-pole"])
+    def test_patch_edges_outside_the_sphere_raise(self, patch):
+        # the extent is checked on the patch edges, not on the nodes: a
+        # single node at the center lies inside, the edge does not
+        config = reference_config(**patch)
+        with pytest.raises(InvalidInputError, match="leaves the valid"):
+            monte_carlo_state(config, samples=1000, seed=1)
+        with pytest.raises(InvalidInputError, match="leaves the valid"):
+            generated_state(config, QuadratureSpec(points_theta=1, points_chi=1))
 
     def test_error_grows_with_confinement(self):
         # at quarter-period phase the coherence decay is first order,

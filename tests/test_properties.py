@@ -64,8 +64,8 @@ configs = st.builds(
 
 
 def _coherence_factor(config):
-    dirs1, w1 = herald._patch_nodes(config.detector1, config.layout, QUAD)
-    dirs2, w2 = herald._patch_nodes(config.detector2, config.layout, QUAD)
+    dirs1, w1 = herald._patch_nodes(config.detector1, QUAD)
+    dirs2, w2 = herald._patch_nodes(config.detector2, QUAD)
     weight, coherence = herald._phase_moments(config.layout, config.trap,
                                               dirs1, w1, dirs2, w2)
     return coherence / weight

@@ -3,18 +3,14 @@
 import numpy as np
 import pytest
 
-from heraldsim import (
-    InvalidInputError,
-    concurrence_mixed,
-    concurrence_pure,
-    fidelity_pure_target,
-)
+from heraldsim import InvalidInputError, concurrence_mixed, concurrence_pure
 from heraldsim.qcore import validate_density, validate_state
 
 from helpers import (
     BELL_PHI_PLUS,
     BELL_PSI_MINUS,
     BELL_PSI_PLUS,
+    fidelity_pure_target,
     haar_unitary,
     pure_to_density,
     random_density,
