@@ -37,7 +37,6 @@ from .optics import (
     Polarizer,
     concurrence_analytic,
     heralded_state,
-    polarizer_to_jones,
     visibility,
 )
 from .qcore import BASIS_LABELS, concurrence_pure
@@ -128,9 +127,7 @@ def cmd_state(args):
         raise InvalidInputError(
             "state needs --config or all of --polarizer1/--polarizer2/--delta21"
         )
-    jones1 = polarizer_to_jones(pol1)
-    jones2 = polarizer_to_jones(pol2)
-    outcome = heralded_state(jones1, jones2, delta)
+    outcome = heralded_state(pol1.jones, pol2.jones, delta)
     from_state = concurrence_pure(outcome.state)
     analytic = concurrence_analytic(outcome.delta21, outcome.v12)
     print(f"delta21_rad            = {_fmt(outcome.delta21)}")
@@ -145,7 +142,13 @@ def cmd_state(args):
 
 
 def cmd_uncertainty(args):
+    # usage errors exit before the first report line
+    if args.samples < 1 or (args.seed is not None and args.seed < 0):
+        raise InvalidInputError(
+            f"--samples must be >= 1 and --seed >= 0, got {args.samples} and {args.seed}")
     scenario = load_scenario(args.config)
+    if args.out is not None and scenario.scan is None:
+        raise InvalidInputError("--out set but the scenario has no scan section")
     config = scenario.experiment()
     quad = scenario.quadrature_spec()
     overrides = {name: getattr(args, name) for name in ("points_theta", "points_chi")
@@ -185,8 +188,6 @@ def cmd_uncertainty(args):
                 # reads the fields without astuple's deep copy
                 for point in result.points:
                     writer.writerow([_fmt(v) for v in vars(point).values()])
-    elif args.out is not None:
-        raise InvalidInputError("--out set but the scenario has no scan section")
     return 0
 
 
@@ -198,12 +199,11 @@ def cmd_malus(args):
             "malus needs delta21 at an odd multiple of pi/2 (quarter-wave phase)"
         )
     alphas = _grid(0.0, half_pi, args.points, "alpha")
-    reference = polarizer_to_jones(Polarizer.linear(0.0))
+    reference = Polarizer.linear(0.0).jones
     with _csv_writer(args.out) as writer:
         writer.writerow(["alpha_rad", "v12", "concurrence", "sin2_alpha", "difference"])
         for alpha in alphas:
-            probe = polarizer_to_jones(Polarizer.linear(alpha))
-            v12 = visibility(reference, probe)
+            v12 = visibility(reference, Polarizer.linear(alpha).jones)
             value = concurrence_analytic(args.delta21, v12)
             malus = math.sin(alpha) ** 2
             writer.writerow(

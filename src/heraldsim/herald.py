@@ -26,6 +26,7 @@ evaluation of the same average kept for cross-validation.
 import functools
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -51,6 +52,7 @@ from .optics import (
     g2,
     heralded_state,
     polarizer_to_jones,
+    visibility,
 )
 from .qcore import EIGENVALUE_FLOOR, concurrence_mixed
 
@@ -434,10 +436,12 @@ def monte_carlo_state(config, samples, seed):
     Draws directions uniformly over each patch (importance-weighted by
     cos chi) and displacement differences from their Gaussian, where
     ``generated_state`` averages the displacements in closed form.
-    Deterministic for a fixed ``seed``.
+    Deterministic for a fixed ``seed``; both integers are checked before any draw.
     """
-    if samples < 1:
-        raise InvalidInputError("samples must be >= 1")
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+        raise InvalidInputError(f"samples must be an integer >= 1, got {samples!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
     _check_patch_extent(config.detector1)
     _check_patch_extent(config.detector2)
     rng = np.random.default_rng(seed)
@@ -511,7 +515,7 @@ def delta_c_scan(config, quadrature, delta21_values, v12_values):
     probes = [polarizer_to_jones(Polarizer.linear(math.acos(math.sqrt(v12))))
               for v12 in v12_values]
     stat, phase_part = map(np.array, zip(*(_component_vectors(jones1, e) for e in probes)))
-    visibilities = np.array([abs(np.vdot(jones1, e)) ** 2 for e in probes])
+    visibilities = np.array([visibility(jones1, e) for e in probes])
     # the analyzers do not enter W and M: one average per delta21 geometry,
     # with the reference detector's nodes computed once
     dirs1, w1 = _patch_nodes(reference, quadrature)

@@ -1,10 +1,11 @@
 """Polarization analyzers and the state heralded by a two-photon coincidence.
 
-Analyzer settings are unit Jones vectors in the circular basis of the
+An analyzer is its unit Jones vector in the circular basis of the
 emitted photons: component 0 multiplies the sigma+ photon of the
 |e> -> |-> decay, component 1 the sigma- photon of |e> -> |+>.  A
 linear analyzer at angle ``alpha`` is (exp(-i alpha), exp(+i alpha)) /
-sqrt(2); circular analyzers are the basis vectors themselves.
+sqrt(2); circular analyzers are the basis vectors themselves;
+``Polarizer.general`` normalizes any nonzero pair of components.
 
 A coincidence of one photon in each analyzed detection channel, with
 relative propagation phase ``delta21`` between the channels, projects
@@ -19,14 +20,15 @@ squared norm of this unnormalized vector is the coincidence weight
 ``g2 = 2 (1 + v12 cos delta21)`` with ``v12 = |<jones1, jones2>|**2``.
 """
 
-import cmath
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, ZeroProbabilityHeraldError
-from .qcore import _as_complex_array
+from .qcore import _as_complex_array, _unit_vector
 
 __all__ = [
     "JONES_NORM_ATOL",
@@ -52,70 +54,54 @@ _PHASE_PIVOT_ATOL = 1e-10
 
 @dataclass(frozen=True)
 class Polarizer:
-    """Analyzer setting of one detection channel.
+    """Analyzer setting of one detection channel: its unit Jones vector.
 
-    Use the constructors ``Polarizer.linear(angle)``,
-    ``Polarizer.circular(handedness)`` or
-    ``Polarizer.general(eps_plus, eps_minus)``.
+    ``jones`` is (eps_plus, eps_minus) as Python complex numbers.
+    ``Polarizer(jones)`` requires norm 1 within ``JONES_NORM_ATOL`` and
+    never renormalizes; of the constructors only ``general`` normalizes.
     """
 
-    kind: str
-    angle: float = 0.0
-    handedness: int = 1
-    components: tuple = ()
+    jones: tuple
 
     def __post_init__(self):
-        if self.kind not in ("linear", "circular", "general"):
-            raise InvalidInputError(f"unknown polarizer kind {self.kind!r}")
-        if not math.isfinite(self.angle):
-            raise InvalidInputError(f"polarizer angle must be finite, got {self.angle!r}")
-        if not all(cmath.isfinite(c) for c in self.components):
-            raise InvalidInputError("polarizer components must be finite")
-        if self.kind == "circular" and self.handedness not in (1, -1):
-            raise InvalidInputError("circular handedness must be +1 or -1")
-        if self.kind == "general":
-            if len(self.components) != 2:
-                raise InvalidInputError("general polarizer needs two components")
-            if abs(self.components[0]) ** 2 + abs(self.components[1]) ** 2 == 0.0:
-                raise InvalidInputError("general polarizer must be nonzero")
+        vec = _unit_vector(self.jones, 2, JONES_NORM_ATOL, "polarizer jones")
+        object.__setattr__(self, "jones", tuple(vec.tolist()))
 
     @classmethod
     def linear(cls, angle):
-        """Linear analyzer at ``angle`` radians from the reference axis."""
-        return cls(kind="linear", angle=float(angle))
+        """Linear analyzer ``angle`` radians (a finite real) from the reference axis."""
+        # abs(nan) <= max is False, and the comparison is exact for huge ints
+        if (isinstance(angle, bool) or not isinstance(angle, numbers.Real)
+                or not abs(angle) <= sys.float_info.max):
+            raise InvalidInputError(f"linear angle must be a finite real, got {angle!r}")
+        phase = np.exp(-1j * float(angle))
+        return cls(tuple((np.array([phase, np.conj(phase)]) / np.sqrt(2.0)).tolist()))
 
     @classmethod
     def circular(cls, handedness):
-        """Circular analyzer passing sigma+ (+1) or sigma- (-1) photons."""
-        return cls(kind="circular", handedness=int(handedness))
+        """Circular analyzer passing sigma+ (integer +1) or sigma- (-1) photons."""
+        if (isinstance(handedness, bool) or not isinstance(handedness, numbers.Integral)
+                or handedness not in (1, -1)):
+            raise InvalidInputError(f"handedness must be int +1 or -1, got {handedness!r}")
+        return cls((1.0 + 0.0j, 0.0j) if handedness == 1 else (0.0j, 1.0 + 0.0j))
 
     @classmethod
     def general(cls, eps_plus, eps_minus):
-        """Arbitrary analyzer; the two components are normalized on use."""
-        return cls(kind="general", components=(complex(eps_plus), complex(eps_minus)))
+        """Arbitrary analyzer; the only constructor that normalizes its components."""
+        vec = _as_complex_array((complex(eps_plus), complex(eps_minus)), (2,), "analyzer")
+        norm = np.linalg.norm(vec)
+        if norm == 0.0:
+            raise InvalidInputError("general analyzer must be nonzero")
+        return cls(tuple((vec / norm).tolist()))
 
 
 def polarizer_to_jones(polarizer):
-    """Unit Jones vector (eps_plus, eps_minus) of an analyzer setting."""
-    if polarizer.kind == "linear":
-        phase = np.exp(-1j * polarizer.angle)
-        return np.array([phase, np.conj(phase)]) / np.sqrt(2.0)
-    if polarizer.kind == "circular":
-        if polarizer.handedness == 1:
-            return np.array([1.0 + 0.0j, 0.0 + 0.0j])
-        return np.array([0.0 + 0.0j, 1.0 + 0.0j])
-    vec = np.array(polarizer.components, dtype=complex)
-    return vec / np.linalg.norm(vec)
+    """Unit Jones vector (eps_plus, eps_minus) of an analyzer setting as an array."""
+    return np.array(polarizer.jones)
 
 
 def _validated_jones(jones, name):
-    vec = _as_complex_array(jones, (2,), name)
-    norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > JONES_NORM_ATOL:
-        raise InvalidInputError(
-            f"{name} norm {norm:.12g} is not 1 within {JONES_NORM_ATOL:g}"
-        )
-    return vec
+    return _unit_vector(jones, 2, JONES_NORM_ATOL, name)
 
 
 def visibility(jones1, jones2):

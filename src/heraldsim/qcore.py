@@ -9,6 +9,8 @@ is off by more than ``STATE_NORM_ATOL`` is rejected so that upstream
 normalization bugs surface here instead of propagating.
 """
 
+import math
+
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
@@ -58,6 +60,16 @@ def _as_complex_array(value, shape, name):
     return arr
 
 
+def _unit_vector(value, length, atol, name):
+    """``value`` as a finite complex vector of ``length`` with norm 1 within ``atol``."""
+    vec = _as_complex_array(value, (length,), name)
+    # the norm is only compared, so Python scalars serve: no numpy call
+    norm = math.hypot(*(abs(c) for c in vec.tolist()))
+    if abs(norm - 1.0) > atol:
+        raise InvalidInputError(f"{name} norm {norm:.12g} is not 1 within {atol:g}")
+    return vec
+
+
 def validate_state(state):
     """Check that ``state`` is a normalized two-qubit vector and return it.
 
@@ -77,13 +89,7 @@ def validate_state(state):
         If the shape is wrong, entries are non-finite, or the norm
         deviates from 1 by more than ``STATE_NORM_ATOL``.
     """
-    vec = _as_complex_array(state, (4,), "state")
-    norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > STATE_NORM_ATOL:
-        raise InvalidInputError(
-            f"state norm {norm:.12g} deviates from 1 by more than {STATE_NORM_ATOL:g}"
-        )
-    return vec
+    return _unit_vector(state, 4, STATE_NORM_ATOL, "state")
 
 
 def validate_density(rho):

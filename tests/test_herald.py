@@ -366,6 +366,14 @@ class TestGeneratedStateFinitePatches:
         with pytest.raises(InvalidInputError):
             monte_carlo_state(reference_config(), samples=0, seed=1)
 
+    @pytest.mark.parametrize("samples, seed", [
+        (2.5, 1), (float("nan"), 1), (True, 1), (100, 1.5), (100, -1),
+    ], ids=["fractional-samples", "nan-samples", "bool-samples", "fractional-seed",
+            "negative-seed"])
+    def test_monte_carlo_rejects_non_integer_arguments(self, samples, seed):
+        with pytest.raises(InvalidInputError):
+            monte_carlo_state(reference_config(), samples=samples, seed=seed)
+
     @pytest.mark.parametrize("patch", [
         {"theta_center": 0.002, "span_theta": 0.01},
         {"chi_center": 1.3, "span_chi": 1.0},

@@ -36,16 +36,27 @@ class TestPolarizers:
         assert np.array_equal(polarizer_to_jones(Polarizer.circular(+1)), [1.0, 0.0])
         assert np.array_equal(polarizer_to_jones(Polarizer.circular(-1)), [0.0, 1.0])
 
+    def test_equal_vectors_are_equal_analyzers(self):
+        assert Polarizer.linear(0.0) == Polarizer.general(1, 1)
+        assert Polarizer.circular(+1) == Polarizer.general(1, 0)
+        assert Polarizer.circular(-1) == Polarizer((0.0, 1.0))
+
     def test_general_is_normalized(self):
         jones = polarizer_to_jones(Polarizer.general(2.0, 2.0j))
         assert np.allclose(jones, [INV_SQRT2, 1j * INV_SQRT2], atol=1e-15)
         assert np.linalg.norm(jones) == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_settings_rejected(self):
-        with pytest.raises(InvalidInputError):
-            Polarizer(kind="elliptical")
-        with pytest.raises(InvalidInputError):
-            Polarizer.circular(0)
+        for jones in ((1.0,), (1.0, 0.0, 0.0), (1.0, 1.0), (0.6, 0.8 + 1e-6),
+                      (np.nan, 1.0), (1.0, complex(0.0, np.inf))):
+            with pytest.raises(InvalidInputError):
+                Polarizer(jones)
+        for handedness in (0, 1.7, -1.9, 1.0, "1", True, None):
+            with pytest.raises(InvalidInputError):
+                Polarizer.circular(handedness)
+        for angle in ("0.3", True, None, 0.3j, 10**400):
+            with pytest.raises(InvalidInputError):
+                Polarizer.linear(angle)
         with pytest.raises(InvalidInputError):
             Polarizer.general(0.0, 0.0)
         for bad in (np.nan, np.inf, -np.inf):

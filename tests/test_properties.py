@@ -138,7 +138,7 @@ def test_swapping_the_detectors_keeps_the_concurrence(config):
 def test_global_analyzer_phase_keeps_the_concurrence(config, phase):
     report = _report(config)
     rotated = Polarizer.general(
-        *(np.exp(1j * phase) * np.array(config.detector2.polarizer.components)))
+        *(np.exp(1j * phase) * np.array(config.detector2.polarizer.jones)))
     shifted = dataclasses.replace(
         config, detector2=dataclasses.replace(config.detector2, polarizer=rotated))
     assert abs(generated_state(shifted, QUAD).concurrence_generated

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from heraldsim import ScenarioError, load_scenario, save_scenario
+from heraldsim import Polarizer, ScenarioError, load_scenario, save_scenario
 from heraldsim.cli import main
 
 BASELINE = "scenarios/baseline.json"
@@ -88,7 +88,7 @@ class TestScenarioFiles:
         assert config.repetition_rate == pytest.approx(5e6, rel=1e-15)
         assert config.coincidence_window == pytest.approx(10e-9, rel=1e-15)
         assert config.detector1.span_theta == pytest.approx(5e-3, rel=1e-15)
-        assert config.detector2.polarizer.angle == pytest.approx(np.pi / 4, rel=1e-12)
+        assert config.detector2.polarizer == Polarizer.linear(np.pi / 4)
 
     def test_quadrature_and_scan_sections(self):
         scenario = load_scenario(BASELINE)
@@ -193,7 +193,7 @@ class TestScenarioFiles:
         doc = small_scenario_dict()
         doc["detector1"]["polarizer"] = {"kind": "circular", "handedness": "+"}
         scenario = load_scenario(write_scenario(tmp_path, doc))
-        assert scenario.experiment().detector1.polarizer.handedness == 1
+        assert scenario.experiment().detector1.polarizer == Polarizer.circular(+1)
         doc["detector1"]["polarizer"] = {"kind": "circular", "handedness": "up"}
         with pytest.raises(ScenarioError, match="handedness"):
             load_scenario(write_scenario(tmp_path, doc))
@@ -403,6 +403,23 @@ class TestUncertaintyCommand:
         rc = main(["uncertainty", "--config", path, "--out",
                    str(tmp_path / "scan.csv")])
         assert rc == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "-1", "--samples", "100"],
+        ["--seed", "3", "--samples", "0"],
+        ["--samples", "0"],
+    ], ids=["negative-seed", "zero-samples", "zero-samples-without-seed"])
+    def test_bad_monte_carlo_flags_exit_2_before_any_output(self, tmp_path, capsys, flags):
+        doc = small_scenario_dict()
+        del doc["scan"]
+        rc = main(["uncertainty", "--config", write_scenario(tmp_path, doc), *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("name", ["absent.json", ""], ids=["absent", "directory"])
     def test_missing_file_exit_2(self, tmp_path, capsys, name):
