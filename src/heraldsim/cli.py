@@ -1,11 +1,11 @@
 """Command line front end.
 
-Subcommands: ``surface`` (closed-form concurrence over a grid),
-``state`` (one heralded state), ``uncertainty`` (generated-state report
-and error scan from a scenario file), ``malus`` (concurrence against
-analyzer angle at quarter-wave phase).  CSV output is comma separated
-with a header row and 17-significant-digit floats; identical inputs
-produce byte-identical files.
+Subcommands: ``surface`` (closed-form concurrence over a grid, evaluated
+row by row in delta21 and streamed), ``state`` (one heralded state),
+``uncertainty`` (generated-state report and error scan from a scenario
+file), ``malus`` (concurrence against analyzer angle at quarter-wave
+phase).  CSV output is comma separated with a header row and
+17-significant-digit floats; identical inputs give byte-identical files.
 
 Exit codes: 0 success, 2 usage or input error, 3 zero-probability
 herald, 4 numerical failure.
@@ -35,6 +35,7 @@ from .herald import (
 )
 from .optics import (
     Polarizer,
+    _concurrence_closed_form,
     concurrence_analytic,
     heralded_state,
     visibility,
@@ -52,12 +53,12 @@ def _fmt(value):
 
 
 @contextlib.contextmanager
-def _csv_writer(path):
+def _output(path):
     if path is None:
-        yield csv.writer(sys.stdout, lineterminator="\n")
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            yield csv.writer(handle, lineterminator="\n")
+            yield handle
 
 
 def _parse_polarizer(text, name):
@@ -95,15 +96,17 @@ def cmd_surface(args):
     v12s = _grid(args.v12_min, args.v12_max, args.v12_points, "v12")
     if v12s.min() < 0.0 or v12s.max() > 1.0:
         raise InvalidInputError("v12 grid must lie inside [0, 1]")
-    with _csv_writer(args.out) as writer:
-        writer.writerow(["delta21_rad", "v12", "concurrence", "singular"])
+    # fields are numbers or empty, so no csv quoting: each delta21 row is one array
+    # expression over v12 and one joined block; nan (c != c) marks a singular cell
+    v12_fields = [_fmt(v12) for v12 in v12s.tolist()]
+    with _output(args.out) as handle:
+        handle.write("delta21_rad,v12,concurrence,singular\n")
         for delta in deltas:
-            for v12 in v12s:
-                try:
-                    writer.writerow([_fmt(delta), _fmt(v12),
-                                     _fmt(concurrence_analytic(delta, v12)), 0])
-                except ZeroProbabilityHeraldError:
-                    writer.writerow([_fmt(delta), _fmt(v12), "", 1])
+            prefix = _fmt(delta) + ","
+            _, values = _concurrence_closed_form(delta, v12s)
+            handle.write("".join(
+                f"{prefix}{v12},{_fmt(c)},0\n" if c == c else f"{prefix}{v12},,1\n"
+                for v12, c in zip(v12_fields, values.tolist())))
     return 0
 
 
@@ -181,7 +184,8 @@ def cmd_uncertainty(args):
         print(f"scan_max_delta_c       = {_fmt(result.max_delta_c)}")
         print(f"scan_min_fidelity      = {_fmt(result.min_fidelity)}")
         if args.out is not None:
-            with _csv_writer(args.out) as writer:
+            with _output(args.out) as handle:
+                writer = csv.writer(handle, lineterminator="\n")
                 writer.writerow(["delta21_rad", "v12", "delta_c", "fidelity",
                                  "concurrence_target", "concurrence_generated"])
                 # the ScanPoint field order is the CSV column order; vars()
@@ -200,7 +204,8 @@ def cmd_malus(args):
         )
     alphas = _grid(0.0, half_pi, args.points, "alpha")
     reference = Polarizer.linear(0.0).jones
-    with _csv_writer(args.out) as writer:
+    with _output(args.out) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["alpha_rad", "v12", "concurrence", "sin2_alpha", "difference"])
         for alpha in alphas:
             v12 = visibility(reference, Polarizer.linear(alpha).jones)

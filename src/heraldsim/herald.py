@@ -49,6 +49,7 @@ from .optics import (
     MIN_HERALD_WEIGHT,
     Polarizer,
     _component_vectors,
+    _concurrence_closed_form,
     g2,
     heralded_state,
     polarizer_to_jones,
@@ -127,7 +128,7 @@ class QuadratureSpec:
     def __post_init__(self):
         for name in ("points_theta", "points_chi", "points_trap"):
             count = getattr(self, name)
-            if not isinstance(count, int) or count < 1:
+            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
                 raise InvalidInputError(f"{name} must be an integer >= 1")
 
     def doubled(self):
@@ -335,11 +336,12 @@ def _figures(total_weight, coherence, stat, phase_part, v12, delta21):
     trace vanishes, ``NumericalFailureError`` where |M| exceeds W.
     """
     v12 = np.clip(v12, 0.0, 1.0)  # roundoff may leave |<e1|e2>|**2 just above 1
+    nominal_weight, c_target = _concurrence_closed_form(delta21, v12)  # ~ weight / 2
     herald = stat + phase_part * np.exp(-1j * np.asarray(delta21))[..., None]
     weight = _inner(herald, herald).real
-    if np.min(weight) < MIN_HERALD_WEIGHT:
+    if (weight_floor := np.min(np.minimum(weight, nominal_weight))) < MIN_HERALD_WEIGHT:
         raise ZeroProbabilityHeraldError(
-            f"coincidence weight {np.min(weight):.3g} below {MIN_HERALD_WEIGHT:g}; "
+            f"coincidence weight {weight_floor:.3g} below {MIN_HERALD_WEIGHT:g}; "
             "the herald never fires for this configuration"
         )
     trace = (total_weight * (_inner(stat, stat) + _inner(phase_part, phase_part)).real
@@ -356,7 +358,7 @@ def _figures(total_weight, coherence, stat, phase_part, v12, delta21):
                 + 2.0 * (coherence * b * np.conj(a)).real) / (weight * trace)
     m = coherence / total_weight
     c_generated = (1.0 - v12) * np.abs(m) / (1.0 + v12 * m.real)
-    return (1.0 - v12) / (1.0 + v12 * np.cos(delta21)), c_generated, fidelity, trace
+    return c_target, c_generated, fidelity, trace
 
 
 def _report(config, total_weight, coherence):

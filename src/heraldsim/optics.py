@@ -88,7 +88,7 @@ class Polarizer:
     @classmethod
     def general(cls, eps_plus, eps_minus):
         """Arbitrary analyzer; the only constructor that normalizes its components."""
-        vec = _as_complex_array((complex(eps_plus), complex(eps_minus)), (2,), "analyzer")
+        vec = _as_complex_array((eps_plus, eps_minus), (2,), "analyzer")
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             raise InvalidInputError("general analyzer must be nonzero")
@@ -200,7 +200,6 @@ def heralded_state(jones1, jones2, delta21):
 
 
 def _validated_phase(delta21):
-    # math.isfinite: the surface table calls this once per cell
     if not math.isfinite(delta21):
         raise InvalidInputError(f"delta21 must be finite, got {delta21!r}")
     return delta21
@@ -228,14 +227,19 @@ def concurrence_analytic(delta21, v12):
     InvalidInputError
         If v12 lies outside [0, 1] or delta21 is not finite.
     """
-    delta21 = _validated_phase(delta21)
-    v = _validated_v12(v12)
-    weight = 1.0 + v * np.cos(delta21)
-    if weight < MIN_HERALD_WEIGHT:
+    weight, value = _concurrence_closed_form(_validated_phase(delta21), _validated_v12(v12))
+    if math.isnan(value):
         raise ZeroProbabilityHeraldError(
-            f"1 + v12 cos(delta21) = {weight:.3g} below {MIN_HERALD_WEIGHT:g}"
-        )
-    return (1.0 - v) / weight
+            f"1 + v12 cos(delta21) = {weight:.3g} below {MIN_HERALD_WEIGHT:g}")
+    return float(value)
+
+
+def _concurrence_closed_form(delta21, v12):
+    """Unchecked weight w = 1 + v12 cos delta21 and (1 - v12) / w, nan where w is
+    below ``MIN_HERALD_WEIGHT``: the herald never fires there."""
+    weight = 1.0 + v12 * np.cos(delta21)
+    return weight, np.divide(1.0 - v12, weight, out=np.full(np.shape(weight), np.nan),
+                             where=weight >= MIN_HERALD_WEIGHT)
 
 
 def g2(delta21, v12):

@@ -9,6 +9,7 @@ is off by more than ``STATE_NORM_ATOL`` is rejected so that upstream
 normalization bugs surface here instead of propagating.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -52,10 +53,13 @@ _SPIN_FLIP = np.array(
 
 
 def _as_complex_array(value, shape, name):
-    arr = np.asarray(value, dtype=complex)
+    try:
+        arr = np.asarray(value, dtype=complex)
+    except (TypeError, ValueError) as exc:  # e.g. a string that is not a number
+        raise InvalidInputError(f"{name} must hold numbers: {exc}") from None
     if arr.shape != shape:
         raise InvalidInputError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not all(map(cmath.isfinite, arr.ravel().tolist())):  # <= 16 entries: no numpy call
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
 

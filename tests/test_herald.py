@@ -194,6 +194,12 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             QuadratureSpec(points_trap=0)
 
+    @pytest.mark.parametrize("name", ["points_theta", "points_chi", "points_trap"])
+    def test_quadrature_spec_rejects_bools(self, name):
+        for flag in (True, False):
+            with pytest.raises(InvalidInputError):
+                QuadratureSpec(**{name: flag})
+
     def test_doubled_spec(self):
         # the trap average takes no nodes, so points_trap stays as given
         doubled = QuadratureSpec(points_theta=3, points_chi=4, points_trap=5).doubled()
@@ -250,6 +256,17 @@ class TestGeneratedStatePointLimit:
         singular = _with_delta21(config, np.pi)
         with pytest.raises(ZeroProbabilityHeraldError):
             generated_state(singular)
+
+    def test_target_below_the_weight_floor_raises_like_the_analytic_form(self):
+        # at V = 1 and 1 + cos(delta21) = 7.2e-13 the herald weight, twice
+        # that, clears the 1e-12 floor, but the target's own weight does not
+        delta21 = np.pi - 1.2e-6
+        jones = polarizer_to_jones(Polarizer.linear(0.0))
+        stat, phase_part = _component_vectors(jones, jones)
+        with pytest.raises(ZeroProbabilityHeraldError):
+            concurrence_analytic(delta21, 1.0)
+        with pytest.raises(ZeroProbabilityHeraldError):
+            herald._figures(1.0, np.exp(-1j * delta21), stat, phase_part, 1.0, delta21)
 
 
 class TestGeneratedStateFinitePatches:

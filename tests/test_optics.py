@@ -59,6 +59,11 @@ class TestPolarizers:
                 Polarizer.linear(angle)
         with pytest.raises(InvalidInputError):
             Polarizer.general(0.0, 0.0)
+        for components in (("x", 1), (None, 1), ([1, 2], 1), (object(), 1)):
+            with pytest.raises(InvalidInputError):
+                Polarizer.general(*components)
+            with pytest.raises(InvalidInputError):
+                Polarizer(components)
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(InvalidInputError):
                 Polarizer.linear(bad)

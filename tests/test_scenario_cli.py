@@ -3,12 +3,20 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from heraldsim import Polarizer, ScenarioError, load_scenario, save_scenario
-from heraldsim.cli import main
+from heraldsim import (
+    Polarizer,
+    ScenarioError,
+    ZeroProbabilityHeraldError,
+    concurrence_analytic,
+    load_scenario,
+    save_scenario,
+)
+from heraldsim.cli import _fmt, main
 
 BASELINE = "scenarios/baseline.json"
 POINT = "scenarios/point_detectors.json"
@@ -258,6 +266,46 @@ class TestSurfaceCommand:
         captured = capsys.readouterr()
         assert "error:" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("grid", [
+        # defaults: both singular cells, v12 = 1 at delta21 = -pi and +pi
+        (-np.pi, np.pi, 81, 0.0, 1.0, 21),
+        # a window around pi where the weight crosses its floor
+        (np.pi - 2e-6, np.pi + 2e-6, 41, 0.99999, 1.0, 11),
+        (-0.7, 2.9, 1, 0.0, 1.0, 7),
+        (-np.pi, np.pi, 9, 1.0, 1.0, 1),
+    ], ids=["defaults", "window-at-pi", "one-delta21", "one-v12"])
+    def test_every_line_matches_the_scalar_route(self, tmp_path, capsys, grid):
+        d_lo, d_hi, d_n, v_lo, v_hi, v_n = grid
+        expected = ["delta21_rad,v12,concurrence,singular"]
+        for delta in np.linspace(d_lo, d_hi, d_n).tolist():
+            for v12 in np.linspace(v_lo, v_hi, v_n).tolist():
+                try:
+                    cells = [_fmt(concurrence_analytic(delta, v12)), "0"]
+                except ZeroProbabilityHeraldError:
+                    cells = ["", "1"]
+                expected.append(",".join([_fmt(delta), _fmt(v12), *cells]))
+        text = "\n".join(expected) + "\n"
+        argv = ["surface", f"--delta21-min={d_lo!r}", f"--delta21-max={d_hi!r}",
+                "--delta21-points", str(d_n), f"--v12-min={v_lo!r}",
+                f"--v12-max={v_hi!r}", "--v12-points", str(v_n)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == text
+        out = tmp_path / "surface.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == text.encode()
+
+    def test_memory_stays_one_row_deep(self, tmp_path):
+        # a full 4001 x 101 float64 grid alone would take 3.2 MB
+        argv = ["surface", "--delta21-points", "4001", "--v12-points", "101",
+                "--out", str(tmp_path / "surface.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_writes_file(self, tmp_path):
         out = tmp_path / "surface.csv"
