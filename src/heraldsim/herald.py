@@ -17,10 +17,12 @@ and every reported figure is closed-form in (W, M, s, t, V):
     F = (W (|a|**2 + |b|**2) + 2 Re(M b a*)) / tr,  a = <psi|s>, b = <psi|t>
 
 for the normalized target psi.  ``generated_state`` also builds the
-4x4 matrix and checks it against the Wootters route; ``delta_c_scan``
-builds none, evaluating (W, M) once per geometry and its rows as one
-array expression.  ``monte_carlo_state`` is an independent randomized
-evaluation of the same average kept for cross-validation.
+4x4 matrix, checks its trace and checks C_gen against the Wootters
+concurrence of its rank-2 factor (one 2x2 singular value problem);
+``delta_c_scan`` builds none, evaluating (W, M) once per geometry and
+its rows as one array expression.  ``monte_carlo_state`` is an
+independent randomized evaluation of the same average kept for
+cross-validation.
 """
 
 import functools
@@ -55,7 +57,7 @@ from .optics import (
     polarizer_to_jones,
     visibility,
 )
-from .qcore import EIGENVALUE_FLOOR, concurrence_mixed
+from .qcore import _SPIN_FLIP, EIGENVALUE_FLOOR, TRACE_ATOL
 
 __all__ = [
     "ExperimentConfig",
@@ -266,13 +268,16 @@ def _interval_rule(center, width, count):
 
 
 def _patch_nodes(patch, quad):
-    """Directions and measure weights (incl. cos chi) covering a patch."""
-    _check_patch_extent(patch)
+    """Directions (theta-major) and measure weights (incl. cos chi) covering a patch."""
+    _check_patch_extent(patch)  # bounds every node angle, so no per-node checks
     theta, w_theta = _interval_rule(patch.theta_center, patch.span_theta, quad.points_theta)
     chi, w_chi = _interval_rule(patch.chi_center, patch.span_chi, quad.points_chi)
-    theta_grid, chi_grid = np.meshgrid(theta, chi, indexing="ij")
-    weights = (w_theta[:, None] * (w_chi * np.cos(chi))[None, :]).ravel()
-    return detection_direction(theta_grid.ravel(), chi_grid.ravel()), weights
+    cos_chi = np.cos(chi)
+    dirs = np.empty((len(theta), len(chi), 3))
+    np.multiply.outer(np.cos(theta), cos_chi, out=dirs[..., 0])
+    np.multiply.outer(np.sin(theta), cos_chi, out=dirs[..., 1])
+    dirs[..., 2] = np.sin(chi)
+    return dirs.reshape(-1, 3), np.multiply.outer(w_theta, w_chi * cos_chi).ravel()
 
 
 def _phase_moments(layout, trap, dirs1, w1, dirs2, w2):
@@ -377,12 +382,17 @@ def _report(config, total_weight, coherence):
         + np.conj(coherence) * np.outer(stat, phase_part.conj())
     )
     rho = rho_raw / trace
-    try:
-        wootters = concurrence_mixed(rho)  # validates rho; health check of the closed form
-    except InvalidInputError as exc:
-        raise NumericalFailureError(
-            f"quadrature produced an invalid density matrix: {exc}"
-        ) from exc
+    if not np.isfinite(rho).all() or abs(np.trace(rho) - 1.0) > TRACE_ATOL:
+        raise NumericalFailureError(f"quadrature produced rho with trace {np.trace(rho)}")
+    # rank-2 health check of the closed form: rho = R R^dag, R = [s t] L / sqrt(trace)
+    # with L the Cholesky factor of [[W, M*], [M, W]] (|M| <= W up to roundoff),
+    # so the Wootters concurrence is l1 - l2 of the singular values of R^T (sy x sy) R
+    root = math.sqrt(total_weight)
+    rest = math.sqrt(max(total_weight - abs(coherence) ** 2 / total_weight, 0.0))
+    factor = np.array([root * stat + (coherence / root) * phase_part,
+                       rest * phase_part]) / math.sqrt(trace)  # R^T
+    lam = np.linalg.svd(factor @ _SPIN_FLIP @ factor.T, compute_uv=False)
+    wootters = float(lam[0] - lam[1])
     if abs(wootters - c_generated) > 1e-9:
         raise NumericalFailureError(
             f"Wootters concurrence {wootters:.12g} misses the closed form "
@@ -426,8 +436,10 @@ def generated_state(config, quadrature=QuadratureSpec()):
     ZeroProbabilityHeraldError
         If the herald never fires at the nominal configuration.
     NumericalFailureError
-        If the averaged matrix is not a valid density matrix within
-        tolerance, or its Wootters concurrence misses the closed form.
+        If the averaged matrix is not finite or its trace misses 1 by
+        more than ``TRACE_ATOL``, if |M| > W (a non-positive average),
+        or if the Wootters concurrence of its rank-2 factor misses the
+        closed form by more than 1e-9.
     """
     return _report(config, *_coherence(config, quadrature))
 

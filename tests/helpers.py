@@ -206,6 +206,20 @@ def _normal_nodes(sigma, count, midpoint, truncation):
     return np.sqrt(2.0) * sigma * nodes, weights / np.sqrt(np.pi)
 
 
+def grid_nodes(detector, points_theta, points_chi, midpoint=False):
+    """Directions and cos(chi) measure weights of a patch by the meshgrid route.
+
+    Oracle for ``herald._patch_nodes``: the theta-major node grid goes
+    through the public, checked ``detection_direction``.
+    """
+    theta, w_theta = _interval_nodes(
+        detector.theta_center, detector.span_theta, points_theta, midpoint)
+    chi, w_chi = _interval_nodes(detector.chi_center, detector.span_chi, points_chi, midpoint)
+    grid_theta, grid_chi = np.meshgrid(theta, chi, indexing="ij")
+    return (detection_direction(grid_theta.ravel(), grid_chi.ravel()),
+            np.outer(w_theta, w_chi * np.cos(chi)).ravel())
+
+
 def quadrature_moments(config, points_patch, points_trap, midpoint=False,
                        trap_dims=3, truncation=5.0, rotation=np.eye(3)):
     """Weight W and coherence M = sum w exp(-1j delta21) by explicit node sums.
@@ -222,13 +236,8 @@ def quadrature_moments(config, points_patch, points_trap, midpoint=False,
     ``midpoint`` the midpoint rule truncated at ``truncation`` spreads.
     """
     def patch(detector):
-        theta, w_theta = _interval_nodes(
-            detector.theta_center, detector.span_theta, points_patch, midpoint)
-        chi, w_chi = _interval_nodes(
-            detector.chi_center, detector.span_chi, points_patch, midpoint)
-        grid_theta, grid_chi = np.meshgrid(theta, chi, indexing="ij")
-        directions = detection_direction(grid_theta.ravel(), grid_chi.ravel()) @ rotation.T
-        return directions, np.outer(w_theta, w_chi * np.cos(chi)).ravel()
+        directions, weights = grid_nodes(detector, points_patch, points_patch, midpoint)
+        return directions @ rotation.T, weights
 
     dirs1, w1 = patch(config.detector1)
     dirs2, w2 = patch(config.detector2)

@@ -9,11 +9,13 @@ import pytest
 from heraldsim import (
     CountRates,
     InvalidInputError,
+    NumericalFailureError,
     Polarizer,
     QuadratureSpec,
     ZeroProbabilityHeraldError,
     accidental_fraction,
     concurrence_analytic,
+    concurrence_mixed,
     count_rate,
     delta_c_scan,
     detection_probability,
@@ -27,10 +29,12 @@ from heraldsim import (
     theta_center_for_delta21,
 )
 from heraldsim import herald
+from heraldsim.cli import main
 from heraldsim.optics import _component_vectors
 from heraldsim.qcore import validate_density
 
 from helpers import (
+    grid_nodes,
     matrix_route,
     point_detector_config,
     quadrature_moments,
@@ -42,6 +46,7 @@ from helpers import (
 
 FAST_QUAD = QuadratureSpec(points_theta=6, points_chi=6, points_trap=6)
 BASELINE = "scenarios/baseline.json"
+SCENARIOS = (BASELINE, "scenarios/point_detectors.json")
 
 
 def _oracle_report(config, points_patch, points_trap, **rule):
@@ -393,16 +398,22 @@ class TestGeneratedStateFinitePatches:
 
     @pytest.mark.parametrize("patch", [
         {"theta_center": 0.002, "span_theta": 0.01},
+        {"theta_center": np.pi - 0.002, "span_theta": 0.01},
         {"chi_center": 1.3, "span_chi": 1.0},
-    ], ids=["theta-edge-below-zero", "chi-edge-past-the-pole"])
+        {"chi_center": -1.3, "span_chi": 1.0},
+    ], ids=["theta-edge-below-zero", "theta-edge-past-pi", "chi-edge-past-the-pole",
+            "chi-edge-past-the-south-pole"])
     def test_patch_edges_outside_the_sphere_raise(self, patch):
         # the extent is checked on the patch edges, not on the nodes: a
         # single node at the center lies inside, the edge does not
         config = reference_config(**patch)
+        one_node = QuadratureSpec(points_theta=1, points_chi=1)
         with pytest.raises(InvalidInputError, match="leaves the valid"):
             monte_carlo_state(config, samples=1000, seed=1)
         with pytest.raises(InvalidInputError, match="leaves the valid"):
-            generated_state(config, QuadratureSpec(points_theta=1, points_chi=1))
+            generated_state(config, one_node)
+        with pytest.raises(InvalidInputError, match="leaves the valid"):
+            herald._patch_nodes(config.detector2, one_node)
 
     def test_error_grows_with_confinement(self):
         # at quarter-period phase the coherence decay is first order,
@@ -428,6 +439,111 @@ class TestGeneratedStateFinitePatches:
         assert infidelities[0] > infidelities[1] > infidelities[2] > 0.0
         for coarse, fine in zip(infidelities, infidelities[1:]):
             assert coarse / fine == pytest.approx(4.0, abs=0.5)
+
+
+def _scenario_report(path):
+    """(config, W, M, report) of a scenario at its own quadrature."""
+    scenario = load_scenario(path)
+    config = scenario.experiment()
+    total_weight, coherence = herald._coherence(config, scenario.quadrature_spec())
+    return config, total_weight, coherence, herald._report(config, total_weight, coherence)
+
+
+def _drift_concurrence(c_target, c_generated, fidelity, trace):
+    return c_target, c_generated + 1e-8, fidelity, trace
+
+
+class TestReportHealthCheck:
+    """The report checks its closed form on the rank-2 factor of rho; the
+    4x4 route (``concurrence_mixed``, ``eigvalsh``) stays here as the oracle."""
+
+    @pytest.mark.parametrize("path", SCENARIOS)
+    def test_report_matches_the_wootters_route(self, path):
+        report = _scenario_report(path)[3]
+        # concurrence_mixed runs validate_density on rho first
+        assert abs(concurrence_mixed(report.rho_generated)
+                   - report.concurrence_generated) < 1e-9
+
+    @pytest.mark.parametrize("path", SCENARIOS)
+    def test_spectrum_is_that_of_the_two_by_two_mixing_matrix(self, path):
+        # rho = X B X^dag / tr with X = [s t]: its nonzero eigenvalues are
+        # those of B G / tr, G = X^dag X the Gram matrix, and two are 0
+        config, total_weight, coherence, report = _scenario_report(path)
+        basis = np.array(_component_vectors(
+            polarizer_to_jones(config.detector1.polarizer),
+            polarizer_to_jones(config.detector2.polarizer))).T
+        mixing = np.array([[total_weight, np.conj(coherence)], [coherence, total_weight]])
+        closed = np.sort(np.linalg.eigvals(
+            mixing @ (basis.conj().T @ basis) / report.heralding_weight).real)
+        spectrum = np.linalg.eigvalsh(report.rho_generated)
+        assert np.max(np.abs(spectrum[2:] - closed)) <= 1e-12
+        assert np.max(np.abs(spectrum[:2])) <= 1e-12
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_drift_concurrence, "misses the closed form"),
+        (lambda c_target, c_generated, fidelity, trace:
+            (c_target, c_generated, fidelity, trace * (1.0 + 1e-9)), "rho with trace"),
+        (lambda c_target, c_generated, fidelity, trace:
+            (c_target, c_generated, fidelity, np.nan), "rho with trace"),
+    ], ids=["concurrence-off-by-1e-8", "trace-off-by-1e-9", "trace-nan"])
+    def test_a_corrupted_closed_form_raises(self, monkeypatch, corrupt, message):
+        figures = herald._figures
+        monkeypatch.setattr(herald, "_figures", lambda *args: corrupt(*figures(*args)))
+        config = reference_config()
+        # dividing rho by a nan trace also sets numpy's invalid flag, which
+        # the suite turns into an error before the check could raise
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalFailureError, match=message):
+                generated_state(config, FAST_QUAD)
+            with pytest.raises(NumericalFailureError, match=message):
+                monte_carlo_state(config, samples=1000, seed=1)
+
+    def test_cli_exits_4_when_the_closed_form_drifts(self, monkeypatch, capsys):
+        figures = herald._figures
+        monkeypatch.setattr(herald, "_figures",
+                            lambda *args: _drift_concurrence(*figures(*args)))
+        assert main(["uncertainty", "--config", BASELINE]) == 4
+        assert "misses the closed form" in capsys.readouterr().err
+
+    def test_hot_path_runs_one_two_by_two_svd_and_no_eigensolver(self, monkeypatch):
+        # counts calls, never times them: a refactor that puts the 4x4
+        # eigensolver route back on generated_state shows here
+        scenario = load_scenario(BASELINE)
+        config, quad = scenario.experiment(), scenario.quadrature_spec()
+        generated_state(config, quad)  # fill the node-rule cache
+        calls = []
+
+        def counting(name, func):
+            def wrapper(matrix, *args, **kwargs):
+                calls.append((name, np.shape(matrix)))
+                return func(matrix, *args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        generated_state(config, quad)
+        assert calls == [("svd", (2, 2))]
+
+
+class TestPatchNodes:
+    @pytest.mark.parametrize("patch, quad", [
+        ({}, QuadratureSpec()),
+        ({"chi_center": 0.4, "span_chi": 0.3, "theta_center": 1.2}, QuadratureSpec()),
+        ({"span_theta": 0.0, "span_chi": 0.0}, QuadratureSpec()),
+        ({}, QuadratureSpec(points_theta=1, points_chi=1)),
+        ({"span_theta": 0.02, "span_chi": 0.8}, QuadratureSpec(points_theta=13, points_chi=13)),
+        ({"chi_center": -0.3}, QuadratureSpec(points_theta=1, points_chi=13)),
+    ], ids=["baseline", "off-equator", "point", "one-node", "thirteen-nodes", "one-by-13"])
+    def test_nodes_match_the_meshgrid_route(self, patch, quad):
+        detector = reference_patch(Polarizer.linear(0.0), **patch)
+        dirs, weights = herald._patch_nodes(detector, quad)
+        expected_dirs, expected_weights = grid_nodes(
+            detector, quad.points_theta, quad.points_chi)
+        assert dirs.shape == expected_dirs.shape and weights.shape == expected_weights.shape
+        # one ulp at most (identical arithmetic, so in practice exact)
+        assert np.all(np.abs(dirs - expected_dirs) <= np.spacing(np.abs(expected_dirs)))
+        assert np.all(np.abs(weights - expected_weights) <= np.spacing(expected_weights))
+        assert np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) <= 1e-15
 
 
 class TestThetaForPhase:

@@ -5,7 +5,9 @@ coherence factor m = M / W, and the analyzers only through the
 visibility V, so the generated concurrence has the closed form
 (1 - V)|m| / (1 + V Re m), and |m| <= 1.  The closed-form figures of
 ``herald._figures`` are checked against the 4x4 matrix route of
-``helpers.matrix_route``.  Draws are derandomized, so every run checks
+``helpers.matrix_route``, and every report against the Wootters
+concurrence of its own 4x4 matrix (``generated_state`` itself checks
+only the rank-2 factor).  Draws are derandomized, so every run checks
 the same examples.
 """
 
@@ -22,6 +24,7 @@ from heraldsim import (
     Polarizer,
     QuadratureSpec,
     TrapModel,
+    concurrence_mixed,
     farfield_phase,
     generated_state,
     herald,
@@ -115,6 +118,15 @@ def test_closed_form_figures_match_the_matrix_route(config):
     for value, expected in zip(closed[:3], oracle[:3]):
         assert abs(value - expected) < 1e-12
     assert abs(closed[3] - oracle[3]) < 1e-12 * oracle[3]
+
+
+@PROPERTY_SETTINGS
+@given(configs)
+def test_report_matches_the_wootters_route(config):
+    # concurrence_mixed validates rho (Hermitian, unit trace, positive) first
+    report = _report(config)
+    assert abs(concurrence_mixed(report.rho_generated)
+               - report.concurrence_generated) < 1e-9
 
 
 @PROPERTY_SETTINGS
