@@ -36,6 +36,7 @@ from .herald import (
 from .optics import (
     Polarizer,
     _concurrence_closed_form,
+    _finite_real,
     concurrence_analytic,
     heralded_state,
     visibility,
@@ -71,12 +72,6 @@ def _parse_polarizer(text, name):
         except ValueError:
             values.append(part)
     return polarizer_from_values(kind, values, name)
-
-
-def _finite(value, name):
-    if not math.isfinite(value):
-        raise InvalidInputError(f"{name} must be finite, got {value}")
-    return value
 
 
 def _grid(lo, hi, count, name):
@@ -125,7 +120,7 @@ def cmd_state(args):
     if args.polarizer2 is not None:
         pol2 = _parse_polarizer(args.polarizer2, "--polarizer2")
     if args.delta21 is not None:
-        delta = _finite(args.delta21, "--delta21")
+        delta = _finite_real(args.delta21, "--delta21")
     if pol1 is None or pol2 is None or delta is None:
         raise InvalidInputError(
             "state needs --config or all of --polarizer1/--polarizer2/--delta21"
@@ -197,7 +192,7 @@ def cmd_uncertainty(args):
 
 def cmd_malus(args):
     half_pi = math.pi / 2.0
-    ratio = _finite(args.delta21, "--delta21") / half_pi
+    ratio = _finite_real(args.delta21, "--delta21") / half_pi
     if abs(ratio - round(ratio)) > 1e-9 or round(ratio) % 2 == 0:
         raise InvalidInputError(
             "malus needs delta21 at an odd multiple of pi/2 (quarter-wave phase)"

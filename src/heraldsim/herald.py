@@ -9,20 +9,20 @@ and over the trap displacements.  Their difference is a centered
 normal with per-axis spread sqrt(2) * confinement, so each pair of
 patch nodes takes an exact Gaussian decay factor.  The nominal herald
 is s + t exp(-1j delta21), so the average enters only through the
-weight W and the phase moment M = sum w exp(-1j delta21), m = M / W,
-and every reported figure is closed-form in (W, M, s, t, V):
+weight W and the phase moment M = sum w exp(-1j delta21), m = M / W.
+Unit analyzers give |s| = |t| = 1 and <s|t> = V, so every reported
+figure is closed-form in (W, M, V, delta21):
 
-    C_gen = (1 - V) |m| / (1 + V Re m),  C_target = (1 - V) / (1 + V cos delta21),
-    tr = W (|s|**2 + |t|**2) + 2 Re(M <s|t>),
-    F = (W (|a|**2 + |b|**2) + 2 Re(M b a*)) / tr,  a = <psi|s>, b = <psi|t>
+    C_gen = (1 - V) |m| / d,  C_target = (1 - V) / w0,  tr = 2 W d,
+    F = (|a|**2 + Re(m exp(1j delta21) conj(a)**2)) / (2 w0 d),
 
-for the normalized target psi.  ``generated_state`` also builds the
-4x4 matrix, checks its trace and checks C_gen against the Wootters
-concurrence of its rank-2 factor (one 2x2 singular value problem);
-``delta_c_scan`` builds none, evaluating (W, M) once per geometry and
-its rows as one array expression.  ``monte_carlo_state`` is an
-independent randomized evaluation of the same average kept for
-cross-validation.
+with d = 1 + V Re m, w0 = 1 + V cos delta21 and a = 1 + V exp(1j delta21).
+``generated_state`` also builds rho = R R^dag from its rank-2 factor R
+and checks its trace and the Wootters concurrence of R (one 2x2
+singular value problem) against the closed form; ``delta_c_scan``
+builds none, evaluating (W, M) once per geometry and its rows as one
+array expression.  ``monte_carlo_state`` is an independent randomized
+evaluation of the same average kept for cross-validation.
 """
 
 import functools
@@ -49,13 +49,11 @@ from .geometry import (
 )
 from .optics import (
     MIN_HERALD_WEIGHT,
-    Polarizer,
     _component_vectors,
     _concurrence_closed_form,
     g2,
     heralded_state,
     polarizer_to_jones,
-    visibility,
 )
 from .qcore import _SPIN_FLIP, EIGENVALUE_FLOOR, TRACE_ATOL
 
@@ -326,31 +324,24 @@ def _nominal_phase(layout, detector1, detector2):
                  - farfield_phase(layout, detector1.theta_center, detector1.chi_center))
 
 
-def _inner(left, right):
-    """<left|right> over the trailing axis."""
-    return (np.conj(left) * right).sum(axis=-1)
-
-
-def _figures(total_weight, coherence, stat, phase_part, v12, delta21):
+def _figures(total_weight, coherence, v12, delta21):
     """Closed-form (C_target, C_generated, fidelity, trace) of generated states.
 
-    Takes W, M, s, t (trailing axis of length 4), V and the nominal
-    delta21 as arrays that broadcast, so one call evaluates a whole
-    grid; ``trace`` is the heralding weight.  Raises
-    ``ZeroProbabilityHeraldError`` where the herald never fires or the
-    trace vanishes, ``NumericalFailureError`` where |M| exceeds W.
+    Takes W, M, V and the nominal delta21 as arrays that broadcast, so
+    one call evaluates a whole grid; ``trace`` is the heralding weight.
+    Raises ``ZeroProbabilityHeraldError`` where the herald never fires
+    or the trace vanishes, ``NumericalFailureError`` where |M| exceeds W.
     """
     v12 = np.clip(v12, 0.0, 1.0)  # roundoff may leave |<e1|e2>|**2 just above 1
-    nominal_weight, c_target = _concurrence_closed_form(delta21, v12)  # ~ weight / 2
-    herald = stat + phase_part * np.exp(-1j * np.asarray(delta21))[..., None]
-    weight = _inner(herald, herald).real
-    if (weight_floor := np.min(np.minimum(weight, nominal_weight))) < MIN_HERALD_WEIGHT:
+    nominal_weight, c_target = _concurrence_closed_form(delta21, v12)  # herald weight / 2
+    if (weight_floor := np.min(nominal_weight)) < MIN_HERALD_WEIGHT:
         raise ZeroProbabilityHeraldError(
             f"coincidence weight {weight_floor:.3g} below {MIN_HERALD_WEIGHT:g}; "
             "the herald never fires for this configuration"
         )
-    trace = (total_weight * (_inner(stat, stat) + _inner(phase_part, phase_part)).real
-             + 2.0 * (coherence * _inner(stat, phase_part)).real)
+    m = coherence / total_weight
+    dephased = 1.0 + v12 * m.real
+    trace = 2.0 * total_weight * dephased
     if np.any((trace <= 0.0) | (trace < 1e-12 * total_weight)):
         raise ZeroProbabilityHeraldError(
             "integrated coincidence weight vanishes over the detector patches"
@@ -358,11 +349,12 @@ def _figures(total_weight, coherence, stat, phase_part, v12, delta21):
     # W (|s><s| + |t><t|) + M |t><s| + h.c. is positive exactly when |M| <= W
     if np.any(np.abs(coherence) > total_weight * (1.0 - EIGENVALUE_FLOOR)):
         raise NumericalFailureError("quadrature produced |M| > W, a non-positive average")
-    a, b = _inner(herald, stat), _inner(herald, phase_part)  # times sqrt(weight)
-    fidelity = (total_weight * (np.abs(a) ** 2 + np.abs(b) ** 2)
-                + 2.0 * (coherence * b * np.conj(a)).real) / (weight * trace)
-    m = coherence / total_weight
-    c_generated = (1.0 - v12) * np.abs(m) / (1.0 + v12 * m.real)
+    # <herald|s> = a and <herald|t> = exp(1j delta21) conj(a)
+    turn = np.exp(1j * delta21)
+    a = 1.0 + v12 * turn
+    fidelity = ((np.abs(a) ** 2 + (m * turn * np.conj(a) ** 2).real)
+                / (2.0 * nominal_weight * dephased))
+    c_generated = (1.0 - v12) * np.abs(m) / dephased
     return c_target, c_generated, fidelity, trace
 
 
@@ -373,24 +365,19 @@ def _report(config, total_weight, coherence):
     target = heralded_state(
         jones1, jones2, _nominal_phase(config.layout, config.detector1, config.detector2)
     )
-    stat, phase_part = _component_vectors(jones1, jones2)
     c_target, c_generated, fidelity, trace = map(float, _figures(
-        total_weight, coherence, stat, phase_part, target.v12, target.delta21))
-    rho_raw = (
-        total_weight * (np.outer(stat, stat.conj()) + np.outer(phase_part, phase_part.conj()))
-        + coherence * np.outer(phase_part, stat.conj())
-        + np.conj(coherence) * np.outer(stat, phase_part.conj())
-    )
-    rho = rho_raw / trace
-    if not np.isfinite(rho).all() or abs(np.trace(rho) - 1.0) > TRACE_ATOL:
-        raise NumericalFailureError(f"quadrature produced rho with trace {np.trace(rho)}")
-    # rank-2 health check of the closed form: rho = R R^dag, R = [s t] L / sqrt(trace)
-    # with L the Cholesky factor of [[W, M*], [M, W]] (|M| <= W up to roundoff),
-    # so the Wootters concurrence is l1 - l2 of the singular values of R^T (sy x sy) R
+        total_weight, coherence, target.v12, target.delta21))
+    # s, t only build rho = R R^dag, R = [s t] L / sqrt(trace) with L the Cholesky
+    # factor of [[W, M*], [M, W]]: its trace checks them against the closed form, and
+    # its Wootters concurrence is l1 - l2 of the singular values of R^T (sy x sy) R
+    stat, phase_part = _component_vectors(jones1, jones2)
     root = math.sqrt(total_weight)
     rest = math.sqrt(max(total_weight - abs(coherence) ** 2 / total_weight, 0.0))
     factor = np.array([root * stat + (coherence / root) * phase_part,
                        rest * phase_part]) / math.sqrt(trace)  # R^T
+    rho = factor.T @ factor.conj()
+    if not np.isfinite(rho).all() or abs(np.trace(rho) - 1.0) > TRACE_ATOL:
+        raise NumericalFailureError(f"quadrature produced rho with trace {np.trace(rho)}")
     lam = np.linalg.svd(factor @ _SPIN_FLIP @ factor.T, compute_uv=False)
     wootters = float(lam[0] - lam[1])
     if abs(wootters - c_generated) > 1e-9:
@@ -509,9 +496,11 @@ def delta_c_scan(config, quadrature, delta21_values, v12_values):
     """Concurrence error and fidelity over a grid of (delta21, v12) settings.
 
     Each grid point keeps the patch shapes of ``config`` but moves the
-    detector-2 longitude to realize ``delta21`` and sets linear
-    analyzers at relative angle arccos(sqrt(v12)) to realize ``v12``.
-    Rows are produced in row-major (delta21 outer, v12 inner) order.
+    detector-2 longitude to realize ``delta21``, and takes the requested
+    ``v12`` as the analyzer visibility: any analyzer pair with that
+    overlap (linear ones at relative angle arccos(sqrt(v12)), say) gives
+    the same figures.  Rows are produced in row-major (delta21 outer,
+    v12 inner) order.
 
     Returns
     -------
@@ -524,27 +513,21 @@ def delta_c_scan(config, quadrature, delta21_values, v12_values):
         raise InvalidInputError("scan grids must be nonempty")
     if not (0.0 <= v12_values.min() and v12_values.max() <= 1.0):  # also catches nan
         raise InvalidInputError("v12 grid must lie in [0, 1]")
-    reference = replace(config.detector1, polarizer=Polarizer.linear(0.0))
-    jones1 = polarizer_to_jones(reference.polarizer)
-    probes = [polarizer_to_jones(Polarizer.linear(math.acos(math.sqrt(v12))))
-              for v12 in v12_values]
-    stat, phase_part = map(np.array, zip(*(_component_vectors(jones1, e) for e in probes)))
-    visibilities = np.array([visibility(jones1, e) for e in probes])
     # the analyzers do not enter W and M: one average per delta21 geometry,
-    # with the reference detector's nodes computed once
-    dirs1, w1 = _patch_nodes(reference, quadrature)
+    # with detector 1's nodes computed once
+    detector1 = config.detector1
+    dirs1, w1 = _patch_nodes(detector1, quadrature)
     geometries = []
     for delta in delta21_values:
         theta2 = theta_center_for_delta21(
-            config.layout, reference, config.detector2.chi_center, delta
+            config.layout, detector1, config.detector2.chi_center, delta
         )
         detector2 = replace(config.detector2, theta_center=theta2)
         dirs2, w2 = _patch_nodes(detector2, quadrature)
         geometries.append((*_phase_moments(config.layout, config.trap, dirs1, w1, dirs2, w2),
-                           _nominal_phase(config.layout, reference, detector2)))
+                           _nominal_phase(config.layout, detector1, detector2)))
     total_weight, coherence, phases = (np.array(col)[:, None] for col in zip(*geometries))
-    c_target, c_generated, fidelity, _ = _figures(
-        total_weight, coherence, stat, phase_part, visibilities, phases)
+    c_target, c_generated, fidelity, _ = _figures(total_weight, coherence, v12_values, phases)
     delta_c = np.abs(c_generated - c_target)
     # row-major cells (delta21 outer, v12 inner) in ScanPoint field order
     cells = itertools.product(delta21_values.tolist(), v12_values.tolist())

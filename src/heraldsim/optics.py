@@ -22,7 +22,6 @@ squared norm of this unnormalized vector is the coincidence weight
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,29 +51,40 @@ MIN_HERALD_WEIGHT = 1e-12
 _PHASE_PIVOT_ATOL = 1e-10
 
 
+def _finite_real(value, name):
+    """``value`` as a float if it is a finite real number, not a bool or a string."""
+    if type(value) is float and math.isfinite(value):  # the common case, kept cheap
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int or a fraction beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise InvalidInputError(f"{name} must be a finite real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Polarizer:
     """Analyzer setting of one detection channel: its unit Jones vector.
 
     ``jones`` is (eps_plus, eps_minus) as Python complex numbers.
     ``Polarizer(jones)`` requires norm 1 within ``JONES_NORM_ATOL`` and
-    never renormalizes; of the constructors only ``general`` normalizes.
+    stores the vector divided by its norm, so every analyzer is a unit
+    vector to round-off; ``general`` accepts any nonzero pair.
     """
 
     jones: tuple
 
     def __post_init__(self):
         vec = _unit_vector(self.jones, 2, JONES_NORM_ATOL, "polarizer jones")
-        object.__setattr__(self, "jones", tuple(vec.tolist()))
+        object.__setattr__(self, "jones", tuple((vec / math.hypot(*abs(vec))).tolist()))
 
     @classmethod
     def linear(cls, angle):
         """Linear analyzer ``angle`` radians (a finite real) from the reference axis."""
-        # abs(nan) <= max is False, and the comparison is exact for huge ints
-        if (isinstance(angle, bool) or not isinstance(angle, numbers.Real)
-                or not abs(angle) <= sys.float_info.max):
-            raise InvalidInputError(f"linear angle must be a finite real, got {angle!r}")
-        phase = np.exp(-1j * float(angle))
+        phase = np.exp(-1j * _finite_real(angle, "linear angle"))
         return cls(tuple((np.array([phase, np.conj(phase)]) / np.sqrt(2.0)).tolist()))
 
     @classmethod
@@ -87,7 +97,7 @@ class Polarizer:
 
     @classmethod
     def general(cls, eps_plus, eps_minus):
-        """Arbitrary analyzer; the only constructor that normalizes its components."""
+        """Arbitrary analyzer from any nonzero pair of components."""
         vec = _as_complex_array((eps_plus, eps_minus), (2,), "analyzer")
         norm = np.linalg.norm(vec)
         if norm == 0.0:
@@ -185,7 +195,7 @@ def heralded_state(jones1, jones2, delta21):
     """
     e1 = _validated_jones(jones1, "jones1")
     e2 = _validated_jones(jones2, "jones2")
-    delta21 = _validated_phase(delta21)
+    delta21 = _finite_real(delta21, "delta21")
     s, t = _component_vectors(e1, e2)
     amps = s + t * np.exp(-1j * delta21)
     weight = float(np.real(np.vdot(amps, amps)))
@@ -196,18 +206,12 @@ def heralded_state(jones1, jones2, delta21):
         )
     state = _fix_global_phase(amps / np.sqrt(weight))
     v12 = float(abs(np.vdot(e1, e2)) ** 2)
-    return HeraldedOutcome(state=state, g2=weight, delta21=float(delta21), v12=v12)
-
-
-def _validated_phase(delta21):
-    if not math.isfinite(delta21):
-        raise InvalidInputError(f"delta21 must be finite, got {delta21!r}")
-    return delta21
+    return HeraldedOutcome(state=state, g2=weight, delta21=delta21, v12=v12)
 
 
 def _validated_v12(v12):
-    v = float(v12)
-    if not math.isfinite(v) or v < -1e-12 or v > 1.0 + 1e-12:
+    v = _finite_real(v12, "v12")
+    if v < -1e-12 or v > 1.0 + 1e-12:
         raise InvalidInputError(f"v12 must lie in [0, 1], got {v!r}")
     return min(max(v, 0.0), 1.0)
 
@@ -225,9 +229,11 @@ def concurrence_analytic(delta21, v12):
         If 1 + v12 cos delta21 falls below ``MIN_HERALD_WEIGHT``; the
         herald never fires there, so no conditional state exists.
     InvalidInputError
-        If v12 lies outside [0, 1] or delta21 is not finite.
+        If an argument is not a finite real number (a bool or a string
+        is not one) or v12 lies outside [0, 1].
     """
-    weight, value = _concurrence_closed_form(_validated_phase(delta21), _validated_v12(v12))
+    weight, value = _concurrence_closed_form(
+        _finite_real(delta21, "delta21"), _validated_v12(v12))
     if math.isnan(value):
         raise ZeroProbabilityHeraldError(
             f"1 + v12 cos(delta21) = {weight:.3g} below {MIN_HERALD_WEIGHT:g}")
@@ -248,6 +254,6 @@ def g2(delta21, v12):
     This is the unnormalized second-order correlation of the two
     detection channels; it vanishes at v12 = 1, delta21 = pi.
     """
-    delta21 = _validated_phase(delta21)
+    delta21 = _finite_real(delta21, "delta21")
     v = _validated_v12(v12)
     return 2.0 * (1.0 + v * np.cos(delta21))

@@ -28,7 +28,7 @@ from heraldsim import (
     polarizer_to_jones,
     theta_center_for_delta21,
 )
-from heraldsim import herald
+from heraldsim import herald, optics
 from heraldsim.cli import main
 from heraldsim.optics import _component_vectors
 from heraldsim.qcore import validate_density
@@ -266,12 +266,24 @@ class TestGeneratedStatePointLimit:
         # at V = 1 and 1 + cos(delta21) = 7.2e-13 the herald weight, twice
         # that, clears the 1e-12 floor, but the target's own weight does not
         delta21 = np.pi - 1.2e-6
-        jones = polarizer_to_jones(Polarizer.linear(0.0))
-        stat, phase_part = _component_vectors(jones, jones)
         with pytest.raises(ZeroProbabilityHeraldError):
             concurrence_analytic(delta21, 1.0)
         with pytest.raises(ZeroProbabilityHeraldError):
-            herald._figures(1.0, np.exp(-1j * delta21), stat, phase_part, 1.0, delta21)
+            herald._figures(1.0, np.exp(-1j * delta21), 1.0, delta21)
+
+    @pytest.mark.parametrize("v12", [0.0, 0.3, 0.7, 1.0])
+    def test_point_coherence_gives_the_target(self, v12):
+        # m = exp(-1j delta21) is the point design: the closed form must give
+        # F = 1, C_gen = C_target and trace 2 (1 + V cos delta21) = 2 w0
+        delta21 = np.linspace(-np.pi, np.pi, 181)
+        w0 = 1.0 + v12 * np.cos(delta21)
+        delta21 = delta21[w0 >= 0.05]
+        w0 = w0[w0 >= 0.05]
+        c_target, c_generated, fidelity, trace = herald._figures(
+            1.0, np.exp(-1j * delta21), v12, delta21)
+        assert np.max(np.abs(fidelity - 1.0)) <= 1e-12
+        assert np.max(np.abs(c_generated - c_target)) <= 1e-12
+        assert np.max(np.abs(trace - 2.0 * w0)) <= 1e-12
 
 
 class TestGeneratedStateFinitePatches:
@@ -498,6 +510,25 @@ class TestReportHealthCheck:
             with pytest.raises(NumericalFailureError, match=message):
                 monte_carlo_state(config, samples=1000, seed=1)
 
+    @pytest.mark.parametrize("scale", [1.0 + 9e-10, 1.0 - 9e-10])
+    def test_analyzers_accepted_off_norm_give_the_unit_report(self, scale):
+        # Polarizer accepts a norm within JONES_NORM_ATOL of 1 and stores the
+        # unit vector, so the report cannot see the offset
+        scenario = load_scenario(BASELINE)
+        config, quad = scenario.experiment(), scenario.quadrature_spec()
+        scaled = dataclasses.replace(config, **{
+            name: dataclasses.replace(detector, polarizer=Polarizer(
+                tuple(scale * c for c in detector.polarizer.jones)))
+            for name, detector in (("detector1", config.detector1),
+                                   ("detector2", config.detector2))})
+        for run in (lambda c: generated_state(c, quad),
+                    lambda c: monte_carlo_state(c, samples=2000, seed=7)):
+            expected, report = run(config), run(scaled)
+            for name in ("concurrence_target", "concurrence_generated", "delta_c",
+                         "fidelity", "heralding_weight", "v12"):
+                assert abs(getattr(report, name) - getattr(expected, name)) <= 1e-12
+            assert np.max(np.abs(report.rho_generated - expected.rho_generated)) <= 1e-12
+
     def test_cli_exits_4_when_the_closed_form_drifts(self, monkeypatch, capsys):
         figures = herald._figures
         monkeypatch.setattr(herald, "_figures",
@@ -650,9 +681,10 @@ class TestScan:
 
     def test_scan_traffic(self, monkeypatch):
         # one (W, M) pass per delta21 geometry, and no node rule recomputed
-        # once the cache holds it: per-row or per-geometry recomputation
-        # would show here first
-        counts = {"moments": 0, "leggauss": 0}
+        # once the cache holds it, and no analyzer vectors at all (the scan
+        # works from V alone): per-row or per-geometry recomputation would
+        # show here first
+        counts = {"moments": 0, "leggauss": 0, "vectors": 0}
 
         def counting(name, func):
             def wrapper(*args, **kwargs):
@@ -664,8 +696,11 @@ class TestScan:
                             counting("moments", herald._phase_moments))
         monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                             counting("leggauss", np.polynomial.legendre.leggauss))
+        for module in (herald, optics):
+            monkeypatch.setattr(module, "_component_vectors",
+                                counting("vectors", _component_vectors))
         _baseline_scan()
-        assert counts["moments"] == 21
+        assert counts["moments"] == 21 and counts["vectors"] == 0
         counts.update(moments=0, leggauss=0)
         _baseline_scan()
-        assert counts == {"moments": 21, "leggauss": 0}
+        assert counts == {"moments": 21, "leggauss": 0, "vectors": 0}

@@ -1,5 +1,7 @@
 """Analyzers, channel visibility, and the heralded two-emitter state."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,36 @@ class TestAnalyticForms:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(InvalidInputError):
                 concurrence_analytic(bad, 0.5)
+
+    @pytest.mark.parametrize("call", [
+        lambda: concurrence_analytic(0.0, "0.5"),
+        lambda: concurrence_analytic("0", 0.5),
+        lambda: concurrence_analytic(True, 0.5),
+        lambda: concurrence_analytic(0.0, False),
+        lambda: concurrence_analytic(None, 0.5),
+        lambda: concurrence_analytic(0.5j, 0.5),
+        lambda: concurrence_analytic(10**400, 0.5),
+        lambda: concurrence_analytic(Fraction(10**400), 0.5),
+        lambda: concurrence_analytic(0.0, np.array([0.5])),
+        lambda: g2(0.0, "0.5"),
+        lambda: g2("0", 0.5),
+        lambda: g2(np.bool_(True), 0.5),
+        lambda: Polarizer.linear("0.3"),
+        lambda: Polarizer.linear(False),
+    ], ids=["v12-str", "phase-str", "phase-bool", "v12-bool", "phase-none",
+            "phase-complex", "phase-huge-int", "phase-huge-fraction", "v12-array",
+            "g2-v12-str", "g2-phase-str", "g2-numpy-bool", "angle-str", "angle-bool"])
+    def test_closed_forms_take_only_finite_reals(self, call):
+        with pytest.raises(InvalidInputError, match="must be a finite real number"):
+            call()
+
+    def test_closed_forms_take_numpy_and_python_reals(self):
+        expected = concurrence_analytic(0.0, 0.5)
+        assert concurrence_analytic(np.int64(0), np.float32(0.5)) == expected
+        assert concurrence_analytic(0, np.float64(0.5)) == expected
+        assert concurrence_analytic(Fraction(0), Fraction(1, 2)) == expected
+        assert g2(np.float64(0.0), 1) == g2(0.0, 1.0)
+        assert Polarizer.linear(np.int64(0)) == Polarizer.linear(0.0)
 
     def test_concurrence_singular_point_raises(self):
         with pytest.raises(ZeroProbabilityHeraldError):

@@ -113,7 +113,7 @@ def test_closed_form_figures_match_the_matrix_route(config):
     jones2 = polarizer_to_jones(config.detector2.polarizer)
     target = heralded_state(jones1, jones2, delta21)
     stat, phase_part = _component_vectors(jones1, jones2)
-    closed = herald._figures(weight, coherence, stat, phase_part, target.v12, delta21)
+    closed = herald._figures(weight, coherence, target.v12, delta21)
     oracle = matrix_route(weight, coherence, stat, phase_part, target.state)
     for value, expected in zip(closed[:3], oracle[:3]):
         assert abs(value - expected) < 1e-12
