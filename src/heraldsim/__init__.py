@@ -21,6 +21,7 @@ from .geometry import (
     TrapModel,
     detection_direction,
     farfield_phase,
+    theta_center_for_delta21,
 )
 from .herald import (
     CountRates,
@@ -35,7 +36,6 @@ from .herald import (
     detection_probability,
     generated_state,
     monte_carlo_state,
-    theta_center_for_delta21,
 )
 from .optics import (
     HeraldedOutcome,

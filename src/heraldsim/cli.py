@@ -25,8 +25,8 @@ from .errors import (
     NumericalFailureError,
     ZeroProbabilityHeraldError,
 )
+from .geometry import _nominal_phase
 from .herald import (
-    _nominal_phase,
     accidental_fraction,
     count_rate,
     delta_c_scan,

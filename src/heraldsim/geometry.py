@@ -1,4 +1,4 @@
-"""Emitter pair, detector patches, trap model and the far-field phase.
+"""Emitter pair, detector patches, trap model and their phase average.
 
 The emitter pair lies on the lab x axis, emitter B a distance ``d``
 along +x from emitter A.  A detection direction is parametrized by the
@@ -13,16 +13,21 @@ products e1 . e2, which a common rotation of pair and detectors keeps.
 The solid-angle measure in these coordinates is ``cos(chi) dtheta
 dchi``.  A photon reaching direction ``e`` from emitter B instead of
 emitter A is retarded by ``k * (R_B - R_A) . e``; for the unperturbed
-pair this is ``k * d * cos(theta) * cos(chi)``.  The herald layer
-averages the trap displacements of ``R_B - R_A`` in closed form.
+pair this is ``k * d * cos(theta) * cos(chi)``.  Patches and trap reach
+the heralded state only through the weight W and the phase moment
+M = sum w exp(-1j delta21) of this phase, m = M / W: ``_patch_nodes``
+and ``_phase_moments`` give them by quadrature, with the trap averaged
+in closed form, and ``_sampled_moments`` by sampling both.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .optics import Polarizer
+from .optics import Polarizer, _finite_real, _real_array
 
 __all__ = [
     "AtomPairLayout",
@@ -30,7 +35,11 @@ __all__ = [
     "TrapModel",
     "detection_direction",
     "farfield_phase",
+    "theta_center_for_delta21",
 ]
+
+#: largest real (n1, n2) block of patch-node pairs ``_phase_moments`` holds
+_PAIR_BLOCK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -49,15 +58,21 @@ class AtomPairLayout:
     wavelength: float
 
     def __post_init__(self):
-        if not (self.separation > 0.0 and np.isfinite(self.separation)):
-            raise InvalidInputError("separation must be positive and finite")
-        if not (self.wavelength > 0.0 and np.isfinite(self.wavelength)):
-            raise InvalidInputError("wavelength must be positive and finite")
+        for name in ("separation", "wavelength"):
+            if not _finite_real(getattr(self, name), name) > 0.0:
+                raise InvalidInputError(f"{name} must be positive and finite")
 
     @property
     def wavenumber(self):
         """2 pi / wavelength in rad/m."""
         return 2.0 * np.pi / self.wavelength
+
+
+def _latitude(chi_center):
+    chi_center = _finite_real(chi_center, "chi_center")
+    if not -np.pi / 2 < chi_center < np.pi / 2:
+        raise InvalidInputError("chi_center must lie strictly inside (-pi/2, pi/2)")
+    return chi_center
 
 
 @dataclass(frozen=True)
@@ -77,12 +92,12 @@ class DetectorPatch:
     chi_center: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.theta_center < np.pi:
+        if not 0.0 < _finite_real(self.theta_center, "theta_center") < np.pi:
             raise InvalidInputError("theta_center must lie strictly inside (0, pi)")
-        if not (0.0 <= self.span_theta < np.inf and 0.0 <= self.span_chi < np.inf):
+        if not (_finite_real(self.span_theta, "span_theta") >= 0.0
+                and _finite_real(self.span_chi, "span_chi") >= 0.0):
             raise InvalidInputError("patch spans must be nonnegative and finite")
-        if not -np.pi / 2 < self.chi_center < np.pi / 2:
-            raise InvalidInputError("chi_center must lie strictly inside (-pi/2, pi/2)")
+        _latitude(self.chi_center)
 
 
 @dataclass(frozen=True)
@@ -96,7 +111,7 @@ class TrapModel:
     confinement: float
 
     def __post_init__(self):
-        if self.confinement < 0.0 or not np.isfinite(self.confinement):
+        if not _finite_real(self.confinement, "confinement") >= 0.0:
             raise InvalidInputError("confinement must be nonnegative and finite")
 
 
@@ -115,24 +130,30 @@ def _check_patch_extent(patch):
 
 
 def _finite_angles(theta, chi):
-    theta = np.asarray(theta, dtype=float)
-    chi = np.asarray(chi, dtype=float)
+    theta, chi = _real_array(theta, "theta"), _real_array(chi, "chi")
     if not (np.isfinite(theta).all() and np.isfinite(chi).all()):
         raise InvalidInputError("theta and chi must be finite")
     return theta, chi
+
+
+def _directions(theta, chi):
+    """Unchecked e(theta, chi) for broadcasting angles, and cos(chi)."""
+    cos_chi = np.cos(chi)
+    dirs = np.empty(np.broadcast(theta, chi).shape + (3,))
+    np.multiply(np.cos(theta), cos_chi, out=dirs[..., 0])
+    np.multiply(np.sin(theta), cos_chi, out=dirs[..., 1])
+    dirs[..., 2] = np.sin(chi)
+    return dirs, cos_chi
 
 
 def detection_direction(theta, chi=0.0):
     """Unit direction(s) (cos theta cos chi, sin theta cos chi, sin chi).
 
     ``theta`` and ``chi`` broadcast; the result has their common shape
-    plus a trailing axis of length 3.  Non-finite angles raise
-    ``InvalidInputError``.
+    plus a trailing axis of length 3.  Angles that are not finite
+    integers or floats raise ``InvalidInputError``.
     """
-    theta, chi = _finite_angles(theta, chi)
-    cos_chi = np.cos(chi)
-    components = np.cos(theta) * cos_chi, np.sin(theta) * cos_chi, np.sin(chi)
-    return np.stack(np.broadcast_arrays(*components), axis=-1)
+    return _directions(*_finite_angles(theta, chi))[0]
 
 
 def farfield_phase(layout, theta, chi=0.0):
@@ -141,8 +162,121 @@ def farfield_phase(layout, theta, chi=0.0):
     Monotonically decreasing in theta on (0, pi) and even in chi; at
     theta = pi/2 the phase vanishes for every chi while its theta
     sensitivity peaks at k*d per radian, which is why detectors sit
-    near the equator with a wide latitude opening.  Non-finite angles
-    raise ``InvalidInputError``.
+    near the equator with a wide latitude opening.  Angles that are not
+    finite integers or floats raise ``InvalidInputError``.
     """
     theta, chi = _finite_angles(theta, chi)
     return layout.wavenumber * layout.separation * np.cos(theta) * np.cos(chi)
+
+
+def _nominal_phase(layout, detector1, detector2):
+    """Relative far-field phase delta21 between the two patch centers."""
+    return float(farfield_phase(layout, detector2.theta_center, detector2.chi_center)
+                 - farfield_phase(layout, detector1.theta_center, detector1.chi_center))
+
+
+def theta_center_for_delta21(layout, reference_patch, chi_center, delta21):
+    """Detector-2 longitude realizing a requested relative phase.
+
+    Solves ``k d cos(theta) cos(chi_center) = phase(reference) + delta21``
+    for theta; near the equator this moves the detector by roughly
+    delta21 / (k d) radians.
+
+    Raises
+    ------
+    InvalidInputError
+        If ``delta21`` is not a finite real number, ``chi_center`` lies
+        outside (-pi/2, pi/2), or no longitude reaches the requested
+        phase (|cos theta| > 1).
+    """
+    delta21 = _finite_real(delta21, "delta21")
+    chi_center = _latitude(chi_center)
+    reference_phase = farfield_phase(layout, reference_patch.theta_center,
+                                     reference_patch.chi_center)
+    scale = layout.wavenumber * layout.separation * np.cos(chi_center)
+    cos_theta = (reference_phase + delta21) / scale
+    if not abs(cos_theta) <= 1.0:
+        raise InvalidInputError(
+            f"delta21 = {delta21:.6g} is out of reach: needs |cos theta| = "
+            f"{abs(cos_theta):.6g} > 1 at this separation")
+    return float(np.arccos(cos_theta))
+
+
+@functools.lru_cache(maxsize=32)
+def _reference_rule(count):
+    """Gauss-Legendre nodes/weights on [-1, 1]; shared, so read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(count)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _interval_rule(center, width, count):
+    """Gauss-Legendre nodes/weights on [center - width/2, center + width/2].
+
+    Zero width collapses to a single unit-weight node at the center
+    (point detector); the constant cancels in the trace normalization.
+    """
+    if width == 0.0:
+        return np.array([center]), np.array([1.0])
+    ref_nodes, ref_weights = _reference_rule(count)
+    return center + 0.5 * width * ref_nodes, 0.5 * width * ref_weights
+
+
+def _patch_nodes(patch, quad):
+    """Directions (theta-major) and measure weights (incl. cos chi) covering a patch."""
+    _check_patch_extent(patch)  # bounds every node angle, so no per-node checks
+    theta, w_theta = _interval_rule(patch.theta_center, patch.span_theta, quad.points_theta)
+    chi, w_chi = _interval_rule(patch.chi_center, patch.span_chi, quad.points_chi)
+    dirs, cos_chi = _directions(theta[:, None], chi)
+    return dirs.reshape(-1, 3), np.multiply.outer(w_theta, w_chi * cos_chi).ravel()
+
+
+def _phase_moments(layout, trap, dirs1, w1, dirs2, w2):
+    """Total weight W and coherence M = sum w * exp(-1j * delta21).
+
+    A node pair has relative phase k (d e_x + du) . (e2 - e1), where
+    the displacement difference du is normal with per-axis spread
+    sigma = sqrt(2) * confinement.  Averaging over du gives each pair
+    the factor exp(-(k sigma)**2 |e1 - e2|**2 / 2), with
+    |e1 - e2|**2 = 2 (1 - e1 . e2) for unit directions, so M is one
+    weighted sum over the pairs of patch nodes.
+    """
+    wavenumber = layout.wavenumber
+    sigma = math.sqrt(2.0) * trap.confinement
+    separation = layout.separation
+    sum1 = w1 * np.exp(1j * wavenumber * (separation * dirs1[:, 0]))
+    sum2 = w2 * np.exp(-1j * wavenumber * (separation * dirs2[:, 0]))
+    # the pair matrix dominates memory: build it in row blocks of at most
+    # _PAIR_BLOCK_BYTES, each in place, and take two real products so that
+    # it is never cast to complex
+    rows = min(len(w1), max(1, _PAIR_BLOCK_BYTES // (8 * len(w2))))
+    buffer = np.empty((rows, len(w2)))
+    real, imag = np.zeros(len(w2)), np.zeros(len(w2))
+    for start in range(0, len(w1), rows):
+        block = slice(start, min(start + rows, len(w1)))
+        decay = np.matmul(dirs1[block], dirs2.T, out=buffer[: block.stop - start])
+        decay -= 1.0
+        decay *= (wavenumber * sigma) ** 2
+        np.exp(decay, out=decay)
+        real += sum1.real[block] @ decay
+        imag += sum1.imag[block] @ decay
+    coherence = (real + 1j * imag) @ sum2
+    return float(w1.sum() * w2.sum()), complex(coherence)
+
+
+def _sampled_moments(layout, trap, patch1, patch2, samples, rng):
+    """(W, M) from uniform patch draws weighted by cos chi and Gaussian trap draws."""
+    def draw(patch):
+        _check_patch_extent(patch)
+        theta = patch.theta_center + patch.span_theta * (rng.random(samples) - 0.5)
+        chi = patch.chi_center + patch.span_chi * (rng.random(samples) - 0.5)
+        return _directions(theta, chi)
+
+    (dirs1, cos1), (dirs2, cos2) = draw(patch1), draw(patch2)
+    offset = math.sqrt(2.0) * trap.confinement * rng.standard_normal((samples, 3))
+    offset[:, 0] += layout.separation
+    phase = layout.wavenumber * (np.einsum("ij,ij->i", offset, dirs2)
+                                 - np.einsum("ij,ij->i", offset, dirs1))
+    weights = cos1 * cos2
+    return float(weights.sum()), complex(np.sum(weights * np.exp(-1j * phase)))

@@ -1,16 +1,9 @@
 """Coincidence rates and the mixed state actually generated by a herald.
 
-The closed-form heralded state assumes point detectors and pinned
-emitters.  Real detectors cover a finite patch of the far-field sphere
-and the emitters move inside their traps, so the experiment produces
-the G2-weighted average of the heralded projector over both patches
-(measure cos(chi) dtheta dchi, Gauss-Legendre nodes in a fixed order)
-and over the trap displacements.  Their difference is a centered
-normal with per-axis spread sqrt(2) * confinement, so each pair of
-patch nodes takes an exact Gaussian decay factor.  The nominal herald
-is s + t exp(-1j delta21), so the average enters only through the
-weight W and the phase moment M = sum w exp(-1j delta21), m = M / W.
-Unit analyzers give |s| = |t| = 1 and <s|t> = V, so every reported
+Finite detector patches and trap motion reach the generated state
+only through the weight W and phase moment M, m = M / W, that
+``geometry`` computes.  The nominal herald is s + t exp(-1j delta21),
+and unit analyzers give |s| = |t| = 1 and <s|t> = V, so every reported
 figure is closed-form in (W, M, V, delta21):
 
     C_gen = (1 - V) |m| / d,  C_target = (1 - V) / w0,  tr = 2 W d,
@@ -21,11 +14,9 @@ with d = 1 + V Re m, w0 = 1 + V cos delta21 and a = 1 + V exp(1j delta21).
 and checks its trace and the Wootters concurrence of R (one 2x2
 singular value problem) against the closed form; ``delta_c_scan``
 builds none, evaluating (W, M) once per geometry and its rows as one
-array expression.  ``monte_carlo_state`` is an independent randomized
-evaluation of the same average kept for cross-validation.
+array expression.
 """
 
-import functools
 import itertools
 import math
 import numbers
@@ -34,23 +25,23 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    InvalidInputError,
-    NumericalFailureError,
-    ZeroProbabilityHeraldError,
-)
+from .errors import InvalidInputError, NumericalFailureError, ZeroProbabilityHeraldError
 from .geometry import (
     AtomPairLayout,
     DetectorPatch,
     TrapModel,
-    _check_patch_extent,
-    detection_direction,
-    farfield_phase,
+    _nominal_phase,
+    _patch_nodes,
+    _phase_moments,
+    _sampled_moments,
+    theta_center_for_delta21,
 )
 from .optics import (
     MIN_HERALD_WEIGHT,
     _component_vectors,
     _concurrence_closed_form,
+    _finite_real,
+    _real_array,
     g2,
     heralded_state,
     polarizer_to_jones,
@@ -69,15 +60,11 @@ __all__ = [
     "accidental_fraction",
     "generated_state",
     "monte_carlo_state",
-    "theta_center_for_delta21",
     "delta_c_scan",
 ]
 
 #: patches wider than this in theta leave the small-patch rate regime
 SMALL_PATCH_LIMIT = 0.1
-
-#: largest real (n1, n2) block of patch-node pairs ``_phase_moments`` holds
-_PAIR_BLOCK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -99,16 +86,13 @@ class ExperimentConfig:
     coincidence_window: float = 0.0
 
     def __post_init__(self):
-        # chained comparisons are False for nan, and the upper bounds exclude inf
-        if not 0.0 < self.repetition_rate < np.inf:
+        if not _finite_real(self.repetition_rate, "repetition_rate") > 0.0:
             raise InvalidInputError("repetition_rate must be positive and finite")
-        if not 0.0 <= self.detector_efficiency <= 1.0:
+        if not 0.0 <= _finite_real(self.detector_efficiency, "detector_efficiency") <= 1.0:
             raise InvalidInputError("detector_efficiency must lie in [0, 1]")
-        if not (0.0 <= self.dark_count_rate < np.inf
-                and 0.0 <= self.coincidence_window < np.inf):
-            raise InvalidInputError(
-                "dark_count_rate and coincidence_window must be nonnegative and finite"
-            )
+        for name in ("dark_count_rate", "coincidence_window"):
+            if not _finite_real(getattr(self, name), name) >= 0.0:
+                raise InvalidInputError(f"{name} must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -228,7 +212,7 @@ def accidental_fraction(config, true_rate):
     detector (two photons per excitation cycle).  Returns
     ``R_acc / (R_acc + true_rate)``, or 0 when both rates vanish.
     """
-    if not 0.0 <= true_rate < math.inf:
+    if not _finite_real(true_rate, "true_rate") >= 0.0:
         raise InvalidInputError("true_rate must be nonnegative and finite")
     dark = config.dark_count_rate
     window = config.coincidence_window
@@ -242,86 +226,6 @@ def accidental_fraction(config, true_rate):
     if total == 0.0:
         return 0.0
     return accidental / total
-
-
-@functools.lru_cache(maxsize=32)
-def _reference_rule(count):
-    """Gauss-Legendre nodes/weights on [-1, 1]; shared, so read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(count)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
-def _interval_rule(center, width, count):
-    """Gauss-Legendre nodes/weights on [center - width/2, center + width/2].
-
-    Zero width collapses to a single unit-weight node at the center
-    (point detector); the constant cancels in the trace normalization.
-    """
-    if width == 0.0:
-        return np.array([center]), np.array([1.0])
-    ref_nodes, ref_weights = _reference_rule(count)
-    return center + 0.5 * width * ref_nodes, 0.5 * width * ref_weights
-
-
-def _patch_nodes(patch, quad):
-    """Directions (theta-major) and measure weights (incl. cos chi) covering a patch."""
-    _check_patch_extent(patch)  # bounds every node angle, so no per-node checks
-    theta, w_theta = _interval_rule(patch.theta_center, patch.span_theta, quad.points_theta)
-    chi, w_chi = _interval_rule(patch.chi_center, patch.span_chi, quad.points_chi)
-    cos_chi = np.cos(chi)
-    dirs = np.empty((len(theta), len(chi), 3))
-    np.multiply.outer(np.cos(theta), cos_chi, out=dirs[..., 0])
-    np.multiply.outer(np.sin(theta), cos_chi, out=dirs[..., 1])
-    dirs[..., 2] = np.sin(chi)
-    return dirs.reshape(-1, 3), np.multiply.outer(w_theta, w_chi * cos_chi).ravel()
-
-
-def _phase_moments(layout, trap, dirs1, w1, dirs2, w2):
-    """Total weight W and coherence M = sum w * exp(-1j * delta21).
-
-    A node pair has relative phase k (d e_x + du) . (e2 - e1), where
-    the displacement difference du is normal with per-axis spread
-    sigma = sqrt(2) * confinement.  Averaging over du gives each pair
-    the factor exp(-(k sigma)**2 |e1 - e2|**2 / 2), with
-    |e1 - e2|**2 = 2 (1 - e1 . e2) for unit directions, so M is one
-    weighted sum over the pairs of patch nodes.
-    """
-    wavenumber = layout.wavenumber
-    sigma = math.sqrt(2.0) * trap.confinement
-    separation = layout.separation
-    sum1 = w1 * np.exp(1j * wavenumber * (separation * dirs1[:, 0]))
-    sum2 = w2 * np.exp(-1j * wavenumber * (separation * dirs2[:, 0]))
-    # the pair matrix dominates memory: build it in row blocks of at most
-    # _PAIR_BLOCK_BYTES, each in place, and take two real products so that
-    # it is never cast to complex
-    rows = min(len(w1), max(1, _PAIR_BLOCK_BYTES // (8 * len(w2))))
-    buffer = np.empty((rows, len(w2)))
-    real, imag = np.zeros(len(w2)), np.zeros(len(w2))
-    for start in range(0, len(w1), rows):
-        block = slice(start, min(start + rows, len(w1)))
-        decay = np.matmul(dirs1[block], dirs2.T, out=buffer[: block.stop - start])
-        decay -= 1.0
-        decay *= (wavenumber * sigma) ** 2
-        np.exp(decay, out=decay)
-        real += sum1.real[block] @ decay
-        imag += sum1.imag[block] @ decay
-    coherence = (real + 1j * imag) @ sum2
-    return float(w1.sum() * w2.sum()), complex(coherence)
-
-
-def _coherence(config, quadrature):
-    """Weight W and first phase moment M of the patch and trap average."""
-    dirs1, w1 = _patch_nodes(config.detector1, quadrature)
-    dirs2, w2 = _patch_nodes(config.detector2, quadrature)
-    return _phase_moments(config.layout, config.trap, dirs1, w1, dirs2, w2)
-
-
-def _nominal_phase(layout, detector1, detector2):
-    """Relative far-field phase delta21 between the two patch centers."""
-    return float(farfield_phase(layout, detector2.theta_center, detector2.chi_center)
-                 - farfield_phase(layout, detector1.theta_center, detector1.chi_center))
 
 
 def _figures(total_weight, coherence, v12, delta21):
@@ -428,68 +332,25 @@ def generated_state(config, quadrature=QuadratureSpec()):
         or if the Wootters concurrence of its rank-2 factor misses the
         closed form by more than 1e-9.
     """
-    return _report(config, *_coherence(config, quadrature))
+    dirs1, w1 = _patch_nodes(config.detector1, quadrature)
+    dirs2, w2 = _patch_nodes(config.detector2, quadrature)
+    return _report(config, *_phase_moments(config.layout, config.trap, dirs1, w1, dirs2, w2))
 
 
 def monte_carlo_state(config, samples, seed):
     """Randomized evaluation of ``generated_state`` for cross-validation.
 
-    Draws directions uniformly over each patch (importance-weighted by
-    cos chi) and displacement differences from their Gaussian, where
-    ``generated_state`` averages the displacements in closed form.
+    Samples (W, M) over the patches and the trap displacements, which
+    ``generated_state`` averages by quadrature and in closed form.
     Deterministic for a fixed ``seed``; both integers are checked before any draw.
     """
     if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
         raise InvalidInputError(f"samples must be an integer >= 1, got {samples!r}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
-    _check_patch_extent(config.detector1)
-    _check_patch_extent(config.detector2)
-    rng = np.random.default_rng(seed)
-
-    def _draw_patch(patch):
-        theta = patch.theta_center + patch.span_theta * (rng.random(samples) - 0.5)
-        chi = patch.chi_center + patch.span_chi * (rng.random(samples) - 0.5)
-        return detection_direction(theta, chi), np.cos(chi)
-
-    dirs1, cos1 = _draw_patch(config.detector1)
-    dirs2, cos2 = _draw_patch(config.detector2)
-    sigma = math.sqrt(2.0) * config.trap.confinement
-    offset = sigma * rng.standard_normal((samples, 3))
-    offset[:, 0] += config.layout.separation
-    wavevector = config.layout.wavenumber
-    phase = wavevector * (
-        np.einsum("ij,ij->i", offset, dirs2) - np.einsum("ij,ij->i", offset, dirs1)
-    )
-    weights = cos1 * cos2
-    total_weight = float(weights.sum())
-    coherence = complex(np.sum(weights * np.exp(-1j * phase)))
-    return _report(config, total_weight, coherence)
-
-
-def theta_center_for_delta21(layout, reference_patch, chi_center, delta21):
-    """Detector-2 longitude realizing a requested relative phase.
-
-    Solves ``k d cos(theta) cos(chi_center) = phase(reference) + delta21``
-    for theta; near the equator this moves the detector by roughly
-    delta21 / (k d) radians.
-
-    Raises
-    ------
-    InvalidInputError
-        If no longitude reaches the requested phase (|cos theta| > 1).
-    """
-    reference_phase = farfield_phase(
-        layout, reference_patch.theta_center, reference_patch.chi_center
-    )
-    scale = layout.wavenumber * layout.separation * np.cos(chi_center)
-    cos_theta = (reference_phase + delta21) / scale
-    if not abs(cos_theta) <= 1.0:  # also catches nan
-        raise InvalidInputError(
-            f"delta21 = {delta21:.6g} is out of reach: needs |cos theta| = "
-            f"{abs(cos_theta):.6g} > 1 at this separation"
-        )
-    return float(np.arccos(cos_theta))
+    return _report(config, *_sampled_moments(
+        config.layout, config.trap, config.detector1, config.detector2, samples,
+        np.random.default_rng(seed)))
 
 
 def delta_c_scan(config, quadrature, delta21_values, v12_values):
@@ -507,8 +368,8 @@ def delta_c_scan(config, quadrature, delta21_values, v12_values):
     ScanResult
         All grid points plus max |delta C| and min fidelity.
     """
-    delta21_values = np.atleast_1d(np.asarray(delta21_values, dtype=float))
-    v12_values = np.atleast_1d(np.asarray(v12_values, dtype=float))
+    delta21_values = np.atleast_1d(_real_array(delta21_values, "delta21 grid"))
+    v12_values = np.atleast_1d(_real_array(v12_values, "v12 grid"))
     if delta21_values.size == 0 or v12_values.size == 0:
         raise InvalidInputError("scan grids must be nonempty")
     if not (0.0 <= v12_values.min() and v12_values.max() <= 1.0):  # also catches nan
@@ -518,11 +379,9 @@ def delta_c_scan(config, quadrature, delta21_values, v12_values):
     detector1 = config.detector1
     dirs1, w1 = _patch_nodes(detector1, quadrature)
     geometries = []
-    for delta in delta21_values:
-        theta2 = theta_center_for_delta21(
-            config.layout, detector1, config.detector2.chi_center, delta
-        )
-        detector2 = replace(config.detector2, theta_center=theta2)
+    for delta in delta21_values.tolist():
+        detector2 = replace(config.detector2, theta_center=theta_center_for_delta21(
+            config.layout, detector1, config.detector2.chi_center, delta))
         dirs2, w2 = _patch_nodes(detector2, quadrature)
         geometries.append((*_phase_moments(config.layout, config.trap, dirs1, w1, dirs2, w2),
                            _nominal_phase(config.layout, detector1, detector2)))

@@ -65,6 +65,13 @@ def _finite_real(value, name):
     raise InvalidInputError(f"{name} must be a finite real number, got {value!r}")
 
 
+def _real_array(values, name):
+    """``values`` as a float array if it holds integers or floats, not bools or strings."""
+    if (array := np.asarray(values)).dtype.kind not in "iuf":
+        raise InvalidInputError(f"{name} must be finite integers or floats, got {array.dtype}")
+    return array.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class Polarizer:
     """Analyzer setting of one detection channel: its unit Jones vector.

@@ -13,6 +13,7 @@ from heraldsim import (
     ZeroProbabilityHeraldError,
     detection_direction,
 )
+from heraldsim.geometry import _patch_nodes, _phase_moments
 from heraldsim.optics import MIN_HERALD_WEIGHT
 from heraldsim.qcore import (
     concurrence_mixed,
@@ -206,10 +207,17 @@ def _normal_nodes(sigma, count, midpoint, truncation):
     return np.sqrt(2.0) * sigma * nodes, weights / np.sqrt(np.pi)
 
 
+def patch_moments(config, quad):
+    """(W, M) as ``generated_state`` takes them: ``geometry`` quadrature on both patches."""
+    dirs1, w1 = _patch_nodes(config.detector1, quad)
+    dirs2, w2 = _patch_nodes(config.detector2, quad)
+    return _phase_moments(config.layout, config.trap, dirs1, w1, dirs2, w2)
+
+
 def grid_nodes(detector, points_theta, points_chi, midpoint=False):
     """Directions and cos(chi) measure weights of a patch by the meshgrid route.
 
-    Oracle for ``herald._patch_nodes``: the theta-major node grid goes
+    Oracle for ``geometry._patch_nodes``: the theta-major node grid goes
     through the public, checked ``detection_direction``.
     """
     theta, w_theta = _interval_nodes(

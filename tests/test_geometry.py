@@ -26,6 +26,11 @@ class TestLayout:
             AtomPairLayout(separation=0.0, wavelength=650e-9)
         with pytest.raises(InvalidInputError):
             AtomPairLayout(separation=5e-6, wavelength=-1.0)
+        for bad in (True, "5e-6", None):
+            for name in ("separation", "wavelength"):
+                arguments = {"separation": 5e-6, "wavelength": 650e-9, name: bad}
+                with pytest.raises(InvalidInputError, match=f"{name} must be a finite real"):
+                    AtomPairLayout(**arguments)
 
 
 class TestPatchAndAccessories:
@@ -47,6 +52,11 @@ class TestPatchAndAccessories:
                 theta_center=1.0, span_theta=0.1, span_chi=0.1,
                 chi_center=np.pi / 2, polarizer=pol,
             )
+        for bad in (True, "1", None):
+            for name in ("theta_center", "span_theta", "span_chi", "chi_center"):
+                arguments = {"theta_center": 1.0, "span_theta": 0.1, "span_chi": 0.1, name: bad}
+                with pytest.raises(InvalidInputError, match=f"{name} must be a finite real"):
+                    DetectorPatch(polarizer=pol, **arguments)
 
     def test_point_patch_is_allowed(self):
         patch = DetectorPatch(
@@ -58,6 +68,9 @@ class TestPatchAndAccessories:
     def test_trap_rejects_negative_confinement(self):
         with pytest.raises(InvalidInputError):
             TrapModel(confinement=-1e-9)
+        for bad in (True, "1e-9", None, np.nan, np.inf):
+            with pytest.raises(InvalidInputError, match="confinement must be a finite real"):
+                TrapModel(confinement=bad)
 
 
 class TestDirections:
@@ -80,7 +93,8 @@ class TestDirections:
 
     @pytest.mark.parametrize("theta, chi", [
         (np.nan, 0.0), (np.inf, 0.0), (0.5, -np.inf), ([0.1, np.nan], 0.0),
-        (0.5, [0.0, np.inf]),
+        (0.5, [0.0, np.inf]), (True, 0.0), ("1.0", 0.0), (0.5, [False, True]),
+        (["0.1"], 0.0), (None, 0.0), (0.5, 1j),
     ])
     def test_non_finite_angles_raise(self, theta, chi):
         with pytest.raises(InvalidInputError, match="must be finite"):
@@ -119,6 +133,7 @@ class TestFarfieldPhase:
 
     @pytest.mark.parametrize("theta, chi", [
         (np.nan, 0.0), (-np.inf, 0.0), (0.5, np.nan), (np.array([0.1, np.inf]), 0.0),
+        ("1.0", 0.0), (True, 0.0), (0.5, "0"), (np.array([True]), 0.0), (None, 0.0),
     ])
     def test_non_finite_angles_raise(self, theta, chi):
         with pytest.raises(InvalidInputError, match="must be finite"):

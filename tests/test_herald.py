@@ -28,7 +28,7 @@ from heraldsim import (
     polarizer_to_jones,
     theta_center_for_delta21,
 )
-from heraldsim import herald, optics
+from heraldsim import geometry, herald, optics
 from heraldsim.cli import main
 from heraldsim.optics import _component_vectors
 from heraldsim.qcore import validate_density
@@ -36,6 +36,7 @@ from heraldsim.qcore import validate_density
 from helpers import (
     grid_nodes,
     matrix_route,
+    patch_moments,
     point_detector_config,
     quadrature_moments,
     reference_config,
@@ -169,7 +170,7 @@ class TestAccidentalFraction:
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_rejects_negative_true_rate(self):
-        for bad in (-1.0, np.nan, np.inf):
+        for bad in (-1.0, np.nan, np.inf, True, "1", None):
             with pytest.raises(InvalidInputError):
                 accidental_fraction(reference_config(), true_rate=bad)
 
@@ -180,6 +181,9 @@ class TestConfigValidation:
             reference_config(detector_efficiency=1.5)
         with pytest.raises(InvalidInputError):
             reference_config(detector_efficiency=-0.1)
+        for bad in (True, "0.3", None, 1j):
+            with pytest.raises(InvalidInputError, match="detector_efficiency must be a finite"):
+                reference_config(detector_efficiency=bad)
 
     def test_rejects_bad_rates(self):
         with pytest.raises(InvalidInputError):
@@ -188,9 +192,9 @@ class TestConfigValidation:
             reference_config(dark_count_rate=-1.0)
         with pytest.raises(InvalidInputError):
             reference_config(coincidence_window=-1e-9)
-        for bad in (np.nan, np.inf):
+        for bad in (np.nan, np.inf, True, "5", None, 1j):
             for name in ("repetition_rate", "dark_count_rate", "coincidence_window"):
-                with pytest.raises(InvalidInputError):
+                with pytest.raises(InvalidInputError, match=f"{name} must be"):
                     reference_config(**{name: bad})
 
     def test_quadrature_spec_validation(self):
@@ -340,7 +344,7 @@ class TestGeneratedStateFinitePatches:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
-        weight, coherence = herald._coherence(config, quad)
+        weight, coherence = patch_moments(config, quad)
         oracle_weight, oracle_coherence = quadrature_moments(config, 64, 6)
         assert abs(weight - oracle_weight) <= 1e-12 * oracle_weight
         assert abs(coherence - oracle_coherence) <= 1e-12 * abs(oracle_coherence)
@@ -350,7 +354,7 @@ class TestGeneratedStateFinitePatches:
         # direction together keeps (W, M), while the oracle's trap grid
         # stays lab-aligned, so this also checks the trap isotropy
         config = _with_delta21(reference_config(confinement=30e-9), np.pi / 2)
-        weight, coherence = herald._coherence(
+        weight, coherence = patch_moments(
             config, QuadratureSpec(points_theta=6, points_chi=6))
         q, r = np.linalg.qr(np.random.default_rng(29).standard_normal((3, 3)))
         rotation = q * np.sign(np.diag(r))
@@ -425,7 +429,7 @@ class TestGeneratedStateFinitePatches:
         with pytest.raises(InvalidInputError, match="leaves the valid"):
             generated_state(config, one_node)
         with pytest.raises(InvalidInputError, match="leaves the valid"):
-            herald._patch_nodes(config.detector2, one_node)
+            geometry._patch_nodes(config.detector2, one_node)
 
     def test_error_grows_with_confinement(self):
         # at quarter-period phase the coherence decay is first order,
@@ -457,7 +461,7 @@ def _scenario_report(path):
     """(config, W, M, report) of a scenario at its own quadrature."""
     scenario = load_scenario(path)
     config = scenario.experiment()
-    total_weight, coherence = herald._coherence(config, scenario.quadrature_spec())
+    total_weight, coherence = patch_moments(config, scenario.quadrature_spec())
     return config, total_weight, coherence, herald._report(config, total_weight, coherence)
 
 
@@ -567,7 +571,7 @@ class TestPatchNodes:
     ], ids=["baseline", "off-equator", "point", "one-node", "thirteen-nodes", "one-by-13"])
     def test_nodes_match_the_meshgrid_route(self, patch, quad):
         detector = reference_patch(Polarizer.linear(0.0), **patch)
-        dirs, weights = herald._patch_nodes(detector, quad)
+        dirs, weights = geometry._patch_nodes(detector, quad)
         expected_dirs, expected_weights = grid_nodes(
             detector, quad.points_theta, quad.points_chi)
         assert dirs.shape == expected_dirs.shape and weights.shape == expected_weights.shape
@@ -591,9 +595,19 @@ class TestThetaForPhase:
     def test_out_of_reach_phase_raises(self):
         layout = reference_layout()
         base = reference_patch(Polarizer.linear(0.0))
-        for delta in (60.0, np.nan):
-            with pytest.raises(InvalidInputError, match="out of reach"):
+        with pytest.raises(InvalidInputError, match="out of reach"):
+            theta_center_for_delta21(layout, base, 0.0, 60.0)
+        # a phase that is not a finite real number is rejected before the solve
+        for delta in (np.nan, np.inf, "1", True, None):
+            with pytest.raises(InvalidInputError, match="delta21 must be a finite real number"):
                 theta_center_for_delta21(layout, base, 0.0, delta)
+        # so is a latitude no detector patch accepts
+        for chi in (2.0, -np.pi / 2, np.pi / 2):
+            with pytest.raises(InvalidInputError, match=r"chi_center must lie strictly"):
+                theta_center_for_delta21(layout, base, chi, 0.0)
+        for chi in (np.nan, "0", True):
+            with pytest.raises(InvalidInputError, match="chi_center must be a finite real"):
+                theta_center_for_delta21(layout, base, chi, 0.0)
 
 
 class TestScan:
@@ -627,7 +641,13 @@ class TestScan:
         with pytest.raises(InvalidInputError):
             delta_c_scan(config, FAST_QUAD, [0.0], [1.5])
         with pytest.raises(InvalidInputError, match="out of reach"):
+            delta_c_scan(config, FAST_QUAD, [0.0, 60.0], [0.5])
+        with pytest.raises(InvalidInputError, match="delta21 must be a finite real number"):
             delta_c_scan(config, FAST_QUAD, [0.0, np.nan], [0.5])
+        for delta21_values, v12_values in ((["0"], [0.5]), ([True], [0.5]), ([0.0], ["0.5"]),
+                                           ([0.0], [True, False]), ([0.0], [0.5j])):
+            with pytest.raises(InvalidInputError, match="must be finite integers or floats"):
+                delta_c_scan(config, FAST_QUAD, delta21_values, v12_values)
         with pytest.raises(InvalidInputError, match=r"v12 grid must lie in \[0, 1\]"):
             delta_c_scan(config, FAST_QUAD, [0.0], [0.5, np.nan])
 
@@ -652,10 +672,10 @@ class TestScan:
             cell = _scan_cell(config, point.delta21, point.v12)
             jones1 = polarizer_to_jones(cell.detector1.polarizer)
             jones2 = polarizer_to_jones(cell.detector2.polarizer)
-            target = heralded_state(jones1, jones2, herald._nominal_phase(
+            target = heralded_state(jones1, jones2, geometry._nominal_phase(
                 cell.layout, cell.detector1, cell.detector2))
             c_target, c_generated, fidelity, _ = matrix_route(
-                *herald._coherence(cell, quad), *_component_vectors(jones1, jones2),
+                *patch_moments(cell, quad), *_component_vectors(jones1, jones2),
                 target.state)
             assert abs(point.concurrence_generated - c_generated) < 1e-12
             assert abs(point.concurrence_target - c_target) < 1e-12
@@ -668,7 +688,7 @@ class TestScan:
             delta_c_scan(config, FAST_QUAD, [0.0, np.pi], [0.5, 1.0])
 
     def test_cached_rules_are_read_only_and_survive_scans(self):
-        nodes, weights = herald._reference_rule(8)
+        nodes, weights = geometry._reference_rule(8)
         assert not nodes.flags.writeable and not weights.flags.writeable
         with pytest.raises(ValueError):
             nodes[0] = 0.0
@@ -692,8 +712,9 @@ class TestScan:
                 return func(*args, **kwargs)
             return wrapper
 
+        # delta_c_scan looks _phase_moments up in herald, where it is imported
         monkeypatch.setattr(herald, "_phase_moments",
-                            counting("moments", herald._phase_moments))
+                            counting("moments", geometry._phase_moments))
         monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                             counting("leggauss", np.polynomial.legendre.leggauss))
         for module in (herald, optics):

@@ -1,10 +1,13 @@
-"""Import hygiene: every imported name is read or re-exported.
+"""Import hygiene and layering: every imported name is read or re-exported.
 
 Parses the package modules and the test files with ``ast``, so the
 check needs nothing beyond the standard library.  ``__init__.py`` is
 left out: its imports are the package's re-exports.  Every ``__all__``
 entry must be bound in its module, and the package ``__all__`` must
-list exactly the public names ``__init__.py`` imports.
+list exactly the public names ``__init__.py`` imports.  The geometry
+(directions, phases, the trap spread) stays behind ``geometry.py``:
+``herald.py`` reads no layout or trap number and calls no direction or
+phase function.
 """
 
 import ast
@@ -80,3 +83,31 @@ def test_package_exports_exactly_its_imports():
         for alias in node.names
     }
     assert _exported(tree) == {name for name in imported if not name.startswith("_")}
+
+
+#: what only ``geometry.py`` may read or call: the layout and trap numbers,
+#: the patch-extent check and the direction and phase arithmetic
+GEOMETRY_ATTRIBUTES = {"separation", "wavenumber", "confinement"}
+GEOMETRY_CALLS = {"_check_patch_extent", "detection_direction", "farfield_phase",
+                  "np.cos", "np.sin"}
+
+
+def geometry_used(source):
+    """Geometry attributes read and geometry functions called in ``source``."""
+    nodes = list(ast.walk(ast.parse(source)))
+    read = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    called = {ast.unparse(node.func) for node in nodes if isinstance(node, ast.Call)}
+    return sorted((read & GEOMETRY_ATTRIBUTES) | (called & GEOMETRY_CALLS))
+
+
+def test_the_layering_check_sees_geometry():
+    source = (
+        "x = layout.separation * np.cos(theta)\nnp.sin\nsigma = trap.confinement\n"
+        "_check_patch_extent(patch)\nlayout.wavelength\n"
+    )
+    assert geometry_used(source) == ["_check_patch_extent", "confinement", "np.cos",
+                                     "separation"]
+
+
+def test_herald_leaves_the_geometry_to_geometry():
+    assert geometry_used((PACKAGE / "herald.py").read_text(encoding="utf-8")) == []

@@ -34,7 +34,7 @@ from heraldsim import (
 )
 from heraldsim.optics import _component_vectors
 
-from helpers import matrix_route
+from helpers import matrix_route, patch_moments
 
 QUAD = QuadratureSpec(points_theta=6, points_chi=6)
 #: draws whose nominal herald weight 1 + V cos(delta21) falls below this
@@ -67,10 +67,7 @@ configs = st.builds(
 
 
 def _coherence_factor(config):
-    dirs1, w1 = herald._patch_nodes(config.detector1, QUAD)
-    dirs2, w2 = herald._patch_nodes(config.detector2, QUAD)
-    weight, coherence = herald._phase_moments(config.layout, config.trap,
-                                              dirs1, w1, dirs2, w2)
+    weight, coherence = patch_moments(config, QUAD)
     return coherence / weight
 
 
@@ -108,7 +105,7 @@ def test_concurrence_has_the_coherence_factor_closed_form(config):
 @given(configs)
 def test_closed_form_figures_match_the_matrix_route(config):
     delta21 = _heralding_delta21(config)
-    weight, coherence = herald._coherence(config, QUAD)
+    weight, coherence = patch_moments(config, QUAD)
     jones1 = polarizer_to_jones(config.detector1.polarizer)
     jones2 = polarizer_to_jones(config.detector2.polarizer)
     target = heralded_state(jones1, jones2, delta21)
