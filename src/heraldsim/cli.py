@@ -36,6 +36,7 @@ from .herald import (
 from .optics import (
     Polarizer,
     _concurrence_closed_form,
+    _count,
     _finite_real,
     concurrence_analytic,
     heralded_state,
@@ -75,8 +76,7 @@ def _parse_polarizer(text, name):
 
 
 def _grid(lo, hi, count, name):
-    if count < 1:
-        raise InvalidInputError(f"{name} point count must be >= 1")
+    _count(count, f"{name} point count")
     if not math.isfinite(hi - lo):  # also catches bounds too far apart for linspace
         raise InvalidInputError(
             f"{name} grid bounds ({lo}, {hi}) must be finite, with a finite span"
@@ -141,9 +141,9 @@ def cmd_state(args):
 
 def cmd_uncertainty(args):
     # usage errors exit before the first report line
-    if args.samples < 1 or (args.seed is not None and args.seed < 0):
-        raise InvalidInputError(
-            f"--samples must be >= 1 and --seed >= 0, got {args.samples} and {args.seed}")
+    _count(args.samples, "--samples")
+    if args.seed is not None:
+        _count(args.seed, "--seed", 0)
     scenario = load_scenario(args.config)
     if args.out is not None and scenario.scan is None:
         raise InvalidInputError("--out set but the scenario has no scan section")

@@ -19,7 +19,6 @@ array expression.
 
 import itertools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -40,6 +39,7 @@ from .optics import (
     MIN_HERALD_WEIGHT,
     _component_vectors,
     _concurrence_closed_form,
+    _count,
     _finite_real,
     _real_array,
     g2,
@@ -111,9 +111,7 @@ class QuadratureSpec:
 
     def __post_init__(self):
         for name in ("points_theta", "points_chi", "points_trap"):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-                raise InvalidInputError(f"{name} must be an integer >= 1")
+            object.__setattr__(self, name, _count(getattr(self, name), name))
 
     def doubled(self):
         """Same spec with the patch node counts doubled (convergence checks)."""
@@ -344,13 +342,10 @@ def monte_carlo_state(config, samples, seed):
     ``generated_state`` averages by quadrature and in closed form.
     Deterministic for a fixed ``seed``; both integers are checked before any draw.
     """
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
-        raise InvalidInputError(f"samples must be an integer >= 1, got {samples!r}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
+    samples = _count(samples, "samples")
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     return _report(config, *_sampled_moments(
-        config.layout, config.trap, config.detector1, config.detector2, samples,
-        np.random.default_rng(seed)))
+        config.layout, config.trap, config.detector1, config.detector2, samples, rng))
 
 
 def delta_c_scan(config, quadrature, delta21_values, v12_values):

@@ -44,7 +44,8 @@ __all__ = [
 #: largest tolerated deviation of a Jones-vector norm from 1
 JONES_NORM_ATOL = 1e-9
 
-#: coincidence weights below this count as "herald never fires"
+#: the herald never fires where half its coincidence weight,
+#: 1 + v12 cos delta21, falls below this
 MIN_HERALD_WEIGHT = 1e-12
 
 #: magnitudes below this count as zero when fixing the global phase
@@ -63,6 +64,13 @@ def _finite_real(value, name):
         if math.isfinite(number):
             return number
     raise InvalidInputError(f"{name} must be a finite real number, got {value!r}")
+
+
+def _count(value, name, minimum=1):
+    """``value`` as an int if it is an integer (numpy's too) >= ``minimum``, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def _real_array(values, name):
@@ -193,9 +201,9 @@ def heralded_state(jones1, jones2, delta21):
     Raises
     ------
     ZeroProbabilityHeraldError
-        If the coincidence weight falls below ``MIN_HERALD_WEIGHT``
-        (equal analyzers with destructive phase, e.g. v12 = 1 and
-        delta21 = pi).
+        If half the coincidence weight falls below ``MIN_HERALD_WEIGHT``,
+        the rule of ``concurrence_analytic`` (equal analyzers with
+        destructive phase, e.g. v12 = 1 and delta21 = pi).
     InvalidInputError
         If an analyzer is not a finite unit vector or ``delta21`` is
         not finite.
@@ -206,9 +214,9 @@ def heralded_state(jones1, jones2, delta21):
     s, t = _component_vectors(e1, e2)
     amps = s + t * np.exp(-1j * delta21)
     weight = float(np.real(np.vdot(amps, amps)))
-    if weight < MIN_HERALD_WEIGHT:
+    if 0.5 * weight < MIN_HERALD_WEIGHT:
         raise ZeroProbabilityHeraldError(
-            f"coincidence weight {weight:.3g} below {MIN_HERALD_WEIGHT:g}; "
+            f"coincidence weight {weight:.3g} below {2.0 * MIN_HERALD_WEIGHT:g}; "
             "the herald never fires for this configuration"
         )
     state = _fix_global_phase(amps / np.sqrt(weight))

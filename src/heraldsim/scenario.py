@@ -2,23 +2,26 @@
 
 Units are in the key names (``separation_um``, ``dark_count_rate_hz``).
 One field table, ``_SCENARIO``, gives each key's kind and default and
-drives all parsing; numbers must be finite.  A ``Scenario`` keeps the
-validated document verbatim, so load -> save -> load is exact, and
-builds the SI-unit physics objects, which hold the range checks.
+drives all parsing.  Numbers and counts take the library's own rules,
+``optics._finite_real`` (a finite real number, not a bool or a string)
+and ``optics._count`` (an integer >= 1, not a bool), and their errors
+become ``ScenarioError``s that start with the key's dotted path.  A
+``Scenario`` keeps the validated document verbatim, so load -> save ->
+load is exact, and builds the SI-unit physics objects, which hold the
+range checks.
 """
 
 import copy
 import json
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import InvalidInputError, ScenarioError
 from .geometry import AtomPairLayout, DetectorPatch, TrapModel
 from .herald import ExperimentConfig, QuadratureSpec
-from .optics import Polarizer
+from .optics import Polarizer, _count, _finite_real
 
 __all__ = ["Scenario", "load_scenario", "save_scenario", "polarizer_from_values"]
 
@@ -27,24 +30,6 @@ __all__ = ["Scenario", "load_scenario", "save_scenario", "polarizer_from_values"
 # document keeps it; REQUIRED is the default of a key the document must give.
 # A nested field table as the kind makes the value a section of its own.
 REQUIRED = object()
-
-
-def _number(value, where):
-    # abs(nan) <= max is False, and the comparison is exact for huge ints
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ScenarioError(f"{where} must be a finite number")
-    return float(value)
-
-
-def _integer(minimum=None):
-    def parse(value, where):
-        if (isinstance(value, bool) or not isinstance(value, int)
-                or (minimum is not None and value < minimum)):
-            bound = "" if minimum is None else f" >= {minimum}"
-            raise ScenarioError(f"{where} must be an integer{bound}")
-        return value
-    return parse
 
 
 def _enum(*choices):
@@ -62,7 +47,7 @@ def _numbers(length=None):
                 and (length is None or len(value) == length)):
             count = "one or more" if length is None else length
             raise ScenarioError(f"{where} must be a list of {count} numbers")
-        return [_number(item, where) for item in value]
+        return [_finite_real(item, where) for item in value]
     return parse
 
 
@@ -77,8 +62,13 @@ def _section(raw, fields, where):
             raise ScenarioError(f"missing key {key!r} in {where}")
         if value is not None or default is not None:  # an optional section may be null
             path = f"{where}.{key}"
-            doc[key] = (_section(value, kind, path) if isinstance(kind, tuple)
-                        else kind(value, path))
+            try:
+                doc[key] = (_section(value, kind, path) if isinstance(kind, tuple)
+                            else kind(value, path))
+            except ScenarioError:
+                raise
+            except InvalidInputError as exc:  # optics' number and count rules
+                raise ScenarioError(str(exc)) from exc
     unknown = sorted(set(raw) - {key for key, _, _ in fields})
     if unknown:
         raise ScenarioError(f"unknown key(s) {unknown} in {where}")
@@ -87,7 +77,7 @@ def _section(raw, fields, where):
 
 #: analyzer kinds and the fields each one takes besides ``kind``
 _POLARIZERS = {
-    "linear": (("angle_rad", _number, REQUIRED),),
+    "linear": (("angle_rad", _finite_real, REQUIRED),),
     "circular": (("handedness", _enum("+", "-"), REQUIRED),),
     "general": (("eps_plus", _numbers(2), REQUIRED),
                 ("eps_minus", _numbers(2), REQUIRED)),
@@ -110,31 +100,31 @@ def _build_polarizer(doc):
 
 
 _DETECTOR = (
-    ("theta_center_rad", _number, REQUIRED),
-    ("chi_center_rad", _number, 0.0),
-    ("span_theta_mrad", _number, REQUIRED),
-    ("span_chi_rad", _number, REQUIRED),
+    ("theta_center_rad", _finite_real, REQUIRED),
+    ("chi_center_rad", _finite_real, 0.0),
+    ("span_theta_mrad", _finite_real, REQUIRED),
+    ("span_chi_rad", _finite_real, REQUIRED),
     ("polarizer", _polarizer, REQUIRED),
 )
 
 _SCENARIO = (
-    ("separation_um", _number, REQUIRED),
-    ("wavelength_nm", _number, REQUIRED),
-    ("confinement_nm", _number, REQUIRED),
-    ("repetition_rate_mhz", _number, REQUIRED),
-    ("detector_efficiency", _number, REQUIRED),
-    ("dark_count_rate_hz", _number, REQUIRED),
-    ("coincidence_window_ns", _number, REQUIRED),
+    ("separation_um", _finite_real, REQUIRED),
+    ("wavelength_nm", _finite_real, REQUIRED),
+    ("confinement_nm", _finite_real, REQUIRED),
+    ("repetition_rate_mhz", _finite_real, REQUIRED),
+    ("detector_efficiency", _finite_real, REQUIRED),
+    ("dark_count_rate_hz", _finite_real, REQUIRED),
+    ("coincidence_window_ns", _finite_real, REQUIRED),
     ("detector1", _DETECTOR, REQUIRED),
     ("detector2", _DETECTOR, REQUIRED),
     ("quadrature", (
-        ("points_theta", _integer(), 8),
-        ("points_chi", _integer(), 8),
+        ("points_theta", _count, 8),
+        ("points_chi", _count, 8),
     ), {}),
     ("scan", (
-        ("delta21_start_rad", _number, REQUIRED),
-        ("delta21_stop_rad", _number, REQUIRED),
-        ("delta21_points", _integer(1), REQUIRED),
+        ("delta21_start_rad", _finite_real, REQUIRED),
+        ("delta21_stop_rad", _finite_real, REQUIRED),
+        ("delta21_points", _count, REQUIRED),
         ("v12_values", _numbers(), REQUIRED),
     ), None),
 )

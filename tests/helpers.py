@@ -109,7 +109,7 @@ def heralded_state_via_operators(jones1, jones2, phase1, phase2):
                 + np.exp(-1j * phase) * np.kron(identity, lower)) @ pair
     amps = pair[[4, 5, 7, 8]]
     weight = float(np.real(np.vdot(amps, amps)))
-    if weight < MIN_HERALD_WEIGHT:
+    if 0.5 * weight < MIN_HERALD_WEIGHT:  # the closed-form rule on 1 + v12 cos delta21
         raise ZeroProbabilityHeraldError(f"coincidence weight {weight:.3g}")
     state = amps / np.sqrt(weight)
     pivot = state[np.abs(state) > 1e-10][0]

@@ -202,6 +202,13 @@ class TestConfigValidation:
             QuadratureSpec(points_theta=0)
         with pytest.raises(InvalidInputError):
             QuadratureSpec(points_trap=0)
+        # numpy integers are counts too, and are kept as Python ints
+        spec = QuadratureSpec(points_theta=np.int64(8), points_chi=np.int32(4))
+        assert spec == QuadratureSpec(points_theta=8, points_chi=4)
+        assert type(spec.points_theta) is int and type(spec.doubled().points_chi) is int
+        for bad in (8.0, np.float64(8.0), "8", np.int64(0), np.bool_(True)):
+            with pytest.raises(InvalidInputError, match="points_chi must be an integer"):
+                QuadratureSpec(points_chi=bad)
 
     @pytest.mark.parametrize("name", ["points_theta", "points_chi", "points_trap"])
     def test_quadrature_spec_rejects_bools(self, name):
@@ -268,12 +275,15 @@ class TestGeneratedStatePointLimit:
 
     def test_target_below_the_weight_floor_raises_like_the_analytic_form(self):
         # at V = 1 and 1 + cos(delta21) = 7.2e-13 the herald weight, twice
-        # that, clears the 1e-12 floor, but the target's own weight does not
+        # that, clears the 1e-12 floor, but every route compares half of it
         delta21 = np.pi - 1.2e-6
         with pytest.raises(ZeroProbabilityHeraldError):
             concurrence_analytic(delta21, 1.0)
         with pytest.raises(ZeroProbabilityHeraldError):
             herald._figures(1.0, np.exp(-1j * delta21), 1.0, delta21)
+        plus = polarizer_to_jones(Polarizer.linear(0.0))
+        with pytest.raises(ZeroProbabilityHeraldError):
+            heralded_state(plus, plus, delta21)
 
     @pytest.mark.parametrize("v12", [0.0, 0.3, 0.7, 1.0])
     def test_point_coherence_gives_the_target(self, v12):

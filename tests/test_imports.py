@@ -7,7 +7,8 @@ entry must be bound in its module, and the package ``__all__`` must
 list exactly the public names ``__init__.py`` imports.  The geometry
 (directions, phases, the trap spread) stays behind ``geometry.py``:
 ``herald.py`` reads no layout or trap number and calls no direction or
-phase function.
+phase function.  The number and count rules stay in ``optics.py``: no
+other module makes an ``isinstance(..., bool)`` test, the mark of one.
 """
 
 import ast
@@ -111,3 +112,28 @@ def test_the_layering_check_sees_geometry():
 
 def test_herald_leaves_the_geometry_to_geometry():
     assert geometry_used((PACKAGE / "herald.py").read_text(encoding="utf-8")) == []
+
+
+def bool_tests(source):
+    """Lines of ``isinstance(value, bool)`` calls, with ``bool`` alone or in a tuple."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance":
+            kinds = node.args[-1]
+            if "bool" in {ast.unparse(kind) for kind in getattr(kinds, "elts", [kinds])}:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_rule_check_sees_bool_tests():
+    source = (
+        "isinstance(x, bool)\nisinstance(x, (int, bool))\nisinstance(x, int)\n"
+        "type(x) is bool\nok = not isinstance(x, bool) and x > 0\nisinstance(x, np.bool_)\n"
+    )
+    assert bool_tests(source) == [1, 2, 5]
+
+
+def test_number_and_count_rules_live_in_optics():
+    found = {path.name: bool_tests(path.read_text(encoding="utf-8"))
+             for path in MODULES if path.name != "optics.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -17,6 +17,7 @@ from heraldsim import (
     save_scenario,
 )
 from heraldsim.cli import _fmt, main
+from heraldsim.scenario import polarizer_from_values
 
 BASELINE = "scenarios/baseline.json"
 POINT = "scenarios/point_detectors.json"
@@ -153,6 +154,16 @@ class TestScenarioFiles:
         doc = small_scenario_dict()
         doc["quadrature"]["points_theta"] = 2.5
         with pytest.raises(ScenarioError):
+            load_scenario(write_scenario(tmp_path, doc))
+
+    @pytest.mark.parametrize("section, key", [
+        ("quadrature", "points_theta"), ("quadrature", "points_chi"),
+        ("scan", "delta21_points"),
+    ])
+    def test_zero_count_rejected_on_load(self, tmp_path, section, key):
+        doc = small_scenario_dict()
+        doc[section][key] = 0
+        with pytest.raises(ScenarioError, match=rf"^scenario\.{section}\.{key} must be"):
             load_scenario(write_scenario(tmp_path, doc))
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
@@ -360,12 +371,15 @@ class TestStateCommand:
         assert "error:" in capsys.readouterr().err
 
     def test_bad_polarizer_spec_exit_2(self, capsys):
-        for spec in ("diagonal:1", "linear:nan", "circular:x", "general:1,0,0",
+        for spec in ("diagonal:1", "linear:nan", "linear:x", "circular:x", "general:1,0,0",
                      "general:1,0,inf,1"):
             rc = main(["state", "--polarizer1", spec, "--polarizer2",
                        "linear:0", "--delta21", "0"])
             assert rc == 2
             assert "error:" in capsys.readouterr().err
+        # a value that is no number breaks optics' number rule, reported with its path
+        with pytest.raises(ScenarioError, match=r"^--polarizer1\.angle_rad must be a finite"):
+            polarizer_from_values("linear", ["x"], "--polarizer1")
 
     def test_destructive_configuration_exit_3(self, capsys):
         rc = main(
