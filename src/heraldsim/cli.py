@@ -180,13 +180,13 @@ def cmd_uncertainty(args):
         print(f"scan_min_fidelity      = {_fmt(result.min_fidelity)}")
         if args.out is not None:
             with _output(args.out) as handle:
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(["delta21_rad", "v12", "delta_c", "fidelity",
-                                 "concurrence_target", "concurrence_generated"])
-                # the ScanPoint field order is the CSV column order; vars()
-                # reads the fields without astuple's deep copy
-                for point in result.points:
-                    writer.writerow([_fmt(v) for v in vars(point).values()])
+                # the ScanPoint field order is the CSV column order; vars() reads
+                # the fields without astuple's deep copy, and every field is a
+                # number, so no csv quoting: the rows go out as one joined block
+                handle.write("delta21_rad,v12,delta_c,fidelity,"
+                             "concurrence_target,concurrence_generated\n")
+                handle.write("".join(",".join(map(_fmt, vars(point).values())) + "\n"
+                                     for point in result.points))
     return 0
 
 

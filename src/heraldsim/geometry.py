@@ -115,15 +115,18 @@ class TrapModel:
             raise InvalidInputError("confinement must be nonnegative and finite")
 
 
-def _check_patch_extent(patch):
+def _check_patch_extent(patch, theta_centers=None):
     """Raise ``InvalidInputError`` unless a patch can be averaged over.
 
     Construction bounds only the center, so a wide patch still gives a
     detection probability; an average needs every edge inside theta in
-    [0, pi] and a positive cos(chi) weight.
+    [0, pi] and a positive cos(chi) weight.  ``theta_centers``, an
+    array, moves the patch to each of these longitudes.
     """
+    lowest, highest = ((patch.theta_center,) * 2 if theta_centers is None
+                       else (theta_centers.min(), theta_centers.max()))
     half_theta = 0.5 * patch.span_theta
-    if patch.theta_center - half_theta < 0.0 or patch.theta_center + half_theta > np.pi:
+    if lowest - half_theta < 0.0 or highest + half_theta > np.pi:
         raise InvalidInputError("detector patch leaves the valid theta range [0, pi]")
     if not abs(patch.chi_center) + 0.5 * patch.span_chi < np.pi / 2:
         raise InvalidInputError("detector patch leaves the valid chi range (-pi/2, pi/2)")
@@ -175,6 +178,28 @@ def _nominal_phase(layout, detector1, detector2):
                  - farfield_phase(layout, detector1.theta_center, detector1.chi_center))
 
 
+def _longitudes(layout, reference_patch, chi_center, delta21):
+    """Detector-2 longitudes realizing each relative phase of the array ``delta21``.
+
+    Solves ``k d cos(theta) cos(chi_center) = phase(reference) + delta21``
+    for theta, elementwise.
+    """
+    if not np.isfinite(delta21).all():
+        bad = delta21[~np.isfinite(delta21)][0].item()
+        raise InvalidInputError(f"delta21 must be a finite real number, got {bad!r}")
+    chi_center = _latitude(chi_center)
+    reference_phase = farfield_phase(layout, reference_patch.theta_center,
+                                     reference_patch.chi_center)
+    scale = layout.wavenumber * layout.separation * np.cos(chi_center)
+    cos_theta = (reference_phase + delta21) / scale
+    if not (reach := np.abs(cos_theta)).max() <= 1.0:
+        first = np.argmax(~(reach <= 1.0))
+        raise InvalidInputError(
+            f"delta21 = {delta21[first]:.6g} is out of reach: needs |cos theta| = "
+            f"{reach[first]:.6g} > 1 at this separation")
+    return np.arccos(cos_theta)
+
+
 def theta_center_for_delta21(layout, reference_patch, chi_center, delta21):
     """Detector-2 longitude realizing a requested relative phase.
 
@@ -189,17 +214,8 @@ def theta_center_for_delta21(layout, reference_patch, chi_center, delta21):
         outside (-pi/2, pi/2), or no longitude reaches the requested
         phase (|cos theta| > 1).
     """
-    delta21 = _finite_real(delta21, "delta21")
-    chi_center = _latitude(chi_center)
-    reference_phase = farfield_phase(layout, reference_patch.theta_center,
-                                     reference_patch.chi_center)
-    scale = layout.wavenumber * layout.separation * np.cos(chi_center)
-    cos_theta = (reference_phase + delta21) / scale
-    if not abs(cos_theta) <= 1.0:
-        raise InvalidInputError(
-            f"delta21 = {delta21:.6g} is out of reach: needs |cos theta| = "
-            f"{abs(cos_theta):.6g} > 1 at this separation")
-    return float(np.arccos(cos_theta))
+    delta21 = np.array([_finite_real(delta21, "delta21")])
+    return float(_longitudes(layout, reference_patch, chi_center, delta21)[0])
 
 
 @functools.lru_cache(maxsize=32)
@@ -223,13 +239,36 @@ def _interval_rule(center, width, count):
     return center + 0.5 * width * ref_nodes, 0.5 * width * ref_weights
 
 
-def _patch_nodes(patch, quad):
-    """Directions (theta-major) and measure weights (incl. cos chi) covering a patch."""
-    _check_patch_extent(patch)  # bounds every node angle, so no per-node checks
-    theta, w_theta = _interval_rule(patch.theta_center, patch.span_theta, quad.points_theta)
+def _patch_nodes(patch, quad, theta_centers=None):
+    """Directions (theta-major) and measure weights (incl. cos chi) covering a patch.
+
+    ``theta_centers``, an array of G longitudes, moves the patch to each
+    of them: the directions then have shape (G, n, 3), while the
+    weights, which do not depend on the longitude, keep shape (n,).
+    """
+    _check_patch_extent(patch, theta_centers)  # bounds every node angle: no per-node checks
+    # offsets around 0 added to the centers give the nodes of a rule around
+    # each center bit for bit, since 0 + x is x
+    offsets, w_theta = _interval_rule(0.0, patch.span_theta, quad.points_theta)
+    theta = (patch.theta_center if theta_centers is None else theta_centers[:, None]) + offsets
     chi, w_chi = _interval_rule(patch.chi_center, patch.span_chi, quad.points_chi)
-    dirs, cos_chi = _directions(theta[:, None], chi)
-    return dirs.reshape(-1, 3), np.multiply.outer(w_theta, w_chi * cos_chi).ravel()
+    dirs, cos_chi = _directions(theta[..., None], chi)
+    return (dirs.reshape(*theta.shape[:-1], -1, 3),
+            np.multiply.outer(w_theta, w_chi * cos_chi).ravel())
+
+
+def _moved_nodes(layout, patch1, patch2, quad, delta21):
+    """Nodes of ``patch2`` moved in longitude to each relative phase of ``delta21``.
+
+    Returns the directions, shape (G, n2, 3) for G phases, the weights
+    and the realized nominal phases, ``_nominal_phase`` of each moved
+    patch.
+    """
+    theta2 = _longitudes(layout, patch1, patch2.chi_center, delta21)
+    dirs2, w2 = _patch_nodes(patch2, quad, theta2)
+    phases = (farfield_phase(layout, theta2, patch2.chi_center)
+              - farfield_phase(layout, patch1.theta_center, patch1.chi_center))
+    return dirs2, w2, phases
 
 
 def _phase_moments(layout, trap, dirs1, w1, dirs2, w2):
@@ -240,29 +279,42 @@ def _phase_moments(layout, trap, dirs1, w1, dirs2, w2):
     sigma = sqrt(2) * confinement.  Averaging over du gives each pair
     the factor exp(-(k sigma)**2 |e1 - e2|**2 / 2), with
     |e1 - e2|**2 = 2 (1 - e1 . e2) for unit directions, so M is one
-    weighted sum over the pairs of patch nodes.
+    weighted sum over the pairs of patch nodes.  ``dirs2`` may carry
+    leading geometry axes, (..., n2, 3) sharing the weights ``w2``;
+    M then has those axes, and a plain (n2, 3) gives one complex.
     """
     wavenumber = layout.wavenumber
     sigma = math.sqrt(2.0) * trap.confinement
     separation = layout.separation
+    n1, n2 = len(w1), len(w2)
+    stacked = dirs2.reshape(-1, n2, 3)
     sum1 = w1 * np.exp(1j * wavenumber * (separation * dirs1[:, 0]))
-    sum2 = w2 * np.exp(-1j * wavenumber * (separation * dirs2[:, 0]))
-    # the pair matrix dominates memory: build it in row blocks of at most
-    # _PAIR_BLOCK_BYTES, each in place, and take two real products so that
-    # it is never cast to complex
-    rows = min(len(w1), max(1, _PAIR_BLOCK_BYTES // (8 * len(w2))))
-    buffer = np.empty((rows, len(w2)))
-    real, imag = np.zeros(len(w2)), np.zeros(len(w2))
-    for start in range(0, len(w1), rows):
-        block = slice(start, min(start + rows, len(w1)))
-        decay = np.matmul(dirs1[block], dirs2.T, out=buffer[: block.stop - start])
-        decay -= 1.0
-        decay *= (wavenumber * sigma) ** 2
-        np.exp(decay, out=decay)
-        real += sum1.real[block] @ decay
-        imag += sum1.imag[block] @ decay
-    coherence = (real + 1j * imag) @ sum2
-    return float(w1.sum() * w2.sum()), complex(coherence)
+    sum2 = w2 * np.exp(-1j * wavenumber * (separation * dirs2[..., 0]))
+    # the pair matrix dominates memory: build it in blocks of at most
+    # _PAIR_BLOCK_BYTES, whole geometries while they fit and row blocks of
+    # one geometry when it alone does not, each in place, and take two real
+    # products so that it is never cast to complex
+    geometries = min(len(stacked), max(1, _PAIR_BLOCK_BYTES // (8 * n1 * n2)))
+    rows = min(n1, max(1, _PAIR_BLOCK_BYTES // (8 * n2)))
+    buffer = np.empty((geometries, rows, n2))  # whole geometries, or rows of one
+    vectors = np.empty((len(stacked), 1, n2), dtype=complex)
+    for first in range(0, len(stacked), geometries):
+        group = stacked[first:first + geometries].transpose(0, 2, 1)
+        real = imag = 0.0
+        for start in range(0, n1, rows):
+            block = slice(start, min(start + rows, n1))
+            decay = np.matmul(dirs1[block], group,
+                              out=buffer[: len(group), : block.stop - start])
+            decay -= 1.0
+            decay *= (wavenumber * sigma) ** 2
+            np.exp(decay, out=decay)
+            real += sum1.real[block] @ decay
+            imag += sum1.imag[block] @ decay
+        vectors[first:first + geometries, 0] = real + 1j * imag
+    # (G, 1, n2) @ (G, n2, 1): one dot product per geometry
+    coherence = (vectors @ sum2.reshape(-1, n2, 1)).reshape(dirs2.shape[:-2])
+    total_weight = float(w1.sum() * w2.sum())
+    return total_weight, complex(coherence) if dirs2.ndim == 2 else coherence
 
 
 def _sampled_moments(layout, trap, patch1, patch2, samples, rng):

@@ -13,8 +13,8 @@ with d = 1 + V Re m, w0 = 1 + V cos delta21 and a = 1 + V exp(1j delta21).
 ``generated_state`` also builds rho = R R^dag from its rank-2 factor R
 and checks its trace and the Wootters concurrence of R (one 2x2
 singular value problem) against the closed form; ``delta_c_scan``
-builds none, evaluating (W, M) once per geometry and its rows as one
-array expression.
+builds none, evaluating (W, M) for all its geometries in one stacked
+pass and its rows as one array expression.
 """
 
 import itertools
@@ -29,11 +29,11 @@ from .geometry import (
     AtomPairLayout,
     DetectorPatch,
     TrapModel,
+    _moved_nodes,
     _nominal_phase,
     _patch_nodes,
     _phase_moments,
     _sampled_moments,
-    theta_center_for_delta21,
 )
 from .optics import (
     MIN_HERALD_WEIGHT,
@@ -272,7 +272,8 @@ def _report(config, total_weight, coherence):
     # s, t only build rho = R R^dag, R = [s t] L / sqrt(trace) with L the Cholesky
     # factor of [[W, M*], [M, W]]: its trace checks them against the closed form, and
     # its Wootters concurrence is l1 - l2 of the singular values of R^T (sy x sy) R
-    stat, phase_part = _component_vectors(jones1, jones2)
+    stat, phase_part = map(np.array, _component_vectors(
+        config.detector1.polarizer.jones, config.detector2.polarizer.jones))
     root = math.sqrt(total_weight)
     rest = math.sqrt(max(total_weight - abs(coherence) ** 2 / total_weight, 0.0))
     factor = np.array([root * stat + (coherence / root) * phase_part,
@@ -355,8 +356,9 @@ def delta_c_scan(config, quadrature, delta21_values, v12_values):
     detector-2 longitude to realize ``delta21``, and takes the requested
     ``v12`` as the analyzer visibility: any analyzer pair with that
     overlap (linear ones at relative angle arccos(sqrt(v12)), say) gives
-    the same figures.  Rows are produced in row-major (delta21 outer,
-    v12 inner) order.
+    the same figures.  Every longitude comes from one array solve and
+    every (W, M) from one stacked pass over the moved detector-2 nodes.
+    Rows are produced in row-major (delta21 outer, v12 inner) order.
 
     Returns
     -------
@@ -365,23 +367,19 @@ def delta_c_scan(config, quadrature, delta21_values, v12_values):
     """
     delta21_values = np.atleast_1d(_real_array(delta21_values, "delta21 grid"))
     v12_values = np.atleast_1d(_real_array(v12_values, "v12 grid"))
-    if delta21_values.size == 0 or v12_values.size == 0:
-        raise InvalidInputError("scan grids must be nonempty")
+    if not (delta21_values.ndim == v12_values.ndim == 1
+            and delta21_values.size and v12_values.size):
+        raise InvalidInputError("scan grids must be nonempty and one-dimensional")
     if not (0.0 <= v12_values.min() and v12_values.max() <= 1.0):  # also catches nan
         raise InvalidInputError("v12 grid must lie in [0, 1]")
-    # the analyzers do not enter W and M: one average per delta21 geometry,
-    # with detector 1's nodes computed once
-    detector1 = config.detector1
-    dirs1, w1 = _patch_nodes(detector1, quadrature)
-    geometries = []
-    for delta in delta21_values.tolist():
-        detector2 = replace(config.detector2, theta_center=theta_center_for_delta21(
-            config.layout, detector1, config.detector2.chi_center, delta))
-        dirs2, w2 = _patch_nodes(detector2, quadrature)
-        geometries.append((*_phase_moments(config.layout, config.trap, dirs1, w1, dirs2, w2),
-                           _nominal_phase(config.layout, detector1, detector2)))
-    total_weight, coherence, phases = (np.array(col)[:, None] for col in zip(*geometries))
-    c_target, c_generated, fidelity, _ = _figures(total_weight, coherence, v12_values, phases)
+    # the analyzers do not enter W and M: one average over all delta21
+    # geometries at once, with detector 1's nodes computed once
+    dirs1, w1 = _patch_nodes(config.detector1, quadrature)
+    dirs2, w2, phases = _moved_nodes(config.layout, config.detector1, config.detector2,
+                                     quadrature, delta21_values)
+    total_weight, coherence = _phase_moments(config.layout, config.trap, dirs1, w1, dirs2, w2)
+    c_target, c_generated, fidelity, _ = _figures(
+        total_weight, coherence[:, None], v12_values, phases[:, None])
     delta_c = np.abs(c_generated - c_target)
     # row-major cells (delta21 outer, v12 inner) in ScanPoint field order
     cells = itertools.product(delta21_values.tolist(), v12_values.tolist())

@@ -20,6 +20,7 @@ squared norm of this unnormalized vector is the coincidence weight
 ``g2 = 2 (1 + v12 cos delta21)`` with ``v12 = |<jones1, jones2>|**2``.
 """
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -144,20 +145,20 @@ def _component_vectors(e1, e2):
     """Static and phase-carrying parts s, t of the unnormalized herald.
 
     The unnormalized heralded vector is ``s + t * exp(-1j * delta21)``
-    in the (++, +-, -+, --) basis.
+    in the (++, +-, -+, --) basis.  Both are 4-tuples of products of the
+    components of ``e1`` and ``e2``, Python complex numbers for lists.
     """
-    ep1, em1 = e1[0], e1[1]
-    ep2, em2 = e2[0], e2[1]
-    s = np.array([em2 * em1, em2 * ep1, ep2 * em1, ep2 * ep1])
-    t = np.array([em2 * em1, ep2 * em1, em2 * ep1, ep2 * ep1])
-    return s, t
+    (ep1, em1), (ep2, em2) = e1, e2
+    s = (em2 * em1, em2 * ep1, ep2 * em1, ep2 * ep1)
+    return s, (s[0], s[2], s[1], s[3])
 
 
 def _fix_global_phase(state):
     """Rotate the first non-negligible amplitude to the real nonnegative axis."""
     for amp in state:
         if abs(amp) > _PHASE_PIVOT_ATOL:
-            return state * (np.conj(amp) / abs(amp))
+            turn = amp.conjugate() / abs(amp)
+            return [c * turn for c in state]
     return state
 
 
@@ -211,15 +212,18 @@ def heralded_state(jones1, jones2, delta21):
     e1 = _validated_jones(jones1, "jones1")
     e2 = _validated_jones(jones2, "jones2")
     delta21 = _finite_real(delta21, "delta21")
-    s, t = _component_vectors(e1, e2)
-    amps = s + t * np.exp(-1j * delta21)
-    weight = float(np.real(np.vdot(amps, amps)))
+    # four amplitudes: Python complex arithmetic beats numpy's per-call cost
+    turn = cmath.exp(-1j * delta21)
+    amps = [a + b * turn for a, b in zip(*_component_vectors(e1.tolist(), e2.tolist()))]
+    norm = math.hypot(*map(abs, amps))
+    weight = norm * norm
     if 0.5 * weight < MIN_HERALD_WEIGHT:
         raise ZeroProbabilityHeraldError(
             f"coincidence weight {weight:.3g} below {2.0 * MIN_HERALD_WEIGHT:g}; "
             "the herald never fires for this configuration"
         )
-    state = _fix_global_phase(amps / np.sqrt(weight))
+    state = np.array(_fix_global_phase([a / norm for a in amps]))
+    # v12 feeds every generated-state figure: keep numpy's overlap to the last bit
     v12 = float(abs(np.vdot(e1, e2)) ** 2)
     return HeraldedOutcome(state=state, g2=weight, delta21=delta21, v12=v12)
 

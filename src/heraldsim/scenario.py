@@ -8,9 +8,11 @@ and ``optics._count`` (an integer >= 1, not a bool), and their errors
 become ``ScenarioError``s that start with the key's dotted path.  A
 ``Scenario`` keeps the validated document verbatim, so load -> save ->
 load is exact, and builds the SI-unit physics objects, which hold the
-range checks.
+range checks; their errors become ``ScenarioError``s that start with
+the section path.
 """
 
+import contextlib
 import copy
 import json
 import math
@@ -51,6 +53,17 @@ def _numbers(length=None):
     return parse
 
 
+@contextlib.contextmanager
+def _scenario_errors(prefix=""):
+    """Re-raise the library's ``InvalidInputError``s as ``ScenarioError``s, ``prefix`` first."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except InvalidInputError as exc:
+        raise ScenarioError(prefix + str(exc)) from exc
+
+
 def _section(raw, fields, where):
     """Validated copy of the object ``raw``, with the defaults of ``fields``."""
     if not isinstance(raw, dict):
@@ -62,13 +75,9 @@ def _section(raw, fields, where):
             raise ScenarioError(f"missing key {key!r} in {where}")
         if value is not None or default is not None:  # an optional section may be null
             path = f"{where}.{key}"
-            try:
+            with _scenario_errors():  # optics' number and count rules name the path
                 doc[key] = (_section(value, kind, path) if isinstance(kind, tuple)
                             else kind(value, path))
-            except ScenarioError:
-                raise
-            except InvalidInputError as exc:  # optics' number and count rules
-                raise ScenarioError(str(exc)) from exc
     unknown = sorted(set(raw) - {key for key, _, _ in fields})
     if unknown:
         raise ScenarioError(f"unknown key(s) {unknown} in {where}")
@@ -91,12 +100,13 @@ def _polarizer(value, where):
     return _section(value, (("kind", _enum(*_POLARIZERS), REQUIRED),) + fields, where)
 
 
-def _build_polarizer(doc):
-    if doc["kind"] == "linear":
-        return Polarizer.linear(doc["angle_rad"])
-    if doc["kind"] == "circular":
-        return Polarizer.circular(1 if doc["handedness"] == "+" else -1)
-    return Polarizer.general(complex(*doc["eps_plus"]), complex(*doc["eps_minus"]))
+def _build_polarizer(doc, where):
+    with _scenario_errors(f"{where}: "):
+        if doc["kind"] == "linear":
+            return Polarizer.linear(doc["angle_rad"])
+        if doc["kind"] == "circular":
+            return Polarizer.circular(1 if doc["handedness"] == "+" else -1)
+        return Polarizer.general(complex(*doc["eps_plus"]), complex(*doc["eps_minus"]))
 
 
 _DETECTOR = (
@@ -140,7 +150,7 @@ def polarizer_from_values(kind, values, where="polarizer"):
     for index, key in enumerate(keys):
         group = list(values[index * size:(index + 1) * size])
         doc[key] = group[0] if size == 1 else group
-    return _build_polarizer(_polarizer(doc, where))
+    return _build_polarizer(_polarizer(doc, where), where)
 
 
 class _Scan:
@@ -178,27 +188,34 @@ class Scenario:
         return _Scan(self.document["scan"]) if "scan" in self.document else None
 
     def experiment(self):
-        """SI-unit ExperimentConfig described by this document."""
+        """SI-unit ExperimentConfig described by this document.
+
+        The physics objects hold the range checks; their errors become
+        ``ScenarioError``s that start with the section path.
+        """
         doc = self.document
-        patch1, patch2 = (
-            DetectorPatch(theta_center=det["theta_center_rad"],
-                          chi_center=det["chi_center_rad"],
-                          span_theta=det["span_theta_mrad"] * 1e-3,
-                          span_chi=det["span_chi_rad"],
-                          polarizer=_build_polarizer(det["polarizer"]))
-            for det in (doc["detector1"], doc["detector2"])
-        )
-        return ExperimentConfig(
-            layout=AtomPairLayout(separation=doc["separation_um"] * 1e-6,
-                                  wavelength=doc["wavelength_nm"] * 1e-9),
-            trap=TrapModel(confinement=doc["confinement_nm"] * 1e-9),
-            detector1=patch1,
-            detector2=patch2,
-            repetition_rate=doc["repetition_rate_mhz"] * 1e6,
-            detector_efficiency=doc["detector_efficiency"],
-            dark_count_rate=doc["dark_count_rate_hz"],
-            coincidence_window=doc["coincidence_window_ns"] * 1e-9,
-        )
+        patches = []
+        for name in ("detector1", "detector2"):
+            det = doc[name]
+            polarizer = _build_polarizer(det["polarizer"], f"scenario.{name}.polarizer")
+            with _scenario_errors(f"scenario.{name}: "):
+                patches.append(DetectorPatch(theta_center=det["theta_center_rad"],
+                                             chi_center=det["chi_center_rad"],
+                                             span_theta=det["span_theta_mrad"] * 1e-3,
+                                             span_chi=det["span_chi_rad"],
+                                             polarizer=polarizer))
+        with _scenario_errors("scenario: "):
+            return ExperimentConfig(
+                layout=AtomPairLayout(separation=doc["separation_um"] * 1e-6,
+                                      wavelength=doc["wavelength_nm"] * 1e-9),
+                trap=TrapModel(confinement=doc["confinement_nm"] * 1e-9),
+                detector1=patches[0],
+                detector2=patches[1],
+                repetition_rate=doc["repetition_rate_mhz"] * 1e6,
+                detector_efficiency=doc["detector_efficiency"],
+                dark_count_rate=doc["dark_count_rate_hz"],
+                coincidence_window=doc["coincidence_window_ns"] * 1e-9,
+            )
 
     def quadrature_spec(self):
         return QuadratureSpec(**self.document["quadrature"])

@@ -132,6 +132,7 @@ def matrix_route(total_weight, coherence, stat, phase_part, target):
     trace and runs the density-matrix checks, the Wootters concurrence
     and the fidelity with the normalized ``target``.
     """
+    stat, phase_part = np.asarray(stat), np.asarray(phase_part)
     rho_raw = (total_weight * (np.outer(stat, stat.conj())
                                + np.outer(phase_part, phase_part.conj()))
                + coherence * np.outer(phase_part, stat.conj())

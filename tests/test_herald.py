@@ -359,6 +359,25 @@ class TestGeneratedStateFinitePatches:
         assert abs(weight - oracle_weight) <= 1e-12 * oracle_weight
         assert abs(coherence - oracle_coherence) <= 1e-12 * abs(oracle_coherence)
 
+    def test_wide_scan_memory_is_bounded(self):
+        # 16 x 16 nodes per patch make a 512 KB pair matrix per geometry, so
+        # 201 delta21 geometries would hold 103 MB at once; groups of 16
+        # geometries keep the pair block within 8 MB
+        config = reference_config()
+        quad = QuadratureSpec(points_theta=16, points_chi=16)
+        grid = np.linspace(-np.pi, np.pi, 201)
+        tracemalloc.start()
+        try:
+            result = delta_c_scan(config, quad, grid, [0.0, 0.5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        # rows from different groups match a scan whose geometries share one
+        sparse = delta_c_scan(config, quad, grid[::50], [0.0, 0.5])
+        assert sparse.points[::2] == result.points[::100]
+        assert sparse.points[1::2] == result.points[1::100]
+
     def test_moments_are_invariant_under_a_common_rotation(self):
         # the pair axis is a gauge: turning the separation and every node
         # direction together keeps (W, M), while the oracle's trap grid
@@ -646,8 +665,10 @@ class TestScan:
 
     def test_rejects_bad_grids(self):
         config = reference_config()
-        with pytest.raises(InvalidInputError):
-            delta_c_scan(config, FAST_QUAD, [], [0.5])
+        for delta21_values, v12_values in (([], [0.5]), ([[0.0, 0.1]], [0.5]),
+                                           ([0.0], [[0.5]])):
+            with pytest.raises(InvalidInputError, match="nonempty and one-dimensional"):
+                delta_c_scan(config, FAST_QUAD, delta21_values, v12_values)
         with pytest.raises(InvalidInputError):
             delta_c_scan(config, FAST_QUAD, [0.0], [1.5])
         with pytest.raises(InvalidInputError, match="out of reach"):
@@ -710,11 +731,12 @@ class TestScan:
         assert np.array_equal(weights, fresh_weights)
 
     def test_scan_traffic(self, monkeypatch):
-        # one (W, M) pass per delta21 geometry, and no node rule recomputed
-        # once the cache holds it, and no analyzer vectors at all (the scan
-        # works from V alone): per-row or per-geometry recomputation would
-        # show here first
-        counts = {"moments": 0, "leggauss": 0, "vectors": 0}
+        # one (W, M) pass and one node build per detector for the whole
+        # grid, no scalar longitude solve, no node rule recomputed once the
+        # cache holds it, and no analyzer vectors at all (the scan works
+        # from V alone): per-row or per-geometry recomputation would show
+        # here first
+        counts = {"moments": 0, "nodes": 0, "longitudes": 0, "leggauss": 0, "vectors": 0}
 
         def counting(name, func):
             def wrapper(*args, **kwargs):
@@ -725,13 +747,19 @@ class TestScan:
         # delta_c_scan looks _phase_moments up in herald, where it is imported
         monkeypatch.setattr(herald, "_phase_moments",
                             counting("moments", geometry._phase_moments))
+        for module in (herald, geometry):
+            monkeypatch.setattr(module, "_patch_nodes",
+                                counting("nodes", geometry._patch_nodes))
+        monkeypatch.setattr(geometry, "theta_center_for_delta21",
+                            counting("longitudes", geometry.theta_center_for_delta21))
         monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                             counting("leggauss", np.polynomial.legendre.leggauss))
         for module in (herald, optics):
             monkeypatch.setattr(module, "_component_vectors",
                                 counting("vectors", _component_vectors))
         _baseline_scan()
-        assert counts["moments"] == 21 and counts["vectors"] == 0
-        counts.update(moments=0, leggauss=0)
+        assert counts["moments"] == 1 and counts["nodes"] == 2 and counts["vectors"] == 0
+        counts.update(moments=0, nodes=0, leggauss=0)
         _baseline_scan()
-        assert counts == {"moments": 21, "leggauss": 0, "vectors": 0}
+        assert counts == {"moments": 1, "nodes": 2, "longitudes": 0, "leggauss": 0,
+                          "vectors": 0}

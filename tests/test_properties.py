@@ -21,15 +21,18 @@ from heraldsim import (
     AtomPairLayout,
     DetectorPatch,
     ExperimentConfig,
+    InvalidInputError,
     Polarizer,
     QuadratureSpec,
     TrapModel,
     concurrence_mixed,
     farfield_phase,
     generated_state,
+    geometry,
     herald,
     heralded_state,
     polarizer_to_jones,
+    theta_center_for_delta21,
     visibility,
 )
 from heraldsim.optics import _component_vectors
@@ -173,3 +176,30 @@ def test_trap_motion_dephases_point_detectors(config, wider):
     for mu in (narrow, wide):
         m = _coherence_factor(dataclasses.replace(config, trap=TrapModel(mu)))
         assert abs(m) <= 1.0 + 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(configs, st.integers(1, 12), st.integers(1, 12),
+       st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8))
+def test_stacked_moments_match_one_geometry_at_a_time(config, points_theta, points_chi,
+                                                      deltas):
+    # the scan's one (W, M) pass over every delta21 geometry against the
+    # G = 1 pass of generated_state on each moved detector
+    quad = QuadratureSpec(points_theta=points_theta, points_chi=points_chi)
+    detector1, detector2 = config.detector1, config.detector2
+    try:
+        dirs2, w2, phases = geometry._moved_nodes(config.layout, detector1, detector2,
+                                                  quad, np.array(deltas))
+    except InvalidInputError:  # out of reach, or a moved patch leaves [0, pi]
+        assume(False)
+    weight, coherence = geometry._phase_moments(
+        config.layout, config.trap, *geometry._patch_nodes(detector1, quad), dirs2, w2)
+    assert coherence.shape == phases.shape == (len(deltas),)
+    for delta, stacked_coherence, phase in zip(deltas, coherence, phases):
+        moved = dataclasses.replace(detector2, theta_center=theta_center_for_delta21(
+            config.layout, detector1, detector2.chi_center, delta))
+        cell = dataclasses.replace(config, detector2=moved)
+        one_weight, one_coherence = patch_moments(cell, quad)
+        assert one_weight == weight
+        assert abs(stacked_coherence - one_coherence) <= 1e-15 * weight
+        assert phase == geometry._nominal_phase(config.layout, detector1, moved)

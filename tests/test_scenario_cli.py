@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from heraldsim import (
     Polarizer,
+    Scenario,
     ScenarioError,
     ZeroProbabilityHeraldError,
     concurrence_analytic,
@@ -202,6 +204,27 @@ class TestScenarioFiles:
         assert "error:" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("detector1", "theta_center_rad"), 5.0,
+         r"scenario\.detector1: theta_center must lie strictly inside"),
+        (("detector2", "polarizer"), {"kind": "general", "eps_plus": [0.0, 0.0],
+                                      "eps_minus": [0.0, 0.0]},
+         r"scenario\.detector2\.polarizer: general analyzer must be nonzero"),
+        (("separation_um",), -5.0, r"scenario: separation must be positive"),
+    ], ids=["theta-center", "zero-analyzer", "separation"])
+    def test_range_errors_name_their_section(self, tmp_path, capsys, path, value, message):
+        # the physics objects hold the range checks; the scenario names the section
+        doc = small_scenario_dict()
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ScenarioError, match="^" + message):
+            Scenario(doc).experiment()
+        assert main(["uncertainty", "--config", write_scenario(tmp_path, doc)]) == 2
+        assert re.search("^error: " + message, capsys.readouterr().err)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -380,6 +403,13 @@ class TestStateCommand:
         # a value that is no number breaks optics' number rule, reported with its path
         with pytest.raises(ScenarioError, match=r"^--polarizer1\.angle_rad must be a finite"):
             polarizer_from_values("linear", ["x"], "--polarizer1")
+
+    def test_zero_general_analyzer_names_its_flag(self, capsys):
+        rc = main(["state", "--polarizer1", "general:0,0,0,0", "--polarizer2", "linear:0",
+                   "--delta21", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --polarizer1: general analyzer must be nonzero")
 
     def test_destructive_configuration_exit_3(self, capsys):
         rc = main(
