@@ -18,6 +18,7 @@ from .errors import (
 from .geometry import (
     AtomPairLayout,
     DetectorPatch,
+    QuadratureSpec,
     TrapModel,
     detection_direction,
     farfield_phase,
@@ -26,7 +27,6 @@ from .geometry import (
 from .herald import (
     CountRates,
     ExperimentConfig,
-    QuadratureSpec,
     ScanPoint,
     ScanResult,
     UncertaintyReport,

@@ -13,7 +13,6 @@ herald, 4 numerical failure.
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import math
 import sys
@@ -25,7 +24,7 @@ from .errors import (
     NumericalFailureError,
     ZeroProbabilityHeraldError,
 )
-from .geometry import _nominal_phase
+from .geometry import _longitudes
 from .herald import (
     accidental_fraction,
     count_rate,
@@ -111,7 +110,7 @@ def cmd_state(args):
         config = scenario.experiment()
         pol1 = config.detector1.polarizer
         pol2 = config.detector2.polarizer
-        delta = _nominal_phase(config.layout, config.detector1, config.detector2)
+        delta = float(_longitudes(config.layout, config.detector1, config.detector2)[1][0])
     else:
         pol1 = pol2 = None
         delta = None
@@ -200,16 +199,13 @@ def cmd_malus(args):
     alphas = _grid(0.0, half_pi, args.points, "alpha")
     reference = Polarizer.linear(0.0).jones
     with _output(args.out) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["alpha_rad", "v12", "concurrence", "sin2_alpha", "difference"])
+        handle.write("alpha_rad,v12,concurrence,sin2_alpha,difference\n")
         for alpha in alphas:
             v12 = visibility(reference, Polarizer.linear(alpha).jones)
             value = concurrence_analytic(args.delta21, v12)
             malus = math.sin(alpha) ** 2
-            writer.writerow(
-                [_fmt(alpha), _fmt(v12), _fmt(value), _fmt(malus),
-                 _fmt(abs(value - malus))]
-            )
+            handle.write(",".join(map(_fmt, (alpha, v12, value, malus, abs(value - malus))))
+                         + "\n")
     return 0
 
 

@@ -15,23 +15,27 @@ dchi``.  A photon reaching direction ``e`` from emitter B instead of
 emitter A is retarded by ``k * (R_B - R_A) . e``; for the unperturbed
 pair this is ``k * d * cos(theta) * cos(chi)``.  Patches and trap reach
 the heralded state only through the weight W and the phase moment
-M = sum w exp(-1j delta21) of this phase, m = M / W: ``_patch_nodes``
-and ``_phase_moments`` give them by quadrature, with the trap averaged
-in closed form, and ``_sampled_moments`` by sampling both.
+M = sum w exp(-1j delta21) of this phase, m = M / W.  Two routes hand
+out ``(W, M, delta21)``, with delta21 the nominal phase between the
+patch centers: ``_quadrature_moments`` by quadrature, with the trap
+averaged in closed form, for the configured geometry or for detector 2
+moved to a whole array of phases at once, and ``_sampled_moments`` by
+sampling patches and trap.  The patch nodes never leave this module.
 """
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .optics import Polarizer, _finite_real, _real_array
+from .optics import Polarizer, _count, _finite_real, _real_array
 
 __all__ = [
     "AtomPairLayout",
     "DetectorPatch",
+    "QuadratureSpec",
     "TrapModel",
     "detection_direction",
     "farfield_phase",
@@ -68,13 +72,6 @@ class AtomPairLayout:
         return 2.0 * np.pi / self.wavelength
 
 
-def _latitude(chi_center):
-    chi_center = _finite_real(chi_center, "chi_center")
-    if not -np.pi / 2 < chi_center < np.pi / 2:
-        raise InvalidInputError("chi_center must lie strictly inside (-pi/2, pi/2)")
-    return chi_center
-
-
 @dataclass(frozen=True)
 class DetectorPatch:
     """Finite detector surface on the far-field sphere plus its analyzer.
@@ -97,7 +94,8 @@ class DetectorPatch:
         if not (_finite_real(self.span_theta, "span_theta") >= 0.0
                 and _finite_real(self.span_chi, "span_chi") >= 0.0):
             raise InvalidInputError("patch spans must be nonnegative and finite")
-        _latitude(self.chi_center)
+        if not -np.pi / 2 < _finite_real(self.chi_center, "chi_center") < np.pi / 2:
+            raise InvalidInputError("chi_center must lie strictly inside (-pi/2, pi/2)")
 
 
 @dataclass(frozen=True)
@@ -115,18 +113,17 @@ class TrapModel:
             raise InvalidInputError("confinement must be nonnegative and finite")
 
 
-def _check_patch_extent(patch, theta_centers=None):
+def _check_patch_extent(patch, theta_centers):
     """Raise ``InvalidInputError`` unless a patch can be averaged over.
 
     Construction bounds only the center, so a wide patch still gives a
     detection probability; an average needs every edge inside theta in
-    [0, pi] and a positive cos(chi) weight.  ``theta_centers``, an
-    array, moves the patch to each of these longitudes.
+    [0, pi] and a positive cos(chi) weight.  The patch is checked at
+    each longitude of the array ``theta_centers``.
     """
-    lowest, highest = ((patch.theta_center,) * 2 if theta_centers is None
-                       else (theta_centers.min(), theta_centers.max()))
     half_theta = 0.5 * patch.span_theta
-    if lowest - half_theta < 0.0 or highest + half_theta > np.pi:
+    centers = theta_centers.tolist()  # Python min and max: no numpy reduction per call
+    if min(centers) - half_theta < 0.0 or max(centers) + half_theta > np.pi:
         raise InvalidInputError("detector patch leaves the valid theta range [0, pi]")
     if not abs(patch.chi_center) + 0.5 * patch.span_chi < np.pi / 2:
         raise InvalidInputError("detector patch leaves the valid chi range (-pi/2, pi/2)")
@@ -168,36 +165,40 @@ def farfield_phase(layout, theta, chi=0.0):
     near the equator with a wide latitude opening.  Angles that are not
     finite integers or floats raise ``InvalidInputError``.
     """
-    theta, chi = _finite_angles(theta, chi)
+    return _phase(layout, *_finite_angles(theta, chi))
+
+
+def _phase(layout, theta, chi):
+    """Unchecked k d cos(theta) cos(chi) for float angles that broadcast."""
     return layout.wavenumber * layout.separation * np.cos(theta) * np.cos(chi)
 
 
-def _nominal_phase(layout, detector1, detector2):
-    """Relative far-field phase delta21 between the two patch centers."""
-    return float(farfield_phase(layout, detector2.theta_center, detector2.chi_center)
-                 - farfield_phase(layout, detector1.theta_center, detector1.chi_center))
+def _longitudes(layout, patch1, patch2, delta21=None):
+    """Detector-2 longitudes, shape (G,), and the nominal phases delta21 they realize.
 
-
-def _longitudes(layout, reference_patch, chi_center, delta21):
-    """Detector-2 longitudes realizing each relative phase of the array ``delta21``.
-
-    Solves ``k d cos(theta) cos(chi_center) = phase(reference) + delta21``
-    for theta, elementwise.
+    With no ``delta21`` this is the longitude of ``patch2`` itself, G = 1.
+    An array of G relative phases moves ``patch2`` along its latitude
+    chi2: each longitude solves
+    ``k d cos(theta) cos(chi2) = phase(patch1) + delta21``.
     """
-    if not np.isfinite(delta21).all():
-        bad = delta21[~np.isfinite(delta21)][0].item()
-        raise InvalidInputError(f"delta21 must be a finite real number, got {bad!r}")
-    chi_center = _latitude(chi_center)
-    reference_phase = farfield_phase(layout, reference_patch.theta_center,
-                                     reference_patch.chi_center)
-    scale = layout.wavenumber * layout.separation * np.cos(chi_center)
-    cos_theta = (reference_phase + delta21) / scale
-    if not (reach := np.abs(cos_theta)).max() <= 1.0:
-        first = np.argmax(~(reach <= 1.0))
-        raise InvalidInputError(
-            f"delta21 = {delta21[first]:.6g} is out of reach: needs |cos theta| = "
-            f"{reach[first]:.6g} > 1 at this separation")
-    return np.arccos(cos_theta)
+    # the patches checked their angles when they were built
+    reference = _phase(layout, float(patch1.theta_center), float(patch1.chi_center))
+    chi2 = float(patch2.chi_center)
+    if delta21 is None:
+        theta2 = np.array([float(patch2.theta_center)])
+    else:
+        if not np.isfinite(delta21).all():
+            bad = delta21[~np.isfinite(delta21)][0].item()
+            raise InvalidInputError(f"delta21 must be a finite real number, got {bad!r}")
+        scale = layout.wavenumber * layout.separation * np.cos(chi2)
+        cos_theta = (reference + delta21) / scale
+        if not (reach := np.abs(cos_theta)).max() <= 1.0:
+            first = np.argmax(~(reach <= 1.0))
+            raise InvalidInputError(
+                f"delta21 = {delta21[first]:.6g} is out of reach: needs |cos theta| = "
+                f"{reach[first]:.6g} > 1 at this separation")
+        theta2 = np.arccos(cos_theta)
+    return theta2, _phase(layout, theta2, chi2) - reference
 
 
 def theta_center_for_delta21(layout, reference_patch, chi_center, delta21):
@@ -215,7 +216,34 @@ def theta_center_for_delta21(layout, reference_patch, chi_center, delta21):
         phase (|cos theta| > 1).
     """
     delta21 = np.array([_finite_real(delta21, "delta21")])
-    return float(_longitudes(layout, reference_patch, chi_center, delta21)[0])
+    # only the latitude of detector 2 enters the solve
+    detector2 = replace(reference_patch, chi_center=chi_center)
+    return float(_longitudes(layout, reference_patch, detector2, delta21)[0][0])
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """Gauss-Legendre node counts per detector patch axis.
+
+    The trap average is exact and takes no nodes.  ``points_trap`` is
+    still accepted and validated because the benchmark's design sweep
+    (``perfbench/workloads.py``) passes it, but nothing reads it and
+    ``doubled`` leaves it as it is.
+    """
+
+    points_theta: int = 8
+    points_chi: int = 8
+    points_trap: int = 8
+
+    def __post_init__(self):
+        for name in ("points_theta", "points_chi", "points_trap"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
+
+    def doubled(self):
+        """Same spec with the patch node counts doubled (convergence checks)."""
+        return replace(
+            self, points_theta=2 * self.points_theta, points_chi=2 * self.points_chi
+        )
 
 
 @functools.lru_cache(maxsize=32)
@@ -239,36 +267,21 @@ def _interval_rule(center, width, count):
     return center + 0.5 * width * ref_nodes, 0.5 * width * ref_weights
 
 
-def _patch_nodes(patch, quad, theta_centers=None):
+def _patch_nodes(patch, quad, theta_centers):
     """Directions (theta-major) and measure weights (incl. cos chi) covering a patch.
 
-    ``theta_centers``, an array of G longitudes, moves the patch to each
-    of them: the directions then have shape (G, n, 3), while the
-    weights, which do not depend on the longitude, keep shape (n,).
+    The patch is moved to each of the G longitudes of the array
+    ``theta_centers``: the directions have shape (G, n, 3), while the
+    weights, which do not depend on the longitude, have shape (n,).
     """
     _check_patch_extent(patch, theta_centers)  # bounds every node angle: no per-node checks
     # offsets around 0 added to the centers give the nodes of a rule around
     # each center bit for bit, since 0 + x is x
     offsets, w_theta = _interval_rule(0.0, patch.span_theta, quad.points_theta)
-    theta = (patch.theta_center if theta_centers is None else theta_centers[:, None]) + offsets
     chi, w_chi = _interval_rule(patch.chi_center, patch.span_chi, quad.points_chi)
-    dirs, cos_chi = _directions(theta[..., None], chi)
-    return (dirs.reshape(*theta.shape[:-1], -1, 3),
+    dirs, cos_chi = _directions((theta_centers[:, None] + offsets)[..., None], chi)
+    return (dirs.reshape(len(theta_centers), -1, 3),
             np.multiply.outer(w_theta, w_chi * cos_chi).ravel())
-
-
-def _moved_nodes(layout, patch1, patch2, quad, delta21):
-    """Nodes of ``patch2`` moved in longitude to each relative phase of ``delta21``.
-
-    Returns the directions, shape (G, n2, 3) for G phases, the weights
-    and the realized nominal phases, ``_nominal_phase`` of each moved
-    patch.
-    """
-    theta2 = _longitudes(layout, patch1, patch2.chi_center, delta21)
-    dirs2, w2 = _patch_nodes(patch2, quad, theta2)
-    phases = (farfield_phase(layout, theta2, patch2.chi_center)
-              - farfield_phase(layout, patch1.theta_center, patch1.chi_center))
-    return dirs2, w2, phases
 
 
 def _phase_moments(layout, trap, dirs1, w1, dirs2, w2):
@@ -279,27 +292,26 @@ def _phase_moments(layout, trap, dirs1, w1, dirs2, w2):
     sigma = sqrt(2) * confinement.  Averaging over du gives each pair
     the factor exp(-(k sigma)**2 |e1 - e2|**2 / 2), with
     |e1 - e2|**2 = 2 (1 - e1 . e2) for unit directions, so M is one
-    weighted sum over the pairs of patch nodes.  ``dirs2`` may carry
-    leading geometry axes, (..., n2, 3) sharing the weights ``w2``;
-    M then has those axes, and a plain (n2, 3) gives one complex.
+    weighted sum over the pairs of patch nodes.  ``dirs1`` has shape
+    (n1, 3) and ``dirs2`` shape (G, n2, 3), G geometries of detector 2
+    sharing the weights ``w2``; M has shape (G,).
     """
     wavenumber = layout.wavenumber
     sigma = math.sqrt(2.0) * trap.confinement
     separation = layout.separation
     n1, n2 = len(w1), len(w2)
-    stacked = dirs2.reshape(-1, n2, 3)
     sum1 = w1 * np.exp(1j * wavenumber * (separation * dirs1[:, 0]))
     sum2 = w2 * np.exp(-1j * wavenumber * (separation * dirs2[..., 0]))
     # the pair matrix dominates memory: build it in blocks of at most
     # _PAIR_BLOCK_BYTES, whole geometries while they fit and row blocks of
     # one geometry when it alone does not, each in place, and take two real
     # products so that it is never cast to complex
-    geometries = min(len(stacked), max(1, _PAIR_BLOCK_BYTES // (8 * n1 * n2)))
+    geometries = min(len(dirs2), max(1, _PAIR_BLOCK_BYTES // (8 * n1 * n2)))
     rows = min(n1, max(1, _PAIR_BLOCK_BYTES // (8 * n2)))
     buffer = np.empty((geometries, rows, n2))  # whole geometries, or rows of one
-    vectors = np.empty((len(stacked), 1, n2), dtype=complex)
-    for first in range(0, len(stacked), geometries):
-        group = stacked[first:first + geometries].transpose(0, 2, 1)
+    vectors = np.empty((len(dirs2), 1, n2), dtype=complex)
+    for first in range(0, len(dirs2), geometries):
+        group = dirs2[first:first + geometries].transpose(0, 2, 1)
         real = imag = 0.0
         for start in range(0, n1, rows):
             block = slice(start, min(start + rows, n1))
@@ -312,15 +324,32 @@ def _phase_moments(layout, trap, dirs1, w1, dirs2, w2):
             imag += sum1.imag[block] @ decay
         vectors[first:first + geometries, 0] = real + 1j * imag
     # (G, 1, n2) @ (G, n2, 1): one dot product per geometry
-    coherence = (vectors @ sum2.reshape(-1, n2, 1)).reshape(dirs2.shape[:-2])
-    total_weight = float(w1.sum() * w2.sum())
-    return total_weight, complex(coherence) if dirs2.ndim == 2 else coherence
+    coherence = (vectors @ sum2[..., None])[:, 0, 0]
+    return float(w1.sum() * w2.sum()), coherence
+
+
+def _quadrature_moments(layout, trap, patch1, patch2, quad, delta21=None):
+    """(W, M, delta21) by patch quadrature, with the trap averaged in closed form.
+
+    With no ``delta21`` this is the configured geometry: M is one
+    complex and delta21 the nominal phase between the patch centers.
+    An array of G phases moves detector 2 in longitude to each of them
+    (``_longitudes``): M and the realized nominal phases then have shape
+    (G,), from one stacked pass with detector 1's nodes built once.
+    """
+    dirs1, w1 = _patch_nodes(patch1, quad, np.array([patch1.theta_center]))
+    theta2, phases = _longitudes(layout, patch1, patch2, delta21)
+    dirs2, w2 = _patch_nodes(patch2, quad, theta2)
+    total_weight, coherence = _phase_moments(layout, trap, dirs1[0], w1, dirs2, w2)
+    if delta21 is None:
+        return total_weight, complex(coherence[0]), float(phases[0])
+    return total_weight, coherence, phases
 
 
 def _sampled_moments(layout, trap, patch1, patch2, samples, rng):
-    """(W, M) from uniform patch draws weighted by cos chi and Gaussian trap draws."""
+    """(W, M, delta21) from uniform patch draws weighted by cos chi and Gaussian trap draws."""
     def draw(patch):
-        _check_patch_extent(patch)
+        _check_patch_extent(patch, np.array([patch.theta_center]))
         theta = patch.theta_center + patch.span_theta * (rng.random(samples) - 0.5)
         chi = patch.chi_center + patch.span_chi * (rng.random(samples) - 0.5)
         return _directions(theta, chi)
@@ -331,4 +360,5 @@ def _sampled_moments(layout, trap, patch1, patch2, samples, rng):
     phase = layout.wavenumber * (np.einsum("ij,ij->i", offset, dirs2)
                                  - np.einsum("ij,ij->i", offset, dirs1))
     weights = cos1 * cos2
-    return float(weights.sum()), complex(np.sum(weights * np.exp(-1j * phase)))
+    return (float(weights.sum()), complex(np.sum(weights * np.exp(-1j * phase))),
+            float(_longitudes(layout, patch1, patch2)[1][0]))

@@ -2,9 +2,11 @@
 
 Finite detector patches and trap motion reach the generated state
 only through the weight W and phase moment M, m = M / W, that
-``geometry`` computes.  The nominal herald is s + t exp(-1j delta21),
-and unit analyzers give |s| = |t| = 1 and <s|t> = V, so every reported
-figure is closed-form in (W, M, V, delta21):
+``geometry`` hands over with the nominal phase delta21 between the
+patch centers: one ``(W, M, delta21)`` call per route.  The nominal
+herald is s + t exp(-1j delta21), and unit analyzers give
+|s| = |t| = 1 and <s|t> = V, so every reported figure is closed-form
+in (W, M, V, delta21):
 
     C_gen = (1 - V) |m| / d,  C_target = (1 - V) / w0,  tr = 2 W d,
     F = (|a|**2 + Re(m exp(1j delta21) conj(a)**2)) / (2 w0 d),
@@ -13,14 +15,14 @@ with d = 1 + V Re m, w0 = 1 + V cos delta21 and a = 1 + V exp(1j delta21).
 ``generated_state`` also builds rho = R R^dag from its rank-2 factor R
 and checks its trace and the Wootters concurrence of R (one 2x2
 singular value problem) against the closed form; ``delta_c_scan``
-builds none, evaluating (W, M) for all its geometries in one stacked
-pass and its rows as one array expression.
+builds none, taking (W, M, delta21) for all its geometries from one
+stacked pass and its rows as one array expression.
 """
 
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,11 +30,9 @@ from .errors import InvalidInputError, NumericalFailureError, ZeroProbabilityHer
 from .geometry import (
     AtomPairLayout,
     DetectorPatch,
+    QuadratureSpec,
     TrapModel,
-    _moved_nodes,
-    _nominal_phase,
-    _patch_nodes,
-    _phase_moments,
+    _quadrature_moments,
     _sampled_moments,
 )
 from .optics import (
@@ -44,13 +44,11 @@ from .optics import (
     _real_array,
     g2,
     heralded_state,
-    polarizer_to_jones,
 )
 from .qcore import _SPIN_FLIP, EIGENVALUE_FLOOR, TRACE_ATOL
 
 __all__ = [
     "ExperimentConfig",
-    "QuadratureSpec",
     "CountRates",
     "UncertaintyReport",
     "ScanPoint",
@@ -93,31 +91,6 @@ class ExperimentConfig:
         for name in ("dark_count_rate", "coincidence_window"):
             if not _finite_real(getattr(self, name), name) >= 0.0:
                 raise InvalidInputError(f"{name} must be nonnegative and finite")
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Gauss-Legendre node counts per detector patch axis.
-
-    The trap average is exact and takes no nodes.  ``points_trap`` is
-    still accepted and validated because the benchmark's design sweep
-    (``perfbench/workloads.py``) passes it, but nothing reads it and
-    ``doubled`` leaves it as it is.
-    """
-
-    points_theta: int = 8
-    points_chi: int = 8
-    points_trap: int = 8
-
-    def __post_init__(self):
-        for name in ("points_theta", "points_chi", "points_trap"):
-            object.__setattr__(self, name, _count(getattr(self, name), name))
-
-    def doubled(self):
-        """Same spec with the patch node counts doubled (convergence checks)."""
-        return replace(
-            self, points_theta=2 * self.points_theta, points_chi=2 * self.points_chi
-        )
 
 
 @dataclass(frozen=True)
@@ -260,20 +233,16 @@ def _figures(total_weight, coherence, v12, delta21):
     return c_target, c_generated, fidelity, trace
 
 
-def _report(config, total_weight, coherence):
-    """Generated state from (W, M) next to the point-design target of ``config``."""
-    jones1 = polarizer_to_jones(config.detector1.polarizer)
-    jones2 = polarizer_to_jones(config.detector2.polarizer)
-    target = heralded_state(
-        jones1, jones2, _nominal_phase(config.layout, config.detector1, config.detector2)
-    )
+def _report(config, total_weight, coherence, delta21):
+    """Generated state from (W, M) next to the point-design target at phase ``delta21``."""
+    jones1, jones2 = config.detector1.polarizer.jones, config.detector2.polarizer.jones
+    target = heralded_state(jones1, jones2, delta21)
     c_target, c_generated, fidelity, trace = map(float, _figures(
         total_weight, coherence, target.v12, target.delta21))
     # s, t only build rho = R R^dag, R = [s t] L / sqrt(trace) with L the Cholesky
     # factor of [[W, M*], [M, W]]: its trace checks them against the closed form, and
     # its Wootters concurrence is l1 - l2 of the singular values of R^T (sy x sy) R
-    stat, phase_part = map(np.array, _component_vectors(
-        config.detector1.polarizer.jones, config.detector2.polarizer.jones))
+    stat, phase_part = map(np.array, _component_vectors(jones1, jones2))
     root = math.sqrt(total_weight)
     rest = math.sqrt(max(total_weight - abs(coherence) ** 2 / total_weight, 0.0))
     factor = np.array([root * stat + (coherence / root) * phase_part,
@@ -331,9 +300,8 @@ def generated_state(config, quadrature=QuadratureSpec()):
         or if the Wootters concurrence of its rank-2 factor misses the
         closed form by more than 1e-9.
     """
-    dirs1, w1 = _patch_nodes(config.detector1, quadrature)
-    dirs2, w2 = _patch_nodes(config.detector2, quadrature)
-    return _report(config, *_phase_moments(config.layout, config.trap, dirs1, w1, dirs2, w2))
+    return _report(config, *_quadrature_moments(
+        config.layout, config.trap, config.detector1, config.detector2, quadrature))
 
 
 def monte_carlo_state(config, samples, seed):
@@ -372,12 +340,10 @@ def delta_c_scan(config, quadrature, delta21_values, v12_values):
         raise InvalidInputError("scan grids must be nonempty and one-dimensional")
     if not (0.0 <= v12_values.min() and v12_values.max() <= 1.0):  # also catches nan
         raise InvalidInputError("v12 grid must lie in [0, 1]")
-    # the analyzers do not enter W and M: one average over all delta21
-    # geometries at once, with detector 1's nodes computed once
-    dirs1, w1 = _patch_nodes(config.detector1, quadrature)
-    dirs2, w2, phases = _moved_nodes(config.layout, config.detector1, config.detector2,
-                                     quadrature, delta21_values)
-    total_weight, coherence = _phase_moments(config.layout, config.trap, dirs1, w1, dirs2, w2)
+    # the analyzers do not enter W and M: one average over all delta21 geometries
+    total_weight, coherence, phases = _quadrature_moments(
+        config.layout, config.trap, config.detector1, config.detector2, quadrature,
+        delta21_values)
     c_target, c_generated, fidelity, _ = _figures(
         total_weight, coherence[:, None], v12_values, phases[:, None])
     delta_c = np.abs(c_generated - c_target)

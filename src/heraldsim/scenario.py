@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ScenarioError
-from .geometry import AtomPairLayout, DetectorPatch, TrapModel
-from .herald import ExperimentConfig, QuadratureSpec
+from .geometry import AtomPairLayout, DetectorPatch, QuadratureSpec, TrapModel
+from .herald import ExperimentConfig
 from .optics import Polarizer, _count, _finite_real
 
 __all__ = ["Scenario", "load_scenario", "save_scenario", "polarizer_from_values"]

@@ -12,8 +12,9 @@ from heraldsim import (
     TrapModel,
     ZeroProbabilityHeraldError,
     detection_direction,
+    farfield_phase,
 )
-from heraldsim.geometry import _patch_nodes, _phase_moments
+from heraldsim.geometry import _quadrature_moments
 from heraldsim.optics import MIN_HERALD_WEIGHT
 from heraldsim.qcore import (
     concurrence_mixed,
@@ -209,10 +210,17 @@ def _normal_nodes(sigma, count, midpoint, truncation):
 
 
 def patch_moments(config, quad):
-    """(W, M) as ``generated_state`` takes them: ``geometry`` quadrature on both patches."""
-    dirs1, w1 = _patch_nodes(config.detector1, quad)
-    dirs2, w2 = _patch_nodes(config.detector2, quad)
-    return _phase_moments(config.layout, config.trap, dirs1, w1, dirs2, w2)
+    """(W, M, delta21) as ``generated_state`` takes them: the G = 1 quadrature entry."""
+    return _quadrature_moments(config.layout, config.trap, config.detector1,
+                               config.detector2, quad)
+
+
+def nominal_phase(config):
+    """Relative far-field phase delta21 of the patch centers by the public ``farfield_phase``."""
+    return float(farfield_phase(config.layout, config.detector2.theta_center,
+                                config.detector2.chi_center)
+                 - farfield_phase(config.layout, config.detector1.theta_center,
+                                  config.detector1.chi_center))
 
 
 def grid_nodes(detector, points_theta, points_chi, midpoint=False):

@@ -36,6 +36,7 @@ from heraldsim.qcore import validate_density
 from helpers import (
     grid_nodes,
     matrix_route,
+    nominal_phase,
     patch_moments,
     point_detector_config,
     quadrature_moments,
@@ -53,7 +54,7 @@ SCENARIOS = (BASELINE, "scenarios/point_detectors.json")
 def _oracle_report(config, points_patch, points_trap, **rule):
     """Report assembled from the brute-force node sums of ``quadrature_moments``."""
     moments = quadrature_moments(config, points_patch, points_trap, **rule)
-    return herald._report(config, *moments)
+    return herald._report(config, *moments, nominal_phase(config))
 
 
 def _baseline_scan():
@@ -354,7 +355,7 @@ class TestGeneratedStateFinitePatches:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
-        weight, coherence = patch_moments(config, quad)
+        weight, coherence, _ = patch_moments(config, quad)
         oracle_weight, oracle_coherence = quadrature_moments(config, 64, 6)
         assert abs(weight - oracle_weight) <= 1e-12 * oracle_weight
         assert abs(coherence - oracle_coherence) <= 1e-12 * abs(oracle_coherence)
@@ -383,7 +384,7 @@ class TestGeneratedStateFinitePatches:
         # direction together keeps (W, M), while the oracle's trap grid
         # stays lab-aligned, so this also checks the trap isotropy
         config = _with_delta21(reference_config(confinement=30e-9), np.pi / 2)
-        weight, coherence = patch_moments(
+        weight, coherence, _ = patch_moments(
             config, QuadratureSpec(points_theta=6, points_chi=6))
         q, r = np.linalg.qr(np.random.default_rng(29).standard_normal((3, 3)))
         rotation = q * np.sign(np.diag(r))
@@ -458,7 +459,8 @@ class TestGeneratedStateFinitePatches:
         with pytest.raises(InvalidInputError, match="leaves the valid"):
             generated_state(config, one_node)
         with pytest.raises(InvalidInputError, match="leaves the valid"):
-            geometry._patch_nodes(config.detector2, one_node)
+            geometry._patch_nodes(config.detector2, one_node,
+                                  np.array([config.detector2.theta_center]))
 
     def test_error_grows_with_confinement(self):
         # at quarter-period phase the coherence decay is first order,
@@ -490,8 +492,9 @@ def _scenario_report(path):
     """(config, W, M, report) of a scenario at its own quadrature."""
     scenario = load_scenario(path)
     config = scenario.experiment()
-    total_weight, coherence = patch_moments(config, scenario.quadrature_spec())
-    return config, total_weight, coherence, herald._report(config, total_weight, coherence)
+    total_weight, coherence, delta21 = patch_moments(config, scenario.quadrature_spec())
+    return (config, total_weight, coherence,
+            herald._report(config, total_weight, coherence, delta21))
 
 
 def _drift_concurrence(c_target, c_generated, fidelity, trace):
@@ -600,7 +603,8 @@ class TestPatchNodes:
     ], ids=["baseline", "off-equator", "point", "one-node", "thirteen-nodes", "one-by-13"])
     def test_nodes_match_the_meshgrid_route(self, patch, quad):
         detector = reference_patch(Polarizer.linear(0.0), **patch)
-        dirs, weights = geometry._patch_nodes(detector, quad)
+        (dirs,), weights = geometry._patch_nodes(detector, quad,
+                                                 np.array([detector.theta_center]))
         expected_dirs, expected_weights = grid_nodes(
             detector, quad.points_theta, quad.points_chi)
         assert dirs.shape == expected_dirs.shape and weights.shape == expected_weights.shape
@@ -682,6 +686,16 @@ class TestScan:
         with pytest.raises(InvalidInputError, match=r"v12 grid must lie in \[0, 1\]"):
             delta_c_scan(config, FAST_QUAD, [0.0], [0.5, np.nan])
 
+    @pytest.mark.parametrize("edge", [48.3321705, -48.3321705], ids=["past-0", "past-pi"])
+    def test_last_geometry_past_the_pole_raises(self, edge):
+        # +-k d cos(0.001): the last phase moves detector 2 to theta = 0.001
+        # or pi - 0.001, inside the sphere, but its 5 mrad wide patch crosses
+        # the pole; every moved geometry is checked, not only the first
+        config = reference_config()
+        delta_c_scan(config, FAST_QUAD, [0.0], [0.5])
+        with pytest.raises(InvalidInputError, match="leaves the valid theta range"):
+            delta_c_scan(config, FAST_QUAD, [0.0, edge], [0.5])
+
     def test_rows_match_generated_state_of_each_cell(self):
         # the scan averages each geometry once and swaps only the analyzer;
         # every row must equal the full pipeline run on that cell's config
@@ -703,11 +717,10 @@ class TestScan:
             cell = _scan_cell(config, point.delta21, point.v12)
             jones1 = polarizer_to_jones(cell.detector1.polarizer)
             jones2 = polarizer_to_jones(cell.detector2.polarizer)
-            target = heralded_state(jones1, jones2, geometry._nominal_phase(
-                cell.layout, cell.detector1, cell.detector2))
+            weight, coherence, delta21 = patch_moments(cell, quad)
+            target = heralded_state(jones1, jones2, delta21)
             c_target, c_generated, fidelity, _ = matrix_route(
-                *patch_moments(cell, quad), *_component_vectors(jones1, jones2),
-                target.state)
+                weight, coherence, *_component_vectors(jones1, jones2), target.state)
             assert abs(point.concurrence_generated - c_generated) < 1e-12
             assert abs(point.concurrence_target - c_target) < 1e-12
             assert abs(point.fidelity - fidelity) < 1e-12
@@ -736,7 +749,8 @@ class TestScan:
         # cache holds it, and no analyzer vectors at all (the scan works
         # from V alone): per-row or per-geometry recomputation would show
         # here first
-        counts = {"moments": 0, "nodes": 0, "longitudes": 0, "leggauss": 0, "vectors": 0}
+        counts = {"entry": 0, "moments": 0, "nodes": 0, "longitudes": 0, "leggauss": 0,
+                  "vectors": 0}
 
         def counting(name, func):
             def wrapper(*args, **kwargs):
@@ -744,12 +758,13 @@ class TestScan:
                 return func(*args, **kwargs)
             return wrapper
 
-        # delta_c_scan looks _phase_moments up in herald, where it is imported
-        monkeypatch.setattr(herald, "_phase_moments",
+        # delta_c_scan looks the entry up in herald, where it is imported
+        monkeypatch.setattr(herald, "_quadrature_moments",
+                            counting("entry", geometry._quadrature_moments))
+        monkeypatch.setattr(geometry, "_phase_moments",
                             counting("moments", geometry._phase_moments))
-        for module in (herald, geometry):
-            monkeypatch.setattr(module, "_patch_nodes",
-                                counting("nodes", geometry._patch_nodes))
+        monkeypatch.setattr(geometry, "_patch_nodes",
+                            counting("nodes", geometry._patch_nodes))
         monkeypatch.setattr(geometry, "theta_center_for_delta21",
                             counting("longitudes", geometry.theta_center_for_delta21))
         monkeypatch.setattr(np.polynomial.legendre, "leggauss",
@@ -758,8 +773,9 @@ class TestScan:
             monkeypatch.setattr(module, "_component_vectors",
                                 counting("vectors", _component_vectors))
         _baseline_scan()
-        assert counts["moments"] == 1 and counts["nodes"] == 2 and counts["vectors"] == 0
-        counts.update(moments=0, nodes=0, leggauss=0)
+        assert counts["entry"] == counts["moments"] == 1
+        assert counts["nodes"] == 2 and counts["vectors"] == 0
+        counts.update(entry=0, moments=0, nodes=0, leggauss=0)
         _baseline_scan()
-        assert counts == {"moments": 1, "nodes": 2, "longitudes": 0, "leggauss": 0,
-                          "vectors": 0}
+        assert counts == {"entry": 1, "moments": 1, "nodes": 2, "longitudes": 0,
+                          "leggauss": 0, "vectors": 0}

@@ -5,10 +5,12 @@ check needs nothing beyond the standard library.  ``__init__.py`` is
 left out: its imports are the package's re-exports.  Every ``__all__``
 entry must be bound in its module, and the package ``__all__`` must
 list exactly the public names ``__init__.py`` imports.  The geometry
-(directions, phases, the trap spread) stays behind ``geometry.py``:
-``herald.py`` reads no layout or trap number and calls no direction or
-phase function.  The number and count rules stay in ``optics.py``: no
-other module makes an ``isinstance(..., bool)`` test, the mark of one.
+(directions, phases, the trap spread, the patch nodes) stays behind
+``geometry.py``: ``herald.py`` reads no layout or trap number, calls no
+direction, phase or node function, and imports from ``geometry`` only
+the model dataclasses and the two ``(W, M, delta21)`` routes.  The
+number and count rules stay in ``optics.py``: no other module makes an
+``isinstance(..., bool)`` test, the mark of one.
 """
 
 import ast
@@ -87,10 +89,14 @@ def test_package_exports_exactly_its_imports():
 
 
 #: what only ``geometry.py`` may read or call: the layout and trap numbers,
-#: the patch-extent check and the direction and phase arithmetic
+#: the patch-extent check, the patch nodes and the direction and phase arithmetic
 GEOMETRY_ATTRIBUTES = {"separation", "wavenumber", "confinement"}
 GEOMETRY_CALLS = {"_check_patch_extent", "detection_direction", "farfield_phase",
+                  "_phase", "_patch_nodes", "_phase_moments", "_longitudes", "_nominal_phase",
                   "np.cos", "np.sin"}
+#: all that ``herald.py`` may import from ``geometry``
+GEOMETRY_INTERFACE = {"AtomPairLayout", "DetectorPatch", "QuadratureSpec", "TrapModel",
+                      "_quadrature_moments", "_sampled_moments"}
 
 
 def geometry_used(source):
@@ -101,17 +107,29 @@ def geometry_used(source):
     return sorted((read & GEOMETRY_ATTRIBUTES) | (called & GEOMETRY_CALLS))
 
 
+def geometry_imports(source):
+    """Names imported from the ``geometry`` module in ``source``."""
+    return sorted(alias.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.module is not None
+                  and node.module.rpartition(".")[2] == "geometry"
+                  for alias in node.names)
+
+
 def test_the_layering_check_sees_geometry():
     source = (
         "x = layout.separation * np.cos(theta)\nnp.sin\nsigma = trap.confinement\n"
-        "_check_patch_extent(patch)\nlayout.wavelength\n"
+        "_check_patch_extent(patch)\nlayout.wavelength\ndirs, w = _patch_nodes(p, q, t)\n"
+        "from .geometry import TrapModel, _phase_moments\nfrom .optics import g2\n"
     )
-    assert geometry_used(source) == ["_check_patch_extent", "confinement", "np.cos",
-                                     "separation"]
+    assert geometry_used(source) == ["_check_patch_extent", "_patch_nodes", "confinement",
+                                     "np.cos", "separation"]
+    assert geometry_imports(source) == ["TrapModel", "_phase_moments"]
 
 
 def test_herald_leaves_the_geometry_to_geometry():
-    assert geometry_used((PACKAGE / "herald.py").read_text(encoding="utf-8")) == []
+    source = (PACKAGE / "herald.py").read_text(encoding="utf-8")
+    assert geometry_used(source) == []
+    assert set(geometry_imports(source)) <= GEOMETRY_INTERFACE
 
 
 def bool_tests(source):

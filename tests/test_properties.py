@@ -26,7 +26,6 @@ from heraldsim import (
     QuadratureSpec,
     TrapModel,
     concurrence_mixed,
-    farfield_phase,
     generated_state,
     geometry,
     herald,
@@ -37,7 +36,7 @@ from heraldsim import (
 )
 from heraldsim.optics import _component_vectors
 
-from helpers import matrix_route, patch_moments
+from helpers import matrix_route, nominal_phase, patch_moments
 
 QUAD = QuadratureSpec(points_theta=6, points_chi=6)
 #: draws whose nominal herald weight 1 + V cos(delta21) falls below this
@@ -70,7 +69,7 @@ configs = st.builds(
 
 
 def _coherence_factor(config):
-    weight, coherence = patch_moments(config, QUAD)
+    weight, coherence, _ = patch_moments(config, QUAD)
     return coherence / weight
 
 
@@ -81,10 +80,7 @@ def _visibility(config):
 
 def _heralding_delta21(config):
     """Nominal phase of ``config``, skipping draws near the zero-probability herald."""
-    delta21 = (farfield_phase(config.layout, config.detector2.theta_center,
-                              config.detector2.chi_center)
-               - farfield_phase(config.layout, config.detector1.theta_center,
-                                config.detector1.chi_center))
+    delta21 = nominal_phase(config)
     assume(1.0 + _visibility(config) * np.cos(delta21) >= MIN_HERALD_WEIGHT)
     return delta21
 
@@ -108,7 +104,7 @@ def test_concurrence_has_the_coherence_factor_closed_form(config):
 @given(configs)
 def test_closed_form_figures_match_the_matrix_route(config):
     delta21 = _heralding_delta21(config)
-    weight, coherence = patch_moments(config, QUAD)
+    weight, coherence, _ = patch_moments(config, QUAD)
     jones1 = polarizer_to_jones(config.detector1.polarizer)
     jones2 = polarizer_to_jones(config.detector2.polarizer)
     target = heralded_state(jones1, jones2, delta21)
@@ -188,18 +184,16 @@ def test_stacked_moments_match_one_geometry_at_a_time(config, points_theta, poin
     quad = QuadratureSpec(points_theta=points_theta, points_chi=points_chi)
     detector1, detector2 = config.detector1, config.detector2
     try:
-        dirs2, w2, phases = geometry._moved_nodes(config.layout, detector1, detector2,
-                                                  quad, np.array(deltas))
+        weight, coherence, phases = geometry._quadrature_moments(
+            config.layout, config.trap, detector1, detector2, quad, np.array(deltas))
     except InvalidInputError:  # out of reach, or a moved patch leaves [0, pi]
         assume(False)
-    weight, coherence = geometry._phase_moments(
-        config.layout, config.trap, *geometry._patch_nodes(detector1, quad), dirs2, w2)
     assert coherence.shape == phases.shape == (len(deltas),)
     for delta, stacked_coherence, phase in zip(deltas, coherence, phases):
         moved = dataclasses.replace(detector2, theta_center=theta_center_for_delta21(
             config.layout, detector1, detector2.chi_center, delta))
         cell = dataclasses.replace(config, detector2=moved)
-        one_weight, one_coherence = patch_moments(cell, quad)
+        one_weight, one_coherence, one_phase = patch_moments(cell, quad)
         assert one_weight == weight
         assert abs(stacked_coherence - one_coherence) <= 1e-15 * weight
-        assert phase == geometry._nominal_phase(config.layout, detector1, moved)
+        assert phase == one_phase
