@@ -42,7 +42,7 @@ __all__ = [
     "theta_center_for_delta21",
 ]
 
-#: largest real (n1, n2) block of patch-node pairs ``_phase_moments`` holds
+#: largest real block of node-pair columns ``_phase_moments`` holds at once
 _PAIR_BLOCK_BYTES = 8 * 2**20
 
 
@@ -294,7 +294,8 @@ def _phase_moments(layout, trap, dirs1, w1, dirs2, w2):
     |e1 - e2|**2 = 2 (1 - e1 . e2) for unit directions, so M is one
     weighted sum over the pairs of patch nodes.  ``dirs1`` has shape
     (n1, 3) and ``dirs2`` shape (G, n2, 3), G geometries of detector 2
-    sharing the weights ``w2``; M has shape (G,).
+    sharing the weights ``w2``; M has shape (G,).  Their G * n2 nodes
+    are the columns of one real (n1, G * n2) pair matrix.
     """
     wavenumber = layout.wavenumber
     sigma = math.sqrt(2.0) * trap.confinement
@@ -302,29 +303,26 @@ def _phase_moments(layout, trap, dirs1, w1, dirs2, w2):
     n1, n2 = len(w1), len(w2)
     sum1 = w1 * np.exp(1j * wavenumber * (separation * dirs1[:, 0]))
     sum2 = w2 * np.exp(-1j * wavenumber * (separation * dirs2[..., 0]))
-    # the pair matrix dominates memory: build it in blocks of at most
-    # _PAIR_BLOCK_BYTES, whole geometries while they fit and row blocks of
-    # one geometry when it alone does not, each in place, and take two real
-    # products so that it is never cast to complex
-    geometries = min(len(dirs2), max(1, _PAIR_BLOCK_BYTES // (8 * n1 * n2)))
-    rows = min(n1, max(1, _PAIR_BLOCK_BYTES // (8 * n2)))
-    buffer = np.empty((geometries, rows, n2))  # whole geometries, or rows of one
-    vectors = np.empty((len(dirs2), 1, n2), dtype=complex)
-    for first in range(0, len(dirs2), geometries):
-        group = dirs2[first:first + geometries].transpose(0, 2, 1)
-        real = imag = 0.0
-        for start in range(0, n1, rows):
-            block = slice(start, min(start + rows, n1))
-            decay = np.matmul(dirs1[block], group,
-                              out=buffer[: len(group), : block.stop - start])
-            decay -= 1.0
-            decay *= (wavenumber * sigma) ** 2
-            np.exp(decay, out=decay)
-            real += sum1.real[block] @ decay
-            imag += sum1.imag[block] @ decay
-        vectors[first:first + geometries, 0] = real + 1j * imag
+    # the pair matrix dominates memory: build it in column blocks of at most
+    # _PAIR_BLOCK_BYTES, each in place in one buffer (a contiguous view of it,
+    # the partial last block included), and take two real products so that
+    # it is never cast to complex
+    columns = dirs2.reshape(-1, 3).T
+    total = columns.shape[1]
+    width = min(total, max(1, _PAIR_BLOCK_BYTES // (8 * n1)))
+    buffer = np.empty(n1 * width)
+    vectors = np.empty(total, dtype=complex)
+    for start in range(0, total, width):
+        block = slice(start, min(start + width, total))
+        decay = np.matmul(dirs1, columns[:, block],
+                          out=buffer[: n1 * (block.stop - start)].reshape(n1, -1))
+        decay -= 1.0
+        decay *= (wavenumber * sigma) ** 2
+        np.exp(decay, out=decay)
+        vectors.real[block] = sum1.real @ decay
+        vectors.imag[block] = sum1.imag @ decay
     # (G, 1, n2) @ (G, n2, 1): one dot product per geometry
-    coherence = (vectors @ sum2[..., None])[:, 0, 0]
+    coherence = (vectors.reshape(len(dirs2), 1, n2) @ sum2[..., None])[:, 0, 0]
     return float(w1.sum() * w2.sum()), coherence
 
 

@@ -345,7 +345,8 @@ class TestGeneratedStateFinitePatches:
 
     def test_phase_moments_memory_is_bounded(self):
         # 64 x 64 nodes per patch make 4096**2 node pairs, 134 MB as one
-        # real matrix; row blocks of at most 8 MB bound the peak instead
+        # real matrix; 16 column blocks of 256 columns, 8 MB each, bound
+        # the peak instead
         config = reference_config()
         quad = QuadratureSpec(points_theta=64, points_chi=64)
         tracemalloc.start()
@@ -362,8 +363,8 @@ class TestGeneratedStateFinitePatches:
 
     def test_wide_scan_memory_is_bounded(self):
         # 16 x 16 nodes per patch make a 512 KB pair matrix per geometry, so
-        # 201 delta21 geometries would hold 103 MB at once; groups of 16
-        # geometries keep the pair block within 8 MB
+        # 201 delta21 geometries would hold 103 MB at once; 13 column blocks
+        # of 4096 columns, the last one partial, keep the pair block within 8 MB
         config = reference_config()
         quad = QuadratureSpec(points_theta=16, points_chi=16)
         grid = np.linspace(-np.pi, np.pi, 201)
@@ -374,7 +375,8 @@ class TestGeneratedStateFinitePatches:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
-        # rows from different groups match a scan whose geometries share one
+        # geometries from different column blocks match a scan that holds
+        # them all in one block
         sparse = delta_c_scan(config, quad, grid[::50], [0.0, 0.5])
         assert sparse.points[::2] == result.points[::100]
         assert sparse.points[1::2] == result.points[1::100]

@@ -12,6 +12,7 @@ the same examples.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -174,18 +175,30 @@ def test_trap_motion_dephases_point_detectors(config, wider):
         assert abs(m) <= 1.0 + 1e-12
 
 
+#: pair-block widths, in columns, that the stacked pass is also run with:
+#: the module's own budget, one column, and blocks that end one column
+#: before or one column after the first geometry boundary (these mostly
+#: leave a partial last block)
+BLOCK_WIDTHS = ("budget", "one column", "geometry - 1", "geometry + 1")
+
+
 @PROPERTY_SETTINGS
 @given(configs, st.integers(1, 12), st.integers(1, 12),
-       st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8))
+       st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8), st.sampled_from(BLOCK_WIDTHS))
 def test_stacked_moments_match_one_geometry_at_a_time(config, points_theta, points_chi,
-                                                      deltas):
+                                                      deltas, block_width):
     # the scan's one (W, M) pass over every delta21 geometry against the
     # G = 1 pass of generated_state on each moved detector
     quad = QuadratureSpec(points_theta=points_theta, points_chi=points_chi)
     detector1, detector2 = config.detector1, config.detector2
+    n1, n2 = (len(geometry._patch_nodes(patch, quad, np.array([patch.theta_center]))[1])
+              for patch in (detector1, detector2))
+    width = {"budget": geometry._PAIR_BLOCK_BYTES // (8 * n1), "one column": 1,
+             "geometry - 1": max(1, n2 - 1), "geometry + 1": n2 + 1}[block_width]
     try:
-        weight, coherence, phases = geometry._quadrature_moments(
-            config.layout, config.trap, detector1, detector2, quad, np.array(deltas))
+        with mock.patch.object(geometry, "_PAIR_BLOCK_BYTES", 8 * n1 * width):
+            weight, coherence, phases = geometry._quadrature_moments(
+                config.layout, config.trap, detector1, detector2, quad, np.array(deltas))
     except InvalidInputError:  # out of reach, or a moved patch leaves [0, pi]
         assume(False)
     assert coherence.shape == phases.shape == (len(deltas),)
