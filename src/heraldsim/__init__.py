@@ -27,7 +27,6 @@ from .geometry import (
 from .herald import (
     CountRates,
     ExperimentConfig,
-    ScanPoint,
     ScanResult,
     UncertaintyReport,
     accidental_fraction,
@@ -68,7 +67,6 @@ __all__ = [
     "Polarizer",
     "QuadratureSpec",
     "Scenario",
-    "ScanPoint",
     "ScanResult",
     "ScenarioError",
     "TrapModel",

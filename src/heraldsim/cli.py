@@ -42,7 +42,7 @@ from .optics import (
     visibility,
 )
 from .qcore import BASIS_LABELS, concurrence_pure
-from .scenario import load_scenario, polarizer_from_values
+from .scenario import _scenario_errors, load_scenario, polarizer_from_values
 
 __all__ = ["main"]
 
@@ -139,7 +139,8 @@ def cmd_state(args):
 
 
 def cmd_uncertainty(args):
-    # usage errors exit before the first report line
+    # every figure and the CSV come before the first report line, so an
+    # input error, a failed cell or an unwritable --out leaves stdout empty
     _count(args.samples, "--samples")
     if args.seed is not None:
         _count(args.seed, "--seed", 0)
@@ -155,37 +156,43 @@ def cmd_uncertainty(args):
 
     report = generated_state(config, quad)
     rates = count_rate(config, report.v12, report.delta21_nominal)
-    accidentals = accidental_fraction(config, rates.corrected)
-    print(f"delta21_nominal_rad    = {_fmt(report.delta21_nominal)}")
-    print(f"v12                    = {_fmt(report.v12)}")
-    print(f"concurrence_target     = {_fmt(report.concurrence_target)}")
-    print(f"concurrence_generated  = {_fmt(report.concurrence_generated)}")
-    print(f"delta_c                = {_fmt(report.delta_c)}")
-    print(f"fidelity               = {_fmt(report.fidelity)}")
-    print(f"heralding_weight       = {_fmt(report.heralding_weight)}")
-    print(f"rate_raw_per_s         = {_fmt(rates.raw)}")
-    print(f"rate_corrected_per_s   = {_fmt(rates.corrected)}")
-    print(f"accidental_fraction    = {_fmt(accidentals)}")
+    fields = {
+        "delta21_nominal_rad": report.delta21_nominal,
+        "v12": report.v12,
+        "concurrence_target": report.concurrence_target,
+        "concurrence_generated": report.concurrence_generated,
+        "delta_c": report.delta_c,
+        "fidelity": report.fidelity,
+        "heralding_weight": report.heralding_weight,
+        "rate_raw_per_s": rates.raw,
+        "rate_corrected_per_s": rates.corrected,
+        "accidental_fraction": accidental_fraction(config, rates.corrected),
+    }
     if args.seed is not None:
         check = monte_carlo_state(config, args.samples, args.seed)
-        print(f"mc_delta_c             = {_fmt(check.delta_c)}")
-        print(f"mc_fidelity            = {_fmt(check.fidelity)}")
-        print(f"mc_delta_c_deviation   = {_fmt(abs(check.delta_c - report.delta_c))}")
+        fields.update(mc_delta_c=check.delta_c, mc_fidelity=check.fidelity,
+                      mc_delta_c_deviation=abs(check.delta_c - report.delta_c))
     if scenario.scan is not None:
-        result = delta_c_scan(
-            config, quad, scenario.scan.delta21_grid(), scenario.scan.v12_values
-        )
-        print(f"scan_max_delta_c       = {_fmt(result.max_delta_c)}")
-        print(f"scan_min_fidelity      = {_fmt(result.min_fidelity)}")
+        with _scenario_errors("scenario.scan: "):
+            result = delta_c_scan(config, quad, scenario.scan.delta21_grid(),
+                                  scenario.scan.v12_values)
+        fields.update(scan_max_delta_c=result.max_delta_c,
+                      scan_min_fidelity=result.min_fidelity)
         if args.out is not None:
             with _output(args.out) as handle:
-                # the ScanPoint field order is the CSV column order; vars() reads
-                # the fields without astuple's deep copy, and every field is a
-                # number, so no csv quoting: the rows go out as one joined block
+                # every field is a number, so no csv quoting; the cells go
+                # row-major (delta21 outer, v12 inner), each value through _fmt once
                 handle.write("delta21_rad,v12,delta_c,fidelity,"
                              "concurrence_target,concurrence_generated\n")
-                handle.write("".join(",".join(map(_fmt, vars(point).values())) + "\n"
-                                     for point in result.points))
+                v12_fields = [_fmt(v12) for v12 in result.v12.tolist()]
+                cells = (f"{delta},{v12}," for delta in map(_fmt, result.delta21.tolist())
+                         for v12 in v12_fields)
+                figures = zip(*(map(_fmt, column.ravel().tolist()) for column in (
+                    result.delta_c, result.fidelity, result.concurrence_target,
+                    result.concurrence_generated)))
+                handle.write("".join(cell + ",".join(row) + "\n"
+                                     for cell, row in zip(cells, figures)))
+    print("".join(f"{name:<23}= {_fmt(value)}\n" for name, value in fields.items()), end="")
     return 0
 
 

@@ -16,10 +16,10 @@ with d = 1 + V Re m, w0 = 1 + V cos delta21 and a = 1 + V exp(1j delta21).
 and checks its trace and the Wootters concurrence of R (one 2x2
 singular value problem) against the closed form; ``delta_c_scan``
 builds none, taking (W, M, delta21) for all its geometries from one
-stacked pass and its rows as one array expression.
+stacked pass and returning the whole (delta21, v12) table as columns:
+the two grid axes and one (n_delta21, n_v12) array per figure.
 """
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -51,7 +51,6 @@ __all__ = [
     "ExperimentConfig",
     "CountRates",
     "UncertaintyReport",
-    "ScanPoint",
     "ScanResult",
     "detection_probability",
     "count_rate",
@@ -122,22 +121,19 @@ class UncertaintyReport:
 
 
 @dataclass(frozen=True)
-class ScanPoint:
-    """One (delta21, v12) cell of an error scan."""
-
-    delta21: float
-    v12: float
-    delta_c: float
-    fidelity: float
-    concurrence_target: float
-    concurrence_generated: float
-
-
-@dataclass(frozen=True)
 class ScanResult:
-    """Error scan over a (delta21, v12) grid with its worst-case figures."""
+    """Error scan over a (delta21, v12) grid as columns, with its worst-case figures.
 
-    points: tuple
+    ``delta21`` (n,) and ``v12`` (k,) are the grid axes; each figure is an
+    (n, k) array whose row i is at ``delta21[i]`` and column j at ``v12[j]``.
+    """
+
+    delta21: np.ndarray
+    v12: np.ndarray
+    delta_c: np.ndarray
+    fidelity: np.ndarray
+    concurrence_target: np.ndarray
+    concurrence_generated: np.ndarray
     max_delta_c: float
     min_fidelity: float
 
@@ -326,15 +322,16 @@ def delta_c_scan(config, quadrature, delta21_values, v12_values):
     overlap (linear ones at relative angle arccos(sqrt(v12)), say) gives
     the same figures.  Every longitude comes from one array solve and
     every (W, M) from one stacked pass over the moved detector-2 nodes.
-    Rows are produced in row-major (delta21 outer, v12 inner) order.
 
     Returns
     -------
     ScanResult
-        All grid points plus max |delta C| and min fidelity.
+        Copies of the two grids, shapes (n,) and (k,), and the four (n, k)
+        figure arrays, row i at delta21_values[i] and column j at
+        v12_values[j], plus max |delta C| and min fidelity as floats.
     """
-    delta21_values = np.atleast_1d(_real_array(delta21_values, "delta21 grid"))
-    v12_values = np.atleast_1d(_real_array(v12_values, "v12 grid"))
+    delta21_values = np.array(_real_array(delta21_values, "delta21 grid"), ndmin=1)
+    v12_values = np.array(_real_array(v12_values, "v12 grid"), ndmin=1)
     if not (delta21_values.ndim == v12_values.ndim == 1
             and delta21_values.size and v12_values.size):
         raise InvalidInputError("scan grids must be nonempty and one-dimensional")
@@ -347,11 +344,7 @@ def delta_c_scan(config, quadrature, delta21_values, v12_values):
     c_target, c_generated, fidelity, _ = _figures(
         total_weight, coherence[:, None], v12_values, phases[:, None])
     delta_c = np.abs(c_generated - c_target)
-    # row-major cells (delta21 outer, v12 inner) in ScanPoint field order
-    cells = itertools.product(delta21_values.tolist(), v12_values.tolist())
-    figures = zip(*(x.ravel().tolist() for x in (delta_c, fidelity, c_target, c_generated)))
-    return ScanResult(
-        points=tuple(ScanPoint(*cell, *row) for cell, row in zip(cells, figures)),
-        max_delta_c=float(delta_c.max()),
-        min_fidelity=float(fidelity.min()),
-    )
+    return ScanResult(delta21=delta21_values, v12=v12_values, delta_c=delta_c,
+                      fidelity=fidelity, concurrence_target=c_target,
+                      concurrence_generated=c_generated, max_delta_c=float(delta_c.max()),
+                      min_fidelity=float(fidelity.min()))

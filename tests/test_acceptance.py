@@ -159,7 +159,7 @@ def test_criterion_06_reference_error_scan_bounds():
         config, quad, scenario.scan.delta21_grid(), scenario.scan.v12_values
     )
     elapsed = time.perf_counter() - started
-    assert len(result.points) == 105
+    assert result.delta_c.shape == result.fidelity.shape == (21, 5)
     assert result.max_delta_c <= 0.03
     assert result.min_fidelity >= 0.95
     assert elapsed < 300.0

@@ -65,6 +65,16 @@ def _baseline_scan():
                                       scenario.scan.v12_values)
 
 
+#: the (n_delta21, n_v12) figure arrays of a ScanResult
+SCAN_FIGURES = ("delta_c", "fidelity", "concurrence_target", "concurrence_generated")
+
+
+def _cells(result):
+    """(delta21, v12, (i, j)) of every scan cell, delta21 outer and v12 inner."""
+    return [(delta, v12, (i, j)) for i, delta in enumerate(result.delta21.tolist())
+            for j, v12 in enumerate(result.v12.tolist())]
+
+
 def _scan_cell(config, delta21, v12):
     """Config of one scan cell: reference analyzer 1, detector 2 moved and turned."""
     detector1 = dataclasses.replace(config.detector1, polarizer=Polarizer.linear(0.0))
@@ -378,8 +388,9 @@ class TestGeneratedStateFinitePatches:
         # geometries from different column blocks match a scan that holds
         # them all in one block
         sparse = delta_c_scan(config, quad, grid[::50], [0.0, 0.5])
-        assert sparse.points[::2] == result.points[::100]
-        assert sparse.points[1::2] == result.points[1::100]
+        assert np.array_equal(sparse.v12, result.v12)
+        for name in ("delta21",) + SCAN_FIGURES:
+            assert np.array_equal(getattr(sparse, name), getattr(result, name)[::50])
 
     def test_moments_are_invariant_under_a_common_rotation(self):
         # the pair axis is a gauge: turning the separation and every node
@@ -651,22 +662,29 @@ class TestScan:
         deltas = [0.0, np.pi / 2]
         visibilities = [0.0, 0.5, 1.0]
         result = delta_c_scan(config, FAST_QUAD, deltas, visibilities)
-        assert len(result.points) == 6
-        expected_cells = [(d, v) for d in deltas for v in visibilities]
-        assert [(p.delta21, p.v12) for p in result.points] == expected_cells
-        assert result.max_delta_c == pytest.approx(
-            max(p.delta_c for p in result.points), rel=1e-15
-        )
-        assert result.min_fidelity == pytest.approx(
-            min(p.fidelity for p in result.points), rel=1e-15
-        )
+        assert result.delta21.tolist() == deltas
+        assert result.v12.tolist() == visibilities
+        for name in SCAN_FIGURES:
+            assert getattr(result, name).shape == (2, 3)
+        assert result.max_delta_c == pytest.approx(result.delta_c.max(), rel=1e-15)
+        assert result.min_fidelity == pytest.approx(result.fidelity.min(), rel=1e-15)
+
+    def test_grid_axes_are_copies(self):
+        # a caller reusing its grid arrays after the scan leaves the result alone
+        config = reference_config(confinement=0.0)
+        deltas, visibilities = np.array([0.0, 0.5]), np.array([0.25, 0.75])
+        result = delta_c_scan(config, FAST_QUAD, deltas, visibilities)
+        deltas[:] = 9.0
+        visibilities[:] = 0.0
+        assert result.delta21.tolist() == [0.0, 0.5]
+        assert result.v12.tolist() == [0.25, 0.75]
 
     def test_targets_follow_analytic_concurrence(self):
         config = reference_config(confinement=0.0)
         result = delta_c_scan(config, FAST_QUAD, [0.0, 1.0], [0.25, 0.75])
-        for point in result.points:
-            assert point.concurrence_target == pytest.approx(
-                concurrence_analytic(point.delta21, point.v12), abs=1e-9
+        for delta, v12, cell in _cells(result):
+            assert result.concurrence_target[cell] == pytest.approx(
+                concurrence_analytic(delta, v12), abs=1e-9
             )
 
     def test_rejects_bad_grids(self):
@@ -703,29 +721,27 @@ class TestScan:
         # every row must equal the full pipeline run on that cell's config
         config = reference_config()
         result = delta_c_scan(config, FAST_QUAD, [-1.0, 0.0, 2.0], [0.0, 0.3, 1.0])
-        for point in result.points:
-            cell = _scan_cell(config, point.delta21, point.v12)
-            report = generated_state(cell, FAST_QUAD)
-            for name in ("delta_c", "fidelity", "concurrence_target",
-                         "concurrence_generated"):
-                assert abs(getattr(point, name) - getattr(report, name)) <= 1e-15
+        for delta, v12, cell in _cells(result):
+            report = generated_state(_scan_cell(config, delta, v12), FAST_QUAD)
+            for name in SCAN_FIGURES:
+                assert abs(getattr(result, name)[cell] - getattr(report, name)) <= 1e-15
 
     def test_baseline_rows_match_the_wootters_route(self):
         # the scan builds no density matrix; rebuild each row's matrix and
         # check the closed-form figures against Wootters and the overlap
         config, quad, result = _baseline_scan()
-        assert len(result.points) == 105
-        for point in result.points:
-            cell = _scan_cell(config, point.delta21, point.v12)
+        assert result.delta_c.shape == (21, 5)
+        for delta, v12, index in _cells(result):
+            cell = _scan_cell(config, delta, v12)
             jones1 = polarizer_to_jones(cell.detector1.polarizer)
             jones2 = polarizer_to_jones(cell.detector2.polarizer)
             weight, coherence, delta21 = patch_moments(cell, quad)
             target = heralded_state(jones1, jones2, delta21)
             c_target, c_generated, fidelity, _ = matrix_route(
                 weight, coherence, *_component_vectors(jones1, jones2), target.state)
-            assert abs(point.concurrence_generated - c_generated) < 1e-12
-            assert abs(point.concurrence_target - c_target) < 1e-12
-            assert abs(point.fidelity - fidelity) < 1e-12
+            assert abs(result.concurrence_generated[index] - c_generated) < 1e-12
+            assert abs(result.concurrence_target[index] - c_target) < 1e-12
+            assert abs(result.fidelity[index] - fidelity) < 1e-12
 
     def test_zero_probability_cell_raises(self):
         # equal analyzers at delta21 = pi: the herald never fires there
@@ -740,7 +756,10 @@ class TestScan:
             nodes[0] = 0.0
         first = _baseline_scan()[2]
         second = _baseline_scan()[2]
-        assert first == second
+        for name in ("delta21", "v12") + SCAN_FIGURES:
+            assert np.array_equal(getattr(first, name), getattr(second, name))
+        assert (first.max_delta_c, first.min_fidelity) == (second.max_delta_c,
+                                                           second.min_fidelity)
         fresh_nodes, fresh_weights = np.polynomial.legendre.leggauss(8)
         assert np.array_equal(nodes, fresh_nodes)
         assert np.array_equal(weights, fresh_weights)

@@ -89,10 +89,12 @@ def test_package_exports_exactly_its_imports():
 
 
 #: what only ``geometry.py`` may read or call: the layout and trap numbers,
-#: the patch-extent check, the patch nodes and the direction and phase arithmetic
+#: the patch-extent check, the node rules, the patch nodes and the direction
+#: and phase arithmetic
 GEOMETRY_ATTRIBUTES = {"separation", "wavenumber", "confinement"}
 GEOMETRY_CALLS = {"_check_patch_extent", "detection_direction", "farfield_phase",
-                  "_phase", "_patch_nodes", "_phase_moments", "_longitudes", "_nominal_phase",
+                  "_phase", "_patch_nodes", "_phase_moments", "_longitudes",
+                  "_directions", "_finite_angles", "_interval_rule", "_reference_rule",
                   "np.cos", "np.sin"}
 #: all that ``herald.py`` may import from ``geometry``
 GEOMETRY_INTERFACE = {"AtomPairLayout", "DetectorPatch", "QuadratureSpec", "TrapModel",

@@ -15,6 +15,7 @@ from heraldsim import (
     ScenarioError,
     ZeroProbabilityHeraldError,
     concurrence_analytic,
+    delta_c_scan,
     load_scenario,
     save_scenario,
 )
@@ -450,6 +451,25 @@ class TestUncertaintyCommand:
             min(float(r[3]) for r in rows), rel=1e-15
         )
 
+    def test_csv_fields_are_the_scan_columns(self, tmp_path, capsys):
+        # 3 delta21 x 2 v12: row 2 i + j holds cell (i, j), so a writer that
+        # walks the figure arrays transposed or misses a column fails here
+        path = write_scenario(tmp_path, small_scenario_dict())
+        out = tmp_path / "scan.csv"
+        assert main(["uncertainty", "--config", path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        scenario = load_scenario(path)
+        result = delta_c_scan(scenario.experiment(), scenario.quadrature_spec(),
+                              scenario.scan.delta21_grid(), scenario.scan.v12_values)
+        _, rows = parse_csv(out.read_text())
+        assert len(rows) == 6
+        for number, row in enumerate(rows):
+            i, j = divmod(number, 2)
+            expected = [result.delta21[i], result.v12[j], result.delta_c[i, j],
+                        result.fidelity[i, j], result.concurrence_target[i, j],
+                        result.concurrence_generated[i, j]]
+            assert [float(field) for field in row] == expected
+
     def test_zero_probability_scan_cell_exit_3(self, tmp_path, capsys):
         # equal analyzers (v12 = 1) at delta21 = pi: the herald never fires
         doc = small_scenario_dict()
@@ -459,7 +479,19 @@ class TestUncertaintyCommand:
         out = tmp_path / "scan.csv"
         rc = main(["uncertainty", "--config", path, "--out", str(out)])
         assert rc == 3
-        assert "herald never fires" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "herald never fires" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_out_into_missing_directory_exit_2(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, small_scenario_dict())
+        out = tmp_path / "absent" / "scan.csv"
+        rc = main(["uncertainty", "--config", path, "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     def test_quadrature_overrides_change_the_evaluation(self, tmp_path, capsys):
@@ -528,8 +560,11 @@ class TestUncertaintyCommand:
             ("quadrature", {"trap_dims": 3}, "trap_dims"),
             ("scan", {"delta21_start_rad": -1e308, "delta21_stop_rad": 1e308},
              "scenario.scan"),
+            ("scan", {"v12_values": [0.5, 1.5]}, "scenario.scan"),
+            ("scan", {"delta21_stop_rad": 100}, "scenario.scan"),
         ],
-        ids=["unknown-key", "retired-key", "overflowing-span"],
+        ids=["unknown-key", "retired-key", "overflowing-span", "v12-above-1",
+             "unreachable-stop"],
     )
     def test_rejected_scenario_exit_2(self, tmp_path, capsys, section, fields, named):
         doc = small_scenario_dict()
