@@ -21,7 +21,6 @@ the two grid axes and one (n_delta21, n_v12) array per figure.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +35,12 @@ from .geometry import (
     _sampled_moments,
 )
 from .optics import (
-    MIN_HERALD_WEIGHT,
+    _check_fires,
     _component_vectors,
     _concurrence_closed_form,
     _count,
     _finite_real,
+    _read_only_arrays,
     _real_array,
     g2,
     heralded_state,
@@ -59,9 +59,6 @@ __all__ = [
     "monte_carlo_state",
     "delta_c_scan",
 ]
-
-#: patches wider than this in theta leave the small-patch rate regime
-SMALL_PATCH_LIMIT = 0.1
 
 
 @dataclass(frozen=True)
@@ -100,7 +97,7 @@ class CountRates:
     corrected: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UncertaintyReport:
     """Generated state next to its point-design target.
 
@@ -118,9 +115,10 @@ class UncertaintyReport:
     heralding_weight: float
     delta21_nominal: float
     v12: float
+    __post_init__ = _read_only_arrays
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanResult:
     """Error scan over a (delta21, v12) grid as columns, with its worst-case figures.
 
@@ -136,33 +134,32 @@ class ScanResult:
     concurrence_generated: np.ndarray
     max_delta_c: float
     min_fidelity: float
+    __post_init__ = _read_only_arrays
 
 
 def detection_probability(patch):
     """Fraction span_theta * span_chi / (4 pi) of photons reaching the patch.
 
-    Valid in the small-patch regime; a warning is emitted when
-    ``span_theta`` reaches ``SMALL_PATCH_LIMIT``.
+    Exact in theta for any width; in chi it takes ``span_chi`` for the exact factor
+    2 cos(chi_center) sin(span_chi / 2), so it reads high: the exact area is 1.1% smaller
+    at span_chi = pi/6, chi_center = 0 and 6.9% smaller at span_chi = pi/4, chi_center = 0.3.
     """
-    if patch.span_theta >= SMALL_PATCH_LIMIT:
-        warnings.warn(
-            f"span_theta = {patch.span_theta:.3g} rad leaves the small-patch "
-            "regime; the flat-patch probability is approximate",
-            stacklevel=2,
-        )
     return patch.span_theta * patch.span_chi / (4.0 * np.pi)
 
 
 def count_rate(config, v12, delta21):
     """Coincidence rate 2 r P1 P2 G2(delta21) of the herald.
 
-    Returns the raw rate (unit detector efficiency) together with the
-    rate scaled by the squared channel efficiency, since both photons
-    must be detected.
+    Returns the raw rate (unit detector efficiency) together with the rate scaled
+    by the squared channel efficiency, since both photons must be detected.
+    Raises ``InvalidInputError`` if the coincidence rate overflows the float range.
     """
     p1 = detection_probability(config.detector1)
     p2 = detection_probability(config.detector2)
-    raw = 2.0 * config.repetition_rate * p1 * p2 * g2(delta21, v12)
+    # g2 as a float, the exact factor 2 last: only a rate past the float range overflows
+    raw = config.repetition_rate * p1 * p2 * float(g2(delta21, v12)) * 2.0
+    if not math.isfinite(raw):
+        raise InvalidInputError("coincidence rate 2 r P1 P2 G2 overflows the float range")
     eta = config.detector_efficiency
     return CountRates(raw=raw, corrected=raw * eta * eta)
 
@@ -176,22 +173,23 @@ def accidental_fraction(config, true_rate):
         R_acc = dark * (S1 + S2) * window + dark**2 * window,
 
     where ``S_i = 2 r eta P_i`` is the single-photon click rate of one
-    detector (two photons per excitation cycle).  Returns
-    ``R_acc / (R_acc + true_rate)``, or 0 when both rates vanish.
+    detector (two photons per excitation cycle).  Returns ``R_acc / (R_acc + true_rate)``,
+    0 when both rates vanish and 1.0, the limit, when ``R_acc`` overflows the float range.
     """
-    if not _finite_real(true_rate, "true_rate") >= 0.0:
+    if not (true_rate := _finite_real(true_rate, "true_rate")) >= 0.0:
         raise InvalidInputError("true_rate must be nonnegative and finite")
-    dark = config.dark_count_rate
-    window = config.coincidence_window
+    dark, window = config.dark_count_rate, config.coincidence_window
+    if not (dark and window):  # no accidentals, even where the singles overflow
+        return 0.0
     eta = config.detector_efficiency
-    singles = sum(
-        2.0 * config.repetition_rate * eta * detection_probability(det)
-        for det in (config.detector1, config.detector2)
-    )
+    singles = sum(config.repetition_rate * eta * detection_probability(det) * 2.0
+                  for det in (config.detector1, config.detector2))
     accidental = dark * singles * window + dark * dark * window
     total = accidental + true_rate
     if total == 0.0:
         return 0.0
+    if total == math.inf:  # a ratio of the rates stays finite: 1.0 when R_acc is inf
+        return 1.0 / (1.0 + true_rate / accidental)
     return accidental / total
 
 
@@ -205,18 +203,13 @@ def _figures(total_weight, coherence, v12, delta21):
     """
     v12 = np.clip(v12, 0.0, 1.0)  # roundoff may leave |<e1|e2>|**2 just above 1
     nominal_weight, c_target = _concurrence_closed_form(delta21, v12)  # herald weight / 2
-    if (weight_floor := np.min(nominal_weight)) < MIN_HERALD_WEIGHT:
-        raise ZeroProbabilityHeraldError(
-            f"coincidence weight {weight_floor:.3g} below {MIN_HERALD_WEIGHT:g}; "
-            "the herald never fires for this configuration"
-        )
+    _check_fires(np.min(nominal_weight))
     m = coherence / total_weight
     dephased = 1.0 + v12 * m.real
     trace = 2.0 * total_weight * dephased
     if np.any((trace <= 0.0) | (trace < 1e-12 * total_weight)):
-        raise ZeroProbabilityHeraldError(
-            "integrated coincidence weight vanishes over the detector patches"
-        )
+        raise ZeroProbabilityHeraldError("integrated coincidence weight vanishes over "
+                                         "the detector patches")
     # W (|s><s| + |t><t|) + M |t><s| + h.c. is positive exactly when |M| <= W
     if np.any(np.abs(coherence) > total_weight * (1.0 - EIGENVALUE_FLOOR)):
         raise NumericalFailureError("quadrature produced |M| > W, a non-positive average")

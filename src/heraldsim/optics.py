@@ -81,6 +81,14 @@ def _real_array(values, name):
     return array.astype(float, copy=False)
 
 
+def _read_only_arrays(record):
+    """``__post_init__`` of a result record: its arrays become read-only views."""
+    for name, value in vars(record).items():
+        if isinstance(value, np.ndarray):
+            object.__setattr__(record, name, value.view())
+            getattr(record, name).flags.writeable = False
+
+
 @dataclass(frozen=True)
 class Polarizer:
     """Analyzer setting of one detection channel: its unit Jones vector.
@@ -126,18 +134,14 @@ def polarizer_to_jones(polarizer):
     return np.array(polarizer.jones)
 
 
-def _validated_jones(jones, name):
-    return _unit_vector(jones, 2, JONES_NORM_ATOL, name)
-
-
 def visibility(jones1, jones2):
     """Squared analyzer overlap |<jones1, jones2>|^2, the fringe visibility.
 
     Equal analyzers give 1, orthogonal ones 0; linear analyzers at
     relative angle ``alpha`` give cos(alpha)**2.
     """
-    e1 = _validated_jones(jones1, "jones1")
-    e2 = _validated_jones(jones2, "jones2")
+    e1 = _unit_vector(jones1, 2, JONES_NORM_ATOL, "jones1")
+    e2 = _unit_vector(jones2, 2, JONES_NORM_ATOL, "jones2")
     return float(abs(np.vdot(e1, e2)) ** 2)
 
 
@@ -162,7 +166,7 @@ def _fix_global_phase(state):
     return state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeraldedOutcome:
     """State conditioned on a coincidence, with its weight and settings.
 
@@ -183,6 +187,7 @@ class HeraldedOutcome:
     g2: float
     delta21: float
     v12: float
+    __post_init__ = _read_only_arrays
 
 
 def heralded_state(jones1, jones2, delta21):
@@ -209,19 +214,15 @@ def heralded_state(jones1, jones2, delta21):
         If an analyzer is not a finite unit vector or ``delta21`` is
         not finite.
     """
-    e1 = _validated_jones(jones1, "jones1")
-    e2 = _validated_jones(jones2, "jones2")
+    e1 = _unit_vector(jones1, 2, JONES_NORM_ATOL, "jones1")
+    e2 = _unit_vector(jones2, 2, JONES_NORM_ATOL, "jones2")
     delta21 = _finite_real(delta21, "delta21")
     # four amplitudes: Python complex arithmetic beats numpy's per-call cost
     turn = cmath.exp(-1j * delta21)
     amps = [a + b * turn for a, b in zip(*_component_vectors(e1.tolist(), e2.tolist()))]
     norm = math.hypot(*map(abs, amps))
     weight = norm * norm
-    if 0.5 * weight < MIN_HERALD_WEIGHT:
-        raise ZeroProbabilityHeraldError(
-            f"coincidence weight {weight:.3g} below {2.0 * MIN_HERALD_WEIGHT:g}; "
-            "the herald never fires for this configuration"
-        )
+    _check_fires(0.5 * weight)
     state = np.array(_fix_global_phase([a / norm for a in amps]))
     # v12 feeds every generated-state figure: keep numpy's overlap to the last bit
     v12 = float(abs(np.vdot(e1, e2)) ** 2)
@@ -253,10 +254,15 @@ def concurrence_analytic(delta21, v12):
     """
     weight, value = _concurrence_closed_form(
         _finite_real(delta21, "delta21"), _validated_v12(v12))
-    if math.isnan(value):
-        raise ZeroProbabilityHeraldError(
-            f"1 + v12 cos(delta21) = {weight:.3g} below {MIN_HERALD_WEIGHT:g}")
+    _check_fires(weight)
     return float(value)
+
+
+def _check_fires(weight):
+    """Raise the never-fires error if ``weight`` = 1 + v12 cos delta21 is below the floor."""
+    if weight < MIN_HERALD_WEIGHT:
+        raise ZeroProbabilityHeraldError(
+            f"1 + v12 cos(delta21) is below {MIN_HERALD_WEIGHT:g}: the herald never fires")
 
 
 def _concurrence_closed_form(delta21, v12):

@@ -111,14 +111,8 @@ class TestDetectionProbability:
         patch = reference_patch(
             Polarizer.linear(0.0), span_theta=2.0, span_chi=2.0 * np.pi
         )
-        with pytest.warns(UserWarning):
-            value = detection_probability(patch)
+        value = detection_probability(patch)
         assert value == pytest.approx(1.0, rel=1e-15)
-
-    def test_warns_when_patch_is_large(self):
-        patch = reference_patch(Polarizer.linear(0.0), span_theta=0.1)
-        with pytest.warns(UserWarning):
-            detection_probability(patch)
 
 
 class TestCountRates:
@@ -148,6 +142,18 @@ class TestCountRates:
     def test_returns_count_rates_tuple(self):
         rates = count_rate(reference_config(), 0.0, 0.0)
         assert isinstance(rates, CountRates)
+
+    def test_rate_is_returned_where_twice_the_repetition_rate_overflows(self):
+        # 2 r is beyond the float range, the rate 2 r P1 P2 G2 is not
+        huge = count_rate(reference_config(repetition_rate=1.5e308), 0.5, 0.0)
+        reference = count_rate(reference_config(), 0.5, 0.0)
+        assert huge.raw == pytest.approx(3e301 * reference.raw, rel=1e-12)
+        assert huge.corrected == pytest.approx(3e301 * reference.corrected, rel=1e-12)
+
+    def test_rate_beyond_the_float_range_raises(self):
+        config = reference_config(repetition_rate=1.7e308, span_theta=3.0, span_chi=3.0)
+        with pytest.raises(InvalidInputError, match="coincidence rate"):
+            count_rate(config, 0.5, 0.0)
 
 
 class TestAccidentalFraction:
@@ -179,6 +185,24 @@ class TestAccidentalFraction:
             for d in (0.0, 10.0, 100.0, 1000.0)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+    def test_overflowing_accidental_rate_gives_the_limit(self):
+        # dark**2 * window overflows: the fraction is 1.0, not inf / inf
+        config = reference_config(dark_count_rate=1e300, coincidence_window=1e-9)
+        assert accidental_fraction(config, true_rate=1.0) == 1.0
+        assert accidental_fraction(config, true_rate=1e308) == 1.0
+
+    def test_overflowing_sum_of_rates_keeps_their_ratio(self):
+        # R_acc and true_rate are finite, their sum is not
+        config = reference_config(dark_count_rate=1e154, coincidence_window=1.0)
+        accidental = 1e154 * 1e154  # the singles term is negligible
+        fraction = accidental_fraction(config, true_rate=accidental)
+        assert fraction == pytest.approx(0.5, rel=1e-12)
+
+    def test_no_window_means_no_accidentals_whatever_the_rates(self):
+        config = reference_config(repetition_rate=1.7e308, span_theta=3.0, span_chi=3.0,
+                                  dark_count_rate=1e300, coincidence_window=0.0)
+        assert accidental_fraction(config, true_rate=1.0) == 0.0
 
     def test_rejects_negative_true_rate(self):
         for bad in (-1.0, np.nan, np.inf, True, "1", None):
@@ -800,3 +824,70 @@ class TestScan:
         _baseline_scan()
         assert counts == {"entry": 1, "moments": 1, "nodes": 2, "longitudes": 0,
                           "leggauss": 0, "vectors": 0}
+
+
+#: the one text every route gives where 1 + v12 cos delta21 falls below the floor
+NEVER_FIRES = "1 + v12 cos(delta21) is below 1e-12: the herald never fires"
+
+
+def _raised(call, *args):
+    with pytest.raises(ZeroProbabilityHeraldError) as info:
+        call(*args)
+    return str(info.value)
+
+
+def _cli_error(capsys):
+    argv = ["state", "--polarizer1", "circular:+", "--polarizer2", "circular:+",
+            "--delta21", "3.141592653589793"]
+    assert main(argv) == 3
+    return capsys.readouterr().err.removeprefix("error: ").removesuffix("\n")
+
+
+#: equal analyzers (V = 1) at delta21 = pi, by every route that checks the floor
+NEVER_FIRES_ROUTES = {
+    "heralded_state": lambda capsys: _raised(
+        heralded_state, [1.0, 0.0], [1.0, 0.0], np.pi),
+    "concurrence_analytic": lambda capsys: _raised(concurrence_analytic, np.pi, 1.0),
+    "_figures": lambda capsys: _raised(herald._figures, 1.0, -1.0 + 0.0j, 1.0, np.pi),
+    "delta_c_scan": lambda capsys: _raised(
+        delta_c_scan, reference_config(), FAST_QUAD, [np.pi], [1.0]),
+    "cli state": _cli_error,
+}
+
+
+@pytest.mark.parametrize("route", NEVER_FIRES_ROUTES)
+def test_every_route_says_never_fires_in_one_message(route, capsys):
+    assert NEVER_FIRES_ROUTES[route](capsys) == NEVER_FIRES
+
+
+#: a result record of each kind, built by the function that returns it
+RECORDS = {
+    "HeraldedOutcome": lambda: heralded_state([1.0, 0.0], [0.6, 0.8], 0.3),
+    "UncertaintyReport": lambda: generated_state(
+        point_detector_config(Polarizer.linear(0.0), Polarizer.linear(0.3))),
+    "ScanResult": lambda: delta_c_scan(reference_config(), FAST_QUAD, [0.0, 0.5],
+                                       [0.0, 0.5]),
+}
+
+
+class TestResultRecords:
+    @pytest.mark.parametrize("kind", RECORDS)
+    def test_records_compare_and_hash(self, kind):
+        first, second = RECORDS[kind](), RECORDS[kind]()
+        assert first == first and first != second
+        assert len({first, second}) == 2
+
+    @pytest.mark.parametrize("kind", RECORDS)
+    def test_every_array_is_read_only(self, kind):
+        record = RECORDS[kind]()
+        arrays = [name for name, value in vars(record).items()
+                  if isinstance(value, np.ndarray)]
+        assert arrays
+        for name in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(record, name).flat[0] = 5.0
+
+    def test_a_record_does_not_freeze_the_callers_array(self):
+        state = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        outcome = optics.HeraldedOutcome(state=state, g2=2.0, delta21=0.0, v12=1.0)
+        assert state.flags.writeable and not outcome.state.flags.writeable

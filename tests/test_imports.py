@@ -10,7 +10,8 @@ list exactly the public names ``__init__.py`` imports.  The geometry
 direction, phase or node function, and imports from ``geometry`` only
 the model dataclasses and the two ``(W, M, delta21)`` routes.  The
 number and count rules stay in ``optics.py``: no other module makes an
-``isinstance(..., bool)`` test, the mark of one.
+``isinstance(..., bool)`` test, the mark of one.  So does the herald's
+weight floor: no other module names ``MIN_HERALD_WEIGHT``.
 """
 
 import ast
@@ -155,5 +156,32 @@ def test_the_rule_check_sees_bool_tests():
 
 def test_number_and_count_rules_live_in_optics():
     found = {path.name: bool_tests(path.read_text(encoding="utf-8"))
+             for path in MODULES if path.name != "optics.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def names_of(source, name):
+    """Lines that name ``name``: as a variable, an attribute or an imported name."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        names = ({node.id} if isinstance(node, ast.Name)
+                 else {node.attr} if isinstance(node, ast.Attribute)
+                 else {alias.name for alias in node.names}
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) else set())
+        if name in names:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_name_check_sees_every_kind_of_name():
+    source = (
+        "from .optics import MIN_HERALD_WEIGHT\nx = optics.MIN_HERALD_WEIGHT\n"
+        "MIN_HERALD_WEIGHT = 1\n'MIN_HERALD_WEIGHT'\nMIN_HERALD = 2\n"
+    )
+    assert names_of(source, "MIN_HERALD_WEIGHT") == [1, 2, 3]
+
+
+def test_the_weight_floor_lives_in_optics():
+    found = {path.name: names_of(path.read_text(encoding="utf-8"), "MIN_HERALD_WEIGHT")
              for path in MODULES if path.name != "optics.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}

@@ -3,8 +3,12 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +65,16 @@ def small_scenario_dict():
             "v12_values": [0.0, 0.5],
         },
     }
+
+
+def baseline_copy(tmp_path, detector=(), **top):
+    """Path of a baseline scenario copy: ``top`` replaces top-level keys and
+    ``detector`` updates the keys of both detectors."""
+    doc = json.loads(Path(BASELINE).read_text())
+    doc.update(top)
+    for name in ("detector1", "detector2"):
+        doc[name].update(detector)
+    return write_scenario(tmp_path, doc)
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -483,6 +497,49 @@ class TestUncertaintyCommand:
         assert "herald never fires" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_wide_theta_patches_run_without_warnings(self, tmp_path, capsys):
+        # the flat patch area is exact in theta: a 200 mrad span is no reason to warn
+        path = baseline_copy(tmp_path, {"span_theta_mrad": 200.0})
+        assert main(["uncertainty", "--config", path]) == 0
+        assert capsys.readouterr().err == ""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        run = subprocess.run(
+            [sys.executable, "-W", "error::UserWarning", "-m", "heraldsim.cli",
+             "uncertainty", "--config", path],
+            capture_output=True, text=True, env=env, check=False)
+        assert (run.returncode, run.stderr) == (0, "")
+
+    def test_overflowing_dark_pairs_give_accidental_fraction_one(self, tmp_path, capsys):
+        path = baseline_copy(tmp_path, dark_count_rate_hz=1e300, coincidence_window_ns=1.0)
+        assert main(["uncertainty", "--config", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert parse_report(captured.out)["accidental_fraction"] == "1"
+
+    def test_rates_beyond_twice_the_repetition_rate_are_reported(self, tmp_path, capsys):
+        # 2 r overflows at 1.5e308 /s, but every reported rate is finite
+        path = baseline_copy(tmp_path, repetition_rate_mhz=1.5e302)
+        assert main(["uncertainty", "--config", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        values = parse_report(captured.out)
+        assert main(["uncertainty", "--config", BASELINE]) == 0
+        baseline = parse_report(capsys.readouterr().out)
+        for name in ("rate_raw_per_s", "rate_corrected_per_s"):
+            assert float(values[name]) == pytest.approx(3e301 * float(baseline[name]),
+                                                        rel=1e-12)
+        assert 0.0 < float(values["accidental_fraction"]) < 1.0
+
+    def test_coincidence_rate_beyond_the_float_range_exit_2(self, tmp_path, capsys):
+        # near-hemisphere patches: 2 r P1 P2 G2 exceeds 1.8e308 /s
+        path = baseline_copy(tmp_path, {"span_theta_mrad": 3000.0, "span_chi_rad": 3.0},
+                             repetition_rate_mhz=1.7e302)
+        assert main(["uncertainty", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: coincidence rate 2 r P1 P2 G2 overflows the "
+                                "float range\n")
 
     def test_out_into_missing_directory_exit_2(self, tmp_path, capsys):
         path = write_scenario(tmp_path, small_scenario_dict())
