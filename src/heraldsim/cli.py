@@ -9,11 +9,15 @@ phase).  CSV output is comma separated with a header row and
 
 Exit codes: 0 success, 2 usage or input error, 3 zero-probability
 herald, 4 numerical failure.
+
+``main(argv)`` may be called repeatedly in one process: it builds its
+parser once, on the first call, and each call parses into a fresh namespace.
 """
 
 import argparse
 import contextlib
 import dataclasses
+import functools
 import math
 import sys
 
@@ -216,7 +220,9 @@ def cmd_malus(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The CLI's argparse tree, built once per process; callers only parse with it."""
     parser = argparse.ArgumentParser(
         prog="heraldsim",
         description="Heralded entanglement of two remote emitters: states, "
@@ -270,8 +276,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ZeroProbabilityHeraldError as exc:

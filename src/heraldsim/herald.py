@@ -196,12 +196,12 @@ def accidental_fraction(config, true_rate):
 def _figures(total_weight, coherence, v12, delta21):
     """Closed-form (C_target, C_generated, fidelity, trace) of generated states.
 
-    Takes W, M, V and the nominal delta21 as arrays that broadcast, so
-    one call evaluates a whole grid; ``trace`` is the heralding weight.
+    Takes W, M, V in [0, 1] and the nominal delta21 as arrays that
+    broadcast, so one call evaluates a whole grid; ``trace`` is the
+    heralding weight.
     Raises ``ZeroProbabilityHeraldError`` where the herald never fires
     or the trace vanishes, ``NumericalFailureError`` where |M| exceeds W.
     """
-    v12 = np.clip(v12, 0.0, 1.0)  # roundoff may leave |<e1|e2>|**2 just above 1
     nominal_weight, c_target = _concurrence_closed_form(delta21, v12)  # herald weight / 2
     _check_fires(np.min(nominal_weight))
     m = coherence / total_weight

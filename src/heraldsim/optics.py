@@ -121,12 +121,16 @@ class Polarizer:
 
     @classmethod
     def general(cls, eps_plus, eps_minus):
-        """Arbitrary analyzer from any nonzero pair of components."""
-        vec = _as_complex_array((eps_plus, eps_minus), (2,), "analyzer")
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
+        """Arbitrary analyzer from any nonzero pair of finite components."""
+        parts = _as_complex_array((eps_plus, eps_minus), (2,), "analyzer").view(float)
+        peak = np.abs(parts).max()
+        if peak == 0.0:
             raise InvalidInputError("general analyzer must be nonzero")
-        return cls(tuple((vec / norm).tolist()))
+        # rescale by a power of two first: exact, so a pair in the normal range keeps
+        # its bits, and the norm of a subnormal, tiny or huge pair neither
+        # underflows nor overflows
+        vec = np.ldexp(parts, -math.frexp(peak)[1]).view(complex)
+        return cls(tuple((vec / np.linalg.norm(vec)).tolist()))
 
 
 def polarizer_to_jones(polarizer):
@@ -142,7 +146,13 @@ def visibility(jones1, jones2):
     """
     e1 = _unit_vector(jones1, 2, JONES_NORM_ATOL, "jones1")
     e2 = _unit_vector(jones2, 2, JONES_NORM_ATOL, "jones2")
-    return float(abs(np.vdot(e1, e2)) ** 2)
+    return _overlap(e1, e2)
+
+
+def _overlap(e1, e2):
+    """|<e1, e2>|^2 of two unit vectors, capped at 1: equal analyzers may
+    otherwise round to 1 + 2**-51.  Values below 1 keep numpy's bits."""
+    return min(float(abs(np.vdot(e1, e2)) ** 2), 1.0)
 
 
 def _component_vectors(e1, e2):
@@ -225,8 +235,7 @@ def heralded_state(jones1, jones2, delta21):
     _check_fires(0.5 * weight)
     state = np.array(_fix_global_phase([a / norm for a in amps]))
     # v12 feeds every generated-state figure: keep numpy's overlap to the last bit
-    v12 = float(abs(np.vdot(e1, e2)) ** 2)
-    return HeraldedOutcome(state=state, g2=weight, delta21=delta21, v12=v12)
+    return HeraldedOutcome(state=state, g2=weight, delta21=delta21, v12=_overlap(e1, e2))
 
 
 def _validated_v12(v12):

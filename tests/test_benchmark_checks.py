@@ -1,10 +1,12 @@
-"""Each benchmark workload's op, once, against the benchmark's own output check.
+"""Each benchmark workload's op against the benchmark's own output check.
 
 ``perfbench/workloads.py`` checks the baseline figures against
 ``perfbench/reference/`` and the sweep and surface against independent
-routes; running one op of each workload here makes a change that moves
-those figures fail the test suite, not only the benchmark.  The test
-reads ``perfbench/`` and writes only into its temporary directory.
+routes; running each workload's op here makes a change that moves those
+figures fail the test suite, not only the benchmark.  A CLI op runs
+twice in one process, as the benchmark worker runs it, and both runs
+must agree.  The test reads ``perfbench/`` and writes only into its
+temporary directory.
 """
 
 import importlib.util
@@ -34,7 +36,14 @@ def test_workload_op_passes_its_check(workload, tmp_path, capsys):
                 index, report, rates, accidental_fraction(config, rates.corrected))
             assert workloads.check_output(workload, output, spec) is None
         return
-    output = {"rc": main(spec["argv"]), "stdout": capsys.readouterr().out, "csv": None}
-    if spec["out_csv"] is not None:
-        output["csv"] = Path(spec["out_csv"]).read_text(encoding="utf-8")
-    assert workloads.check_output(workload, output, spec) is None
+    # twice in one process, as the benchmark worker runs its ops back to back
+    outputs = []
+    for _ in range(2):
+        output = {"rc": main(spec["argv"]), "stdout": capsys.readouterr().out, "csv": None}
+        if spec["out_csv"] is not None:
+            csv_path = Path(spec["out_csv"])
+            output["csv"] = csv_path.read_text(encoding="utf-8")
+            csv_path.unlink()
+        assert workloads.check_output(workload, output, spec) is None
+        outputs.append(output)
+    assert outputs[0] == outputs[1]

@@ -48,6 +48,19 @@ class TestPolarizers:
         assert np.allclose(jones, [INV_SQRT2, 1j * INV_SQRT2], atol=1e-15)
         assert np.linalg.norm(jones) == pytest.approx(1.0, abs=1e-12)
 
+    def test_general_takes_any_finite_nonzero_pair(self):
+        # a power-of-two pair is the ordinary pair to the bit
+        assert Polarizer.general(2.0**-1074, 2.0**-1074) == Polarizer.general(1, 1)
+        assert Polarizer.general(2.0**1023, 0.0) == Polarizer.general(1, 0)
+        assert Polarizer.general(5e-324, 0.0) == Polarizer.circular(+1)
+        for pair, expected in (((3e-170, 4e-170), (0.6, 0.8)),
+                               ((1e308, 1e308), (INV_SQRT2, INV_SQRT2)),
+                               ((1e308 + 1e308j, -1e308 - 1e308j), (0.5 + 0.5j, -0.5 - 0.5j)),
+                               ((3 * 2.0**-1074, complex(0.0, 4 * 2.0**-1074)), (0.6, 0.8j))):
+            jones = polarizer_to_jones(Polarizer.general(*pair))
+            assert np.allclose(jones, expected, rtol=0.0, atol=1e-15)
+            assert np.linalg.norm(jones) == pytest.approx(1.0, abs=1e-15)
+
     def test_invalid_settings_rejected(self):
         for jones in ((1.0,), (1.0, 0.0, 0.0), (1.0, 1.0), (0.6, 0.8 + 1e-6),
                       (np.nan, 1.0), (1.0, complex(0.0, np.inf))):
@@ -113,6 +126,22 @@ class TestVisibility:
     def test_rejects_unnormalized(self):
         with pytest.raises(InvalidInputError):
             visibility(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+
+    def test_never_exceeds_one(self):
+        # equal linear analyzers round |<e, e>|^2 to 1 + 2**-51 about half the time
+        rng = np.random.default_rng(34)
+        for angle in rng.uniform(-np.pi, np.pi, 2000):
+            jones = Polarizer.linear(angle).jones
+            assert visibility(jones, jones) <= 1.0
+            assert heralded_state(jones, jones, 0.0).v12 <= 1.0
+        assert visibility(Polarizer.linear(0.0).jones, Polarizer.linear(0.0).jones) == 1.0
+
+    def test_values_below_one_keep_their_bits(self):
+        rng = np.random.default_rng(35)
+        for _ in range(200):
+            e1, e2 = random_jones(rng), random_jones(rng)
+            raw = float(abs(np.vdot(e1, e2)) ** 2)
+            assert visibility(e1, e2) == heralded_state(e1, e2, 0.3).v12 == raw
 
 
 class TestHeraldedState:

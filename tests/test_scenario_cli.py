@@ -1,5 +1,6 @@
 """Scenario files and the command line front end."""
 
+import argparse
 import csv
 import io
 import json
@@ -23,11 +24,12 @@ from heraldsim import (
     load_scenario,
     save_scenario,
 )
-from heraldsim.cli import _fmt, main
+from heraldsim.cli import _fmt, build_parser, main
 from heraldsim.scenario import polarizer_from_values
 
 BASELINE = "scenarios/baseline.json"
 POINT = "scenarios/point_detectors.json"
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
 
 def small_scenario_dict():
@@ -403,6 +405,20 @@ class TestStateCommand:
         values = parse_report(capsys.readouterr().out)
         assert float(values["v12"]) == pytest.approx(0.5, abs=1e-12)
 
+    def test_equal_analyzers_print_v12_one(self, capsys):
+        assert main(["state", "--polarizer1", "linear:0", "--polarizer2", "linear:0",
+                     "--delta21", "0"]) == 0
+        assert "v12                    = 1\n" in capsys.readouterr().out
+
+    def test_huge_general_analyzer_is_the_ordinary_one(self, capsys):
+        outputs = []
+        for spec in ("general:1e308,0,1e308,0", "general:1,0,1,0"):
+            assert main(["state", "--polarizer1", spec, "--polarizer2", "circular:+",
+                         "--delta21", "0.3"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].err == ""
+
     def test_missing_arguments_exit_2(self, capsys):
         rc = main(["state", "--polarizer1", "linear:0.0"])
         assert rc == 2
@@ -503,11 +519,10 @@ class TestUncertaintyCommand:
         path = baseline_copy(tmp_path, {"span_theta_mrad": 200.0})
         assert main(["uncertainty", "--config", path]) == 0
         assert capsys.readouterr().err == ""
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         run = subprocess.run(
             [sys.executable, "-W", "error::UserWarning", "-m", "heraldsim.cli",
              "uncertainty", "--config", path],
-            capture_output=True, text=True, env=env, check=False)
+            capture_output=True, text=True, env=SRC_ENV, check=False)
         assert (run.returncode, run.stderr) == (0, "")
 
     def test_overflowing_dark_pairs_give_accidental_fraction_one(self, tmp_path, capsys):
@@ -650,6 +665,7 @@ class TestMalusCommand:
             [0.0, 0.5, 1.0], abs=1e-12
         )
         assert all(float(r[4]) < 1e-12 for r in rows)
+        assert rows[0] == ["0", "1", "0", "0", "0"]  # equal analyzers: v12 exactly 1
 
     def test_other_quarter_wave_phases_accepted(self, capsys):
         rc = main(["malus", "--points", "2", "--delta21", str(-3.0 * np.pi / 2.0)])
@@ -685,3 +701,40 @@ class TestDeterminism:
         for path in paths:
             assert main(["surface", "--out", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestRepeatedCalls:
+    def test_one_parser_tree_per_process(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()  # start as a fresh process does
+        counts = []
+        for argv in (["malus", "--points", "2"],
+                     ["surface", "--delta21-points", "2", "--v12-points", "2"],
+                     ["state", "--config", BASELINE]):
+            before = len(built)
+            assert main(argv) == 0
+            counts.append(len(built) - before)
+        assert counts == [5, 0, 0]  # the root parser and its four subcommands, once
+
+    def test_no_flag_value_carries_over(self, capsys):
+        plain = ["uncertainty", "--config", BASELINE]
+        assert main(plain + ["--points-theta", "4", "--points-chi", "4"]) == 0
+        coarse = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["uncertainty"])  # --config missing: argparse exits
+        assert exit_info.value.code == 2
+        assert main(["surface"]) == 0
+        capsys.readouterr()
+        assert main(plain) == 0
+        in_process = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-m", "heraldsim.cli", *plain],
+                               capture_output=True, env=SRC_ENV, check=True)
+        assert in_process.encode() == fresh.stdout
+        assert in_process != coarse
