@@ -38,6 +38,7 @@ from .herald import (
 )
 from .optics import (
     Polarizer,
+    _check_v12_grid,
     _concurrence_closed_form,
     _count,
     _finite_real,
@@ -92,8 +93,7 @@ def _grid(lo, hi, count, name):
 def cmd_surface(args):
     deltas = _grid(args.delta21_min, args.delta21_max, args.delta21_points, "delta21")
     v12s = _grid(args.v12_min, args.v12_max, args.v12_points, "v12")
-    if v12s.min() < 0.0 or v12s.max() > 1.0:
-        raise InvalidInputError("v12 grid must lie inside [0, 1]")
+    _check_v12_grid(v12s)
     # fields are numbers or empty, so no csv quoting: each delta21 row is one array
     # expression over v12 and one joined block; nan (c != c) marks a singular cell
     v12_fields = [_fmt(v12) for v12 in v12s.tolist()]
@@ -109,15 +109,13 @@ def cmd_surface(args):
 
 
 def cmd_state(args):
+    pol1 = pol2 = delta = None
     if args.config is not None:
         scenario = load_scenario(args.config)
         config = scenario.experiment()
         pol1 = config.detector1.polarizer
         pol2 = config.detector2.polarizer
         delta = float(_longitudes(config.layout, config.detector1, config.detector2)[1][0])
-    else:
-        pol1 = pol2 = None
-        delta = None
     if args.polarizer1 is not None:
         pol1 = _parse_polarizer(args.polarizer1, "--polarizer1")
     if args.polarizer2 is not None:
@@ -201,19 +199,18 @@ def cmd_uncertainty(args):
 
 
 def cmd_malus(args):
-    half_pi = math.pi / 2.0
-    ratio = _finite_real(args.delta21, "--delta21") / half_pi
-    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) % 2 == 0:
-        raise InvalidInputError(
-            "malus needs delta21 at an odd multiple of pi/2 (quarter-wave phase)"
-        )
-    alphas = _grid(0.0, half_pi, args.points, "alpha")
+    delta = _finite_real(args.delta21, "--delta21")
+    # within 1.6e-9 of an odd multiple of pi/2, every weight 1 + v12 cos delta21 >= 1 - 2e-9
+    if abs(math.cos(delta)) > 1.6e-9:
+        raise InvalidInputError("malus needs delta21 at an odd multiple of pi/2 "
+                                "(quarter-wave phase)")
+    alphas = _grid(0.0, math.pi / 2.0, args.points, "alpha").tolist()
     reference = Polarizer.linear(0.0).jones
+    v12s = [visibility(reference, Polarizer.linear(alpha).jones) for alpha in alphas]
+    _, values = _concurrence_closed_form(delta, np.array(v12s))
     with _output(args.out) as handle:
         handle.write("alpha_rad,v12,concurrence,sin2_alpha,difference\n")
-        for alpha in alphas:
-            v12 = visibility(reference, Polarizer.linear(alpha).jones)
-            value = concurrence_analytic(args.delta21, v12)
+        for alpha, v12, value in zip(alphas, v12s, values.tolist()):
             malus = math.sin(alpha) ** 2
             handle.write(",".join(map(_fmt, (alpha, v12, value, malus, abs(value - malus))))
                          + "\n")
@@ -279,18 +276,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ZeroProbabilityHeraldError as exc:
+    except (ZeroProbabilityHeraldError, NumericalFailureError, InvalidInputError,
+            OSError) as exc:  # OSError: a missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
-        return ZERO_PROBABILITY
-    except NumericalFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return NUMERICAL_FAILURE
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:  # missing file, a directory, no permission
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return (ZERO_PROBABILITY if isinstance(exc, ZeroProbabilityHeraldError)
+                else NUMERICAL_FAILURE if isinstance(exc, NumericalFailureError)
+                else USAGE_ERROR)
 
 
 if __name__ == "__main__":

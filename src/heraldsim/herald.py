@@ -36,6 +36,7 @@ from .geometry import (
 )
 from .optics import (
     _check_fires,
+    _check_v12_grid,
     _component_vectors,
     _concurrence_closed_form,
     _count,
@@ -328,8 +329,7 @@ def delta_c_scan(config, quadrature, delta21_values, v12_values):
     if not (delta21_values.ndim == v12_values.ndim == 1
             and delta21_values.size and v12_values.size):
         raise InvalidInputError("scan grids must be nonempty and one-dimensional")
-    if not (0.0 <= v12_values.min() and v12_values.max() <= 1.0):  # also catches nan
-        raise InvalidInputError("v12 grid must lie in [0, 1]")
+    _check_v12_grid(v12_values)
     # the analyzers do not enter W and M: one average over all delta21 geometries
     total_weight, coherence, phases = _quadrature_moments(
         config.layout, config.trap, config.detector1, config.detector2, quadrature,

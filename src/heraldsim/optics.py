@@ -81,6 +81,12 @@ def _real_array(values, name):
     return array.astype(float, copy=False)
 
 
+def _check_v12_grid(values):
+    """Raise unless every entry of the nonempty array ``values`` lies in [0, 1]; nan does not."""
+    if not (0.0 <= values.min() and values.max() <= 1.0):
+        raise InvalidInputError("v12 grid must lie in [0, 1]")
+
+
 def _read_only_arrays(record):
     """``__post_init__`` of a result record: its arrays become read-only views."""
     for name, value in vars(record).items():
@@ -213,13 +219,14 @@ def heralded_state(jones1, jones2, delta21):
     Returns
     -------
     HeraldedOutcome
+        ``g2`` is the closed form 2 (1 + v12 cos delta21), as ``g2`` returns it;
+        the amplitudes' norm only normalizes the state.
 
     Raises
     ------
     ZeroProbabilityHeraldError
-        If half the coincidence weight falls below ``MIN_HERALD_WEIGHT``,
-        the rule of ``concurrence_analytic`` (equal analyzers with
-        destructive phase, e.g. v12 = 1 and delta21 = pi).
+        If half that weight is below ``MIN_HERALD_WEIGHT``, exactly where
+        ``concurrence_analytic`` raises (e.g. equal analyzers, delta21 = pi).
     InvalidInputError
         If an analyzer is not a finite unit vector or ``delta21`` is
         not finite.
@@ -227,15 +234,16 @@ def heralded_state(jones1, jones2, delta21):
     e1 = _unit_vector(jones1, 2, JONES_NORM_ATOL, "jones1")
     e2 = _unit_vector(jones2, 2, JONES_NORM_ATOL, "jones2")
     delta21 = _finite_real(delta21, "delta21")
+    # v12 feeds every generated-state figure: keep numpy's overlap to the last bit
+    v12 = _overlap(e1, e2)
+    weight, _ = _concurrence_closed_form(delta21, v12)
+    _check_fires(weight)
     # four amplitudes: Python complex arithmetic beats numpy's per-call cost
     turn = cmath.exp(-1j * delta21)
     amps = [a + b * turn for a, b in zip(*_component_vectors(e1.tolist(), e2.tolist()))]
     norm = math.hypot(*map(abs, amps))
-    weight = norm * norm
-    _check_fires(0.5 * weight)
     state = np.array(_fix_global_phase([a / norm for a in amps]))
-    # v12 feeds every generated-state figure: keep numpy's overlap to the last bit
-    return HeraldedOutcome(state=state, g2=weight, delta21=delta21, v12=_overlap(e1, e2))
+    return HeraldedOutcome(state=state, g2=2.0 * weight, delta21=delta21, v12=v12)
 
 
 def _validated_v12(v12):
@@ -275,10 +283,12 @@ def _check_fires(weight):
 
 
 def _concurrence_closed_form(delta21, v12):
-    """Unchecked weight w = 1 + v12 cos delta21 and (1 - v12) / w, nan where w is
-    below ``MIN_HERALD_WEIGHT``: the herald never fires there."""
+    """The one evaluation of the weight w = 1 + v12 cos delta21, unchecked, and of
+    (1 - v12) / w, nan where w is below ``MIN_HERALD_WEIGHT``: the herald never fires there."""
     weight = 1.0 + v12 * np.cos(delta21)
-    return weight, np.divide(1.0 - v12, weight, out=np.full(np.shape(weight), np.nan),
+    if not isinstance(weight, np.ndarray):  # a scalar skips numpy's masked divide
+        return weight, (1.0 - v12) / weight if weight >= MIN_HERALD_WEIGHT else np.nan
+    return weight, np.divide(1.0 - v12, weight, out=np.full(weight.shape, np.nan),
                              where=weight >= MIN_HERALD_WEIGHT)
 
 
@@ -288,6 +298,5 @@ def g2(delta21, v12):
     This is the unnormalized second-order correlation of the two
     detection channels; it vanishes at v12 = 1, delta21 = pi.
     """
-    delta21 = _finite_real(delta21, "delta21")
-    v = _validated_v12(v12)
-    return 2.0 * (1.0 + v * np.cos(delta21))
+    weight, _ = _concurrence_closed_form(_finite_real(delta21, "delta21"), _validated_v12(v12))
+    return 2.0 * weight

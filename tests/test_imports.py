@@ -11,11 +11,16 @@ direction, phase or node function, and imports from ``geometry`` only
 the model dataclasses and the two ``(W, M, delta21)`` routes.  The
 number and count rules stay in ``optics.py``: no other module makes an
 ``isinstance(..., bool)`` test, the mark of one.  So does the herald's
-weight floor: no other module names ``MIN_HERALD_WEIGHT``.
+weight floor: no other module names ``MIN_HERALD_WEIGHT``.  A fresh
+interpreter checks what importing the package and the CLI loads, so
+import-time work stays out of every command's set-up.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -185,3 +190,14 @@ def test_the_weight_floor_lives_in_optics():
     found = {path.name: names_of(path.read_text(encoding="utf-8"), "MIN_HERALD_WEIGHT")
              for path in MODULES if path.name != "optics.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+@pytest.mark.parametrize("module, absent", [
+    ("heraldsim", ["argparse", "gettext", "scipy", "hypothesis"]),
+    ("heraldsim.cli", ["scipy", "hypothesis"]),
+])
+def test_import_loads_no_heavy_module(module, absent):
+    probe = f"import sys, {module}; print(' '.join(sorted(set({absent!r}) & set(sys.modules))))"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
+    assert run.stdout.split() == []

@@ -174,6 +174,36 @@ class TestHeraldedState:
             with pytest.raises(InvalidInputError):
                 heralded_state(h, plus, bad)
 
+    def test_fires_exactly_where_the_closed_form_does(self):
+        # 1 + cos(delta21) = 9.99978e-13 lies just below the floor, while half the
+        # amplitudes' squared norm rounds to 1.0000008e-12, just above it
+        h = polarizer_to_jones(Polarizer.linear(0.0))
+        for call in (lambda: heralded_state(h, h, 3.1415912393756513),
+                     lambda: concurrence_analytic(3.1415912393756513, 1.0)):
+            with pytest.raises(ZeroProbabilityHeraldError):
+                call()
+
+    def test_near_destructive_draws_fire_with_concurrence_analytic(self):
+        # nearly equal analyzers near delta21 = pi put 1 + v12 cos delta21 near the floor
+        rng = np.random.default_rng(37)
+        outcomes = set()
+        for _ in range(2000):
+            alpha = rng.uniform(-np.pi, np.pi)
+            e1 = polarizer_to_jones(Polarizer.linear(alpha))
+            e2 = polarizer_to_jones(Polarizer.linear(alpha + rng.uniform(-1.5e-6, 1.5e-6)))
+            delta = np.pi * rng.choice([-1.0, 1.0]) + rng.uniform(-2e-6, 2e-6)
+            try:
+                out = heralded_state(e1, e2, delta)
+            except ZeroProbabilityHeraldError:
+                with pytest.raises(ZeroProbabilityHeraldError):
+                    concurrence_analytic(delta, visibility(e1, e2))
+                outcomes.add("raised")
+                continue
+            concurrence_analytic(delta, out.v12)
+            assert out.g2 == g2(delta, out.v12)
+            outcomes.add("fired")
+        assert outcomes == {"raised", "fired"}
+
     def test_outcome_invariants_on_random_analyzers(self):
         rng = np.random.default_rng(34)
         checked = 0
@@ -187,7 +217,9 @@ class TestHeraldedState:
                 continue
             checked += 1
             assert np.linalg.norm(out.state) == pytest.approx(1.0, abs=1e-12)
-            assert out.g2 == pytest.approx(g2(delta, out.v12), abs=1e-12)
+            # one closed form: the outcome's weight is g2's to the bit, never above its bound
+            assert out.g2 == g2(delta, out.v12)
+            assert out.g2 <= 2.0 * (1.0 + out.v12)
             # phase convention: first non-negligible amplitude real >= 0
             pivot = out.state[np.abs(out.state) > 1e-10][0]
             assert abs(pivot.imag) < 1e-12

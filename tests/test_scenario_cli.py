@@ -294,7 +294,7 @@ class TestSurfaceCommand:
     def test_bad_visibility_bounds_exit_2(self, capsys):
         rc = main(["surface", "--v12-max", "1.5"])
         assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: v12 grid must lie in [0, 1]\n"
 
     @pytest.mark.parametrize(
         "bounds",
@@ -408,7 +408,9 @@ class TestStateCommand:
     def test_equal_analyzers_print_v12_one(self, capsys):
         assert main(["state", "--polarizer1", "linear:0", "--polarizer2", "linear:0",
                      "--delta21", "0"]) == 0
-        assert "v12                    = 1\n" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "v12                    = 1\n" in out
+        assert "g2                     = 4\n" in out  # the closed form, not 4 + 4 ulp
 
     def test_huge_general_analyzer_is_the_ordinary_one(self, capsys):
         outputs = []
@@ -674,6 +676,8 @@ class TestMalusCommand:
     def test_non_quarter_wave_phase_exit_2(self, capsys):
         assert main(["malus", "--delta21", "1.0"]) == 2
         assert main(["malus", "--delta21", str(np.pi)]) == 2
+        # delta21 / (pi/2) rounds to an odd integer here, but cos(delta21) is -0.97
+        assert main(["malus", "--delta21", "1.413198951909893e+16"]) == 2
         for delta in ("nan", "inf", "-inf"):
             capsys.readouterr()
             assert main(["malus", f"--delta21={delta}"]) == 2
