@@ -7,8 +7,8 @@ file), ``malus`` (concurrence against analyzer angle at quarter-wave
 phase).  CSV output is comma separated with a header row and
 17-significant-digit floats; identical inputs give byte-identical files.
 
-Exit codes: 0 success, 2 usage or input error, 3 zero-probability
-herald, 4 numerical failure.
+Exit codes: 0 success, 2 usage or input error (a request too large
+for memory included), 3 zero-probability herald, 4 numerical failure.
 
 ``main(argv)`` may be called repeatedly in one process: it builds its
 parser once, on the first call, and each call parses into a fresh namespace.
@@ -277,8 +277,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ZeroProbabilityHeraldError, NumericalFailureError, InvalidInputError,
-            OSError) as exc:  # OSError: a missing file, a directory, no permission
-        print(f"error: {exc}", file=sys.stderr)
+            OSError, MemoryError) as exc:  # OSError: a missing file, a directory, no permission
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return (ZERO_PROBABILITY if isinstance(exc, ZeroProbabilityHeraldError)
                 else NUMERICAL_FAILURE if isinstance(exc, NumericalFailureError)
                 else USAGE_ERROR)

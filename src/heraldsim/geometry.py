@@ -20,7 +20,10 @@ out ``(W, M, delta21)``, with delta21 the nominal phase between the
 patch centers: ``_quadrature_moments`` by quadrature, with the trap
 averaged in closed form, for the configured geometry or for detector 2
 moved to a whole array of phases at once, and ``_sampled_moments`` by
-sampling patches and trap.  The patch nodes never leave this module.
+sampling patches and trap; it holds its draws whole (56 B per
+sample), so a seed gives the stream of one draw per array, and takes
+its sums over blocks of ``_SAMPLE_BLOCK`` samples.  The patch nodes
+never leave this module.
 """
 
 import functools
@@ -44,6 +47,8 @@ __all__ = [
 
 #: largest real block of node-pair columns ``_phase_moments`` holds at once
 _PAIR_BLOCK_BYTES = 8 * 2**20
+#: samples ``_sampled_moments`` sums over at once
+_SAMPLE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -345,18 +350,43 @@ def _quadrature_moments(layout, trap, patch1, patch2, quad, delta21=None):
 
 
 def _sampled_moments(layout, trap, patch1, patch2, samples, rng):
-    """(W, M, delta21) from uniform patch draws weighted by cos chi and Gaussian trap draws."""
-    def draw(patch):
-        _check_patch_extent(patch, np.array([patch.theta_center]))
-        theta = patch.theta_center + patch.span_theta * (rng.random(samples) - 0.5)
-        chi = patch.chi_center + patch.span_chi * (rng.random(samples) - 0.5)
-        return _directions(theta, chi)
+    """(W, M, delta21) from uniform patch draws weighted by cos chi and Gaussian trap draws.
 
-    (dirs1, cos1), (dirs2, cos2) = draw(patch1), draw(patch2)
-    offset = math.sqrt(2.0) * trap.confinement * rng.standard_normal((samples, 3))
-    offset[:, 0] += layout.separation
-    phase = layout.wavenumber * (np.einsum("ij,ij->i", offset, dirs2)
-                                 - np.einsum("ij,ij->i", offset, dirs1))
-    weights = cos1 * cos2
-    return (float(weights.sum()), complex(np.sum(weights * np.exp(-1j * phase))),
+    Sample j draws directions e1, e2 uniformly in (theta, chi) over the
+    two patches and a displacement difference sigma n, n standard
+    normal, sigma = sqrt(2) * confinement.  Then W = sum cos chi1 cos chi2
+    and M = sum w exp(-1j k (d e_x + sigma n) . (e2 - e1)), w the
+    weight of the sample.  All draws are taken first and held whole
+    (56 B per sample), in the order theta1, chi1, theta2, chi2, n, so a
+    seed gives the same stream as one draw per array; the sums are then
+    taken over blocks of ``_SAMPLE_BLOCK`` samples, the components of
+    e2 - e1 formed directly and Re M, Im M as two real dot products.
+    """
+    for patch in (patch1, patch2):
+        _check_patch_extent(patch, np.array([patch.theta_center]))
+    angles = [center + span * (rng.random(samples) - 0.5)
+              for patch in (patch1, patch2)
+              for center, span in ((patch.theta_center, patch.span_theta),
+                                   (patch.chi_center, patch.span_chi))]
+    normal = rng.standard_normal((samples, 3))
+    wavenumber = layout.wavenumber
+    kd = wavenumber * layout.separation
+    k_sigma = wavenumber * math.sqrt(2.0) * trap.confinement
+    total_weight, real, imag = 0.0, 0.0, 0.0
+    for start in range(0, samples, _SAMPLE_BLOCK):
+        block = slice(start, start + _SAMPLE_BLOCK)
+        theta1, chi1, theta2, chi2 = (angle[block] for angle in angles)
+        cos1, cos2 = np.cos(chi1), np.cos(chi2)
+        dx = np.cos(theta2) * cos2 - np.cos(theta1) * cos1
+        dy = np.sin(theta2) * cos2 - np.sin(theta1) * cos1
+        dz = np.sin(chi2) - np.sin(chi1)
+        n = normal[block]
+        phase = n[:, 0] * dx + n[:, 1] * dy + n[:, 2] * dz
+        phase *= k_sigma
+        phase += kd * dx
+        weight = cos1 * cos2
+        total_weight += weight.sum()
+        real += weight @ np.cos(phase)
+        imag -= weight @ np.sin(phase)
+    return (float(total_weight), complex(real, imag),
             float(_longitudes(layout, patch1, patch2)[1][0]))

@@ -144,8 +144,14 @@ def detection_probability(patch):
     Exact in theta for any width; in chi it takes ``span_chi`` for the exact factor
     2 cos(chi_center) sin(span_chi / 2), so it reads high: the exact area is 1.1% smaller
     at span_chi = pi/6, chi_center = 0 and 6.9% smaller at span_chi = pi/4, chi_center = 0.3.
+    Raises ``InvalidInputError`` where that fraction is above 1 or not finite.
     """
-    return patch.span_theta * patch.span_chi / (4.0 * np.pi)
+    fraction = patch.span_theta * patch.span_chi / (4.0 * np.pi)
+    if not fraction <= 1.0:
+        raise InvalidInputError(
+            f"detector patch span_theta * span_chi = {patch.span_theta * patch.span_chi:.6g} "
+            "is larger than the sphere (4 pi)")
+    return fraction
 
 
 def count_rate(config, v12, delta21):

@@ -1,5 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -14,7 +16,12 @@ from heraldsim import (
     detection_direction,
     farfield_phase,
 )
-from heraldsim.geometry import _quadrature_moments
+from heraldsim.geometry import (
+    _check_patch_extent,
+    _directions,
+    _longitudes,
+    _quadrature_moments,
+)
 from heraldsim.optics import MIN_HERALD_WEIGHT
 from heraldsim.qcore import (
     concurrence_mixed,
@@ -213,6 +220,29 @@ def patch_moments(config, quad):
     """(W, M, delta21) as ``generated_state`` takes them: the G = 1 quadrature entry."""
     return _quadrature_moments(config.layout, config.trap, config.detector1,
                                config.detector2, quad)
+
+
+def sampled_moments_one_shot(layout, trap, patch1, patch2, samples, rng):
+    """(W, M, delta21) by sampling, every sample held at once.
+
+    Oracle for the blocked ``geometry._sampled_moments``: the same draws
+    in the same order, with (samples, 3) direction and offset arrays,
+    two ``einsum`` projections and one complex weighted sum.
+    """
+    def draw(patch):
+        _check_patch_extent(patch, np.array([patch.theta_center]))
+        theta = patch.theta_center + patch.span_theta * (rng.random(samples) - 0.5)
+        chi = patch.chi_center + patch.span_chi * (rng.random(samples) - 0.5)
+        return _directions(theta, chi)
+
+    (dirs1, cos1), (dirs2, cos2) = draw(patch1), draw(patch2)
+    offset = math.sqrt(2.0) * trap.confinement * rng.standard_normal((samples, 3))
+    offset[:, 0] += layout.separation
+    phase = layout.wavenumber * (np.einsum("ij,ij->i", offset, dirs2)
+                                 - np.einsum("ij,ij->i", offset, dirs1))
+    weights = cos1 * cos2
+    return (float(weights.sum()), complex(np.sum(weights * np.exp(-1j * phase))),
+            float(_longitudes(layout, patch1, patch2)[1][0]))
 
 
 def nominal_phase(config):

@@ -43,6 +43,7 @@ from helpers import (
     reference_config,
     reference_layout,
     reference_patch,
+    sampled_moments_one_shot,
     wrap_phase,
 )
 
@@ -113,6 +114,14 @@ class TestDetectionProbability:
         )
         value = detection_probability(patch)
         assert value == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("spans", [(3.0, 6.0), (1e200, 1e200)],
+                             ids=["flat-area-above-one", "infinite-flat-area"])
+    def test_patch_larger_than_the_sphere_raises(self, spans):
+        patch = reference_patch(Polarizer.linear(0.0), span_theta=spans[0],
+                                span_chi=spans[1])
+        with pytest.raises(InvalidInputError, match="larger than the sphere"):
+            detection_probability(patch)
 
 
 class TestCountRates:
@@ -185,6 +194,13 @@ class TestAccidentalFraction:
             for d in (0.0, 10.0, 100.0, 1000.0)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+    def test_patch_larger_than_the_sphere_raises_not_nan(self):
+        # at zero efficiency the singles were 0 * inf, so the fraction was nan
+        config = reference_config(detector_efficiency=0.0, span_theta=1e200,
+                                  span_chi=1e200)
+        with pytest.raises(InvalidInputError, match="larger than the sphere"):
+            accidental_fraction(config, true_rate=1.0)
 
     def test_overflowing_accidental_rate_gives_the_limit(self):
         # dark**2 * window overflows: the fraction is 1.0, not inf / inf
@@ -466,6 +482,38 @@ class TestGeneratedStateFinitePatches:
         sampled = monte_carlo_state(config, samples=150_000, seed=7)
         assert abs(exact.delta_c - sampled.delta_c) < 5e-4
         assert abs(exact.fidelity - sampled.fidelity) < 5e-4
+
+    @pytest.mark.parametrize("samples", [1, 8191, 8192, 8193, 3 * 8192 + 7])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_sampled_moments_match_the_one_shot_sums(self, samples, seed):
+        # the same draws and estimator summed in blocks of _SAMPLE_BLOCK = 8192
+        # samples, across the block edges, on both latitudes off the equator
+        config = reference_config(confinement=30e-9, chi_center=0.2)
+        config = dataclasses.replace(config, detector2=dataclasses.replace(
+            config.detector2, theta_center=1.5, chi_center=-0.15))
+        arguments = (config.layout, config.trap, config.detector1, config.detector2, samples)
+        weight, coherence, delta = geometry._sampled_moments(
+            *arguments, np.random.default_rng(seed))
+        oracle_weight, oracle_coherence, oracle_delta = sampled_moments_one_shot(
+            *arguments, np.random.default_rng(seed))
+        assert abs(weight - oracle_weight) <= 1e-13 * oracle_weight
+        assert abs(coherence - oracle_coherence) <= 1e-13 * oracle_weight
+        assert delta == oracle_delta
+
+    def test_sampled_moments_memory_is_bounded(self):
+        # the draws are held whole (56 B per sample) and the sums over blocks of
+        # 8192 samples add little; sums over whole (samples, 3) direction and
+        # offset arrays and a complex phase array peak at 136 B per sample
+        config = reference_config()
+        samples = 200_000
+        tracemalloc.start()
+        try:
+            geometry._sampled_moments(config.layout, config.trap, config.detector1,
+                                      config.detector2, samples, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * samples
 
     def test_monte_carlo_rejects_bad_sample_count(self):
         with pytest.raises(InvalidInputError):

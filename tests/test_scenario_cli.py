@@ -24,6 +24,7 @@ from heraldsim import (
     load_scenario,
     save_scenario,
 )
+from heraldsim import herald
 from heraldsim.cli import _fmt, build_parser, main
 from heraldsim.scenario import polarizer_from_values
 
@@ -617,6 +618,21 @@ class TestUncertaintyCommand:
         assert rc == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err
+        assert captured.out == ""
+
+    def test_sample_count_too_large_for_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # stands in for the draws of a huge --samples: no real allocation is tried
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(herald, "_sampled_moments", out_of_memory)
+        doc = small_scenario_dict()
+        del doc["scan"]
+        rc = main(["uncertainty", "--config", write_scenario(tmp_path, doc),
+                   "--seed", "1", "--samples", "1000000000000"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: Unable to allocate 7.28 TiB for an array\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("name", ["absent.json", ""], ids=["absent", "directory"])
