@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: ``surface`` (closed-form concurrence over a grid, evaluated
-row by row in delta21 and streamed), ``state`` (one heralded state),
+and streamed in blocks of about ``_BLOCK_CELLS`` cells, whole delta21
+rows each), ``state`` (one heralded state),
 ``uncertainty`` (generated-state report and error scan from a scenario
 file), ``malus`` (concurrence against analyzer angle at quarter-wave
 phase).  CSV output is comma separated with a header row and
@@ -53,9 +54,39 @@ __all__ = ["main"]
 
 USAGE_ERROR, ZERO_PROBABILITY, NUMERICAL_FAILURE = 2, 3, 4
 
+_FLOAT = "%.17g"
+#: cells per CSV block: each block is one ``%`` format and one write, and
+#: its template, figures and text stay near 100 KB
+_BLOCK_CELLS = 1024
+
 
 def _fmt(value):
-    return f"{value:.17g}"
+    return _FLOAT % value
+
+
+def _write_cells(handle, prefixes, tails, figures, singular_tails=None):
+    """Write line ``prefixes[i] + tails[j]`` for each row i and column j, row-major.
+
+    The ``_FLOAT`` slots of ``tails[j]`` take the figures of cell (i, j):
+    ``figures(rows)`` returns them for a slice of rows, in an array whose
+    row-major order is the slots'.  Whole rows go in blocks of about
+    ``_BLOCK_CELLS`` cells, each one ``%`` over a template joined from the
+    fields.  With ``singular_tails`` (one slot per tail), a block holding nan
+    is written cell by cell, and a nan cell j takes ``singular_tails[j]``.
+    """
+    parts = ["", *tails]  # prefix.join(parts) puts the prefix before each tail
+    step = max(1, _BLOCK_CELLS // len(tails))
+    for start in range(0, len(prefixes), step):
+        rows = slice(start, start + step)
+        values = figures(rows)
+        if singular_tails is not None and np.isnan(values).any():
+            handle.write("".join(
+                prefix + (tail % cell if cell == cell else singular)
+                for prefix, row in zip(prefixes[rows], values.tolist())
+                for tail, singular, cell in zip(tails, singular_tails, row)))
+        else:
+            handle.write("".join(prefix.join(parts) for prefix in prefixes[rows])
+                         % tuple(values.ravel().tolist()))
 
 
 @contextlib.contextmanager
@@ -94,17 +125,14 @@ def cmd_surface(args):
     deltas = _grid(args.delta21_min, args.delta21_max, args.delta21_points, "delta21")
     v12s = _grid(args.v12_min, args.v12_max, args.v12_points, "v12")
     _check_v12_grid(v12s)
-    # fields are numbers or empty, so no csv quoting: each delta21 row is one array
-    # expression over v12 and one joined block; nan (c != c) marks a singular cell
+    # fields are numbers or empty, so no csv quoting; a nan concurrence marks a singular cell
     v12_fields = [_fmt(v12) for v12 in v12s.tolist()]
     with _output(args.out) as handle:
         handle.write("delta21_rad,v12,concurrence,singular\n")
-        for delta in deltas:
-            prefix = _fmt(delta) + ","
-            _, values = _concurrence_closed_form(delta, v12s)
-            handle.write("".join(
-                f"{prefix}{v12},{_fmt(c)},0\n" if c == c else f"{prefix}{v12},,1\n"
-                for v12, c in zip(v12_fields, values.tolist())))
+        _write_cells(handle, [_fmt(delta) + "," for delta in deltas.tolist()],
+                     [f"{v12},{_FLOAT},0\n" for v12 in v12_fields],
+                     lambda rows: _concurrence_closed_form(deltas[rows, None], v12s)[1],
+                     [f"{v12},,1\n" for v12 in v12_fields])
     return 0
 
 
@@ -183,17 +211,14 @@ def cmd_uncertainty(args):
         if args.out is not None:
             with _output(args.out) as handle:
                 # every field is a number, so no csv quoting; the cells go
-                # row-major (delta21 outer, v12 inner), each value through _fmt once
+                # row-major (delta21 outer, v12 inner)
                 handle.write("delta21_rad,v12,delta_c,fidelity,"
                              "concurrence_target,concurrence_generated\n")
-                v12_fields = [_fmt(v12) for v12 in result.v12.tolist()]
-                cells = (f"{delta},{v12}," for delta in map(_fmt, result.delta21.tolist())
-                         for v12 in v12_fields)
-                figures = zip(*(map(_fmt, column.ravel().tolist()) for column in (
-                    result.delta_c, result.fidelity, result.concurrence_target,
-                    result.concurrence_generated)))
-                handle.write("".join(cell + ",".join(row) + "\n"
-                                     for cell, row in zip(cells, figures)))
+                table = np.stack((result.delta_c, result.fidelity, result.concurrence_target,
+                                  result.concurrence_generated), axis=-1)
+                _write_cells(handle, [_fmt(delta) + "," for delta in result.delta21.tolist()],
+                             [f"{_fmt(v12)},{_FLOAT},{_FLOAT},{_FLOAT},{_FLOAT}\n"
+                              for v12 in result.v12.tolist()], table.__getitem__)
     print("".join(f"{name:<23}= {_fmt(value)}\n" for name, value in fields.items()), end="")
     return 0
 
@@ -206,14 +231,14 @@ def cmd_malus(args):
                                 "(quarter-wave phase)")
     alphas = _grid(0.0, math.pi / 2.0, args.points, "alpha").tolist()
     reference = Polarizer.linear(0.0).jones
-    v12s = [visibility(reference, Polarizer.linear(alpha).jones) for alpha in alphas]
-    _, values = _concurrence_closed_form(delta, np.array(v12s))
+    v12s = np.array([visibility(reference, Polarizer.linear(alpha).jones) for alpha in alphas])
+    _, values = _concurrence_closed_form(delta, v12s)
+    malus = np.array([math.sin(alpha) ** 2 for alpha in alphas])
+    table = np.column_stack((v12s, values, malus, np.abs(values - malus)))
     with _output(args.out) as handle:
         handle.write("alpha_rad,v12,concurrence,sin2_alpha,difference\n")
-        for alpha, v12, value in zip(alphas, v12s, values.tolist()):
-            malus = math.sin(alpha) ** 2
-            handle.write(",".join(map(_fmt, (alpha, v12, value, malus, abs(value - malus))))
-                         + "\n")
+        _write_cells(handle, [_fmt(alpha) + "," for alpha in alphas],
+                     [f"{_FLOAT},{_FLOAT},{_FLOAT},{_FLOAT}\n"], table.__getitem__)
     return 0
 
 

@@ -1,5 +1,6 @@
 """Shared generators and independent oracles for the test suite."""
 
+import io
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from heraldsim import (
     ZeroProbabilityHeraldError,
     detection_direction,
     farfield_phase,
+    visibility,
 )
 from heraldsim.geometry import (
     _check_patch_extent,
@@ -22,7 +24,7 @@ from heraldsim.geometry import (
     _longitudes,
     _quadrature_moments,
 )
-from heraldsim.optics import MIN_HERALD_WEIGHT
+from heraldsim.optics import MIN_HERALD_WEIGHT, _concurrence_closed_form
 from heraldsim.qcore import (
     concurrence_mixed,
     concurrence_pure,
@@ -308,3 +310,42 @@ def quadrature_moments(config, points_patch, points_trap, midpoint=False,
     sum2 = np.exp(-1j * wavenumber * (offsets @ dirs2.T)) @ w2
     total_weight = float(w1.sum() * w2.sum() * du_weights.sum())
     return total_weight, complex(np.sum(du_weights * sum1 * sum2))
+
+
+def _fmt(value):
+    return f"{value:.17g}"
+
+
+def scan_csv_per_cell(result):
+    """The ``uncertainty --out`` CSV of the scan ``result``, written one cell
+    at a time with an f-string per figure: the CLI's former loop."""
+    handle = io.StringIO()
+    # every field is a number, so no csv quoting; the cells go
+    # row-major (delta21 outer, v12 inner), each value through _fmt once
+    handle.write("delta21_rad,v12,delta_c,fidelity,"
+                 "concurrence_target,concurrence_generated\n")
+    v12_fields = [_fmt(v12) for v12 in result.v12.tolist()]
+    cells = (f"{delta},{v12}," for delta in map(_fmt, result.delta21.tolist())
+             for v12 in v12_fields)
+    figures = zip(*(map(_fmt, column.ravel().tolist()) for column in (
+        result.delta_c, result.fidelity, result.concurrence_target,
+        result.concurrence_generated)))
+    handle.write("".join(cell + ",".join(row) + "\n"
+                         for cell, row in zip(cells, figures)))
+    return handle.getvalue()
+
+
+def malus_csv_per_row(delta, points):
+    """The ``malus --delta21 delta --points points`` CSV, written one row at a
+    time with an f-string per field: the CLI's former loop."""
+    alphas = np.linspace(0.0, math.pi / 2.0, points).tolist()
+    reference = Polarizer.linear(0.0).jones
+    v12s = [visibility(reference, Polarizer.linear(alpha).jones) for alpha in alphas]
+    _, values = _concurrence_closed_form(delta, np.array(v12s))
+    handle = io.StringIO()
+    handle.write("alpha_rad,v12,concurrence,sin2_alpha,difference\n")
+    for alpha, v12, value in zip(alphas, v12s, values.tolist()):
+        malus = math.sin(alpha) ** 2
+        handle.write(",".join(map(_fmt, (alpha, v12, value, malus, abs(value - malus))))
+                     + "\n")
+    return handle.getvalue()

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heraldsim import (
     Polarizer,
@@ -25,8 +27,10 @@ from heraldsim import (
     save_scenario,
 )
 from heraldsim import herald
-from heraldsim.cli import _fmt, build_parser, main
+from heraldsim.cli import _BLOCK_CELLS, _fmt, build_parser, main
 from heraldsim.scenario import polarizer_from_values
+
+from helpers import malus_csv_per_row, scan_csv_per_cell
 
 BASELINE = "scenarios/baseline.json"
 POINT = "scenarios/point_detectors.json"
@@ -326,7 +330,16 @@ class TestSurfaceCommand:
         (np.pi - 2e-6, np.pi + 2e-6, 41, 0.99999, 1.0, 11),
         (-0.7, 2.9, 1, 0.0, 1.0, 7),
         (-np.pi, np.pi, 9, 1.0, 1.0, 1),
-    ], ids=["defaults", "window-at-pi", "one-delta21", "one-v12"])
+        # the rows go in blocks of _BLOCK_CELLS // v12-points rows, one at least
+        (-np.pi, np.pi, 5, 0.0, 1.0, 1500),
+        (-2.0, 2.0, 3, 0.0, 1.0, _BLOCK_CELLS),
+        (-2.0, 2.0, 3, 0.0, 1.0, _BLOCK_CELLS + 1),
+        (-3.0, 3.0, 25, 0.0, 1.0, 101),
+        # singular cells at rows 2 and 6 of a 9-row block
+        (-2 * np.pi, 2 * np.pi, 9, 0.0, 1.0, 101),
+    ], ids=["defaults", "window-at-pi", "one-delta21", "one-v12", "v12-beyond-a-block",
+            "v12-one-block", "v12-one-block-and-one", "partial-last-block",
+            "singular-inside-a-block"])
     def test_every_line_matches_the_scalar_route(self, tmp_path, capsys, grid):
         d_lo, d_hi, d_n, v_lo, v_hi, v_n = grid
         expected = ["delta21_rad,v12,concurrence,singular"]
@@ -502,6 +515,20 @@ class TestUncertaintyCommand:
                         result.fidelity[i, j], result.concurrence_target[i, j],
                         result.concurrence_generated[i, j]]
             assert [float(field) for field in row] == expected
+
+    @pytest.mark.parametrize("source", [BASELINE, POINT, None],
+                             ids=["baseline", "point-detectors", "small"])
+    def test_csv_matches_the_per_cell_writer(self, tmp_path, capsys, source):
+        doc = small_scenario_dict() if source is None else json.loads(Path(source).read_text())
+        doc.setdefault("scan", small_scenario_dict()["scan"])
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "scan.csv"
+        assert main(["uncertainty", "--config", path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        scenario = load_scenario(path)
+        result = delta_c_scan(scenario.experiment(), scenario.quadrature_spec(),
+                              scenario.scan.delta21_grid(), scenario.scan.v12_values)
+        assert out.read_bytes() == scan_csv_per_cell(result).encode()
 
     def test_zero_probability_scan_cell_exit_3(self, tmp_path, capsys):
         # equal analyzers (v12 = 1) at delta21 = pi: the herald never fires
@@ -685,6 +712,13 @@ class TestMalusCommand:
         assert all(float(r[4]) < 1e-12 for r in rows)
         assert rows[0] == ["0", "1", "0", "0", "0"]  # equal analyzers: v12 exactly 1
 
+    @pytest.mark.parametrize("delta, points", [
+        (np.pi / 2.0, 1), (np.pi / 2.0, 2), (np.pi / 2.0, 100), (-3.0 * np.pi / 2.0, 100),
+    ])
+    def test_table_matches_the_per_row_writer(self, capsys, delta, points):
+        assert main(["malus", f"--delta21={delta!r}", "--points", str(points)]) == 0
+        assert capsys.readouterr().out == malus_csv_per_row(delta, points)
+
     def test_other_quarter_wave_phases_accepted(self, capsys):
         rc = main(["malus", "--points", "2", "--delta21", str(-3.0 * np.pi / 2.0)])
         assert rc == 0
@@ -721,6 +755,51 @@ class TestDeterminism:
         for path in paths:
             assert main(["surface", "--out", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.floats())
+@example(float("nan"))
+@example(float("inf"))
+@example(float("-inf"))
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072009e-308)
+@example(1e16)
+@example(0.1)
+def test_fmt_is_the_f_string_format(value):
+    # the CSV writers fill %.17g templates, so % must print a float as format() does
+    assert _fmt(value) == f"{value:.17g}"
+    assert _fmt(np.float64(value)) == f"{np.float64(value):.17g}" == f"{value:.17g}"
+
+
+class TestDevMode:
+    """``python -X dev -W error`` reports any warning, an unclosed file's included."""
+
+    COMMANDS = {
+        "surface": ["surface"],  # the defaults hold both singular cells
+        "uncertainty": ["uncertainty", "--config", None],
+        "malus": ["malus"],
+    }
+
+    @pytest.mark.parametrize("target", ["stdout", "file", "directory"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_runs_warn_nothing(self, tmp_path, command, target):
+        argv = [write_scenario(tmp_path, small_scenario_dict()) if arg is None else arg
+                for arg in self.COMMANDS[command]]
+        out = tmp_path / "table.csv"
+        if target != "stdout":
+            argv += ["--out", str(out if target == "file" else tmp_path)]
+        run = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m",
+                              "heraldsim.cli", *argv],
+                             capture_output=True, text=True, env=SRC_ENV)
+        if target == "directory":
+            assert (run.returncode, run.stdout) == (2, "")
+            assert re.fullmatch(r"error: [^\n]+\n", run.stderr)
+        else:
+            assert (run.returncode, run.stderr) == (0, "")
+            table = out.read_text() if target == "file" else run.stdout
+            assert table.count("\n") > 1
 
 
 class TestRepeatedCalls:
