@@ -83,8 +83,9 @@ class DetectorPatch:
 
     ``span_theta`` and ``span_chi`` are the full angular widths of the
     patch around its center; zero widths describe an ideal point
-    detector.  The patch must stay inside theta in [0, pi] and chi in
-    (-pi/2, pi/2) when integrated over (``_check_patch_extent``).
+    detector.  A patch fits on the sphere by construction: its edges
+    lie in theta in [0, pi] and chi in (-pi/2, pi/2), so nothing that
+    averages over it checks it again.
     """
 
     theta_center: float
@@ -94,13 +95,18 @@ class DetectorPatch:
     chi_center: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < _finite_real(self.theta_center, "theta_center") < np.pi:
+        # _finite_real hands back Python floats: the checks make no numpy call
+        if not 0.0 < (theta := _finite_real(self.theta_center, "theta_center")) < math.pi:
             raise InvalidInputError("theta_center must lie strictly inside (0, pi)")
-        if not (_finite_real(self.span_theta, "span_theta") >= 0.0
-                and _finite_real(self.span_chi, "span_chi") >= 0.0):
+        if not ((span_theta := _finite_real(self.span_theta, "span_theta")) >= 0.0
+                and (span_chi := _finite_real(self.span_chi, "span_chi")) >= 0.0):
             raise InvalidInputError("patch spans must be nonnegative and finite")
-        if not -np.pi / 2 < _finite_real(self.chi_center, "chi_center") < np.pi / 2:
+        if not -math.pi / 2 < (chi := _finite_real(self.chi_center, "chi_center")) < math.pi / 2:
             raise InvalidInputError("chi_center must lie strictly inside (-pi/2, pi/2)")
+        if theta - 0.5 * span_theta < 0.0 or theta + 0.5 * span_theta > math.pi:
+            raise InvalidInputError("detector patch leaves the valid theta range [0, pi]")
+        if not abs(chi) + 0.5 * span_chi < math.pi / 2:
+            raise InvalidInputError("detector patch leaves the valid chi range (-pi/2, pi/2)")
 
 
 @dataclass(frozen=True)
@@ -116,22 +122,6 @@ class TrapModel:
     def __post_init__(self):
         if not _finite_real(self.confinement, "confinement") >= 0.0:
             raise InvalidInputError("confinement must be nonnegative and finite")
-
-
-def _check_patch_extent(patch, theta_centers):
-    """Raise ``InvalidInputError`` unless a patch can be averaged over.
-
-    Construction bounds only the center, so a wide patch still gives a
-    detection probability; an average needs every edge inside theta in
-    [0, pi] and a positive cos(chi) weight.  The patch is checked at
-    each longitude of the array ``theta_centers``.
-    """
-    half_theta = 0.5 * patch.span_theta
-    centers = theta_centers.tolist()  # Python min and max: no numpy reduction per call
-    if min(centers) - half_theta < 0.0 or max(centers) + half_theta > np.pi:
-        raise InvalidInputError("detector patch leaves the valid theta range [0, pi]")
-    if not abs(patch.chi_center) + 0.5 * patch.span_chi < np.pi / 2:
-        raise InvalidInputError("detector patch leaves the valid chi range (-pi/2, pi/2)")
 
 
 def _finite_angles(theta, chi):
@@ -184,7 +174,10 @@ def _longitudes(layout, patch1, patch2, delta21=None):
     With no ``delta21`` this is the longitude of ``patch2`` itself, G = 1.
     An array of G relative phases moves ``patch2`` along its latitude
     chi2: each longitude solves
-    ``k d cos(theta) cos(chi2) = phase(patch1) + delta21``.
+    ``k d cos(theta) cos(chi2) = phase(patch1) + delta21``.  The moved
+    patch is the only one not checked when it was built, so its theta
+    edges are checked here: they lie in [0, pi] exactly when
+    |cos theta| <= cos(span_theta / 2), which asks |cos theta| <= 1 too.
     """
     # the patches checked their angles when they were built
     reference = _phase(layout, float(patch1.theta_center), float(patch1.chi_center))
@@ -197,11 +190,13 @@ def _longitudes(layout, patch1, patch2, delta21=None):
             raise InvalidInputError(f"delta21 must be a finite real number, got {bad!r}")
         scale = layout.wavenumber * layout.separation * np.cos(chi2)
         cos_theta = (reference + delta21) / scale
-        if not (reach := np.abs(cos_theta)).max() <= 1.0:
-            first = np.argmax(~(reach <= 1.0))
-            raise InvalidInputError(
-                f"delta21 = {delta21[first]:.6g} is out of reach: needs |cos theta| = "
-                f"{reach[first]:.6g} > 1 at this separation")
+        if not (reach := np.abs(cos_theta)).max() <= math.cos(0.5 * patch2.span_theta):
+            if not reach.max() <= 1.0:
+                first = np.argmax(~(reach <= 1.0))
+                raise InvalidInputError(
+                    f"delta21 = {delta21[first]:.6g} is out of reach: needs |cos theta| = "
+                    f"{reach[first]:.6g} > 1 at this separation")
+            raise InvalidInputError("detector patch leaves the valid theta range [0, pi]")
         theta2 = np.arccos(cos_theta)
     return theta2, _phase(layout, theta2, chi2) - reference
 
@@ -221,8 +216,9 @@ def theta_center_for_delta21(layout, reference_patch, chi_center, delta21):
         phase (|cos theta| > 1).
     """
     delta21 = np.array([_finite_real(delta21, "delta21")])
-    # only the latitude of detector 2 enters the solve
-    detector2 = replace(reference_patch, chi_center=chi_center)
+    # only the latitude of detector 2 enters the solve: a point detector there
+    # fits at any latitude that the reference's own spans might not
+    detector2 = replace(reference_patch, chi_center=chi_center, span_theta=0.0, span_chi=0.0)
     return float(_longitudes(layout, reference_patch, detector2, delta21)[0][0])
 
 
@@ -278,8 +274,9 @@ def _patch_nodes(patch, quad, theta_centers):
     The patch is moved to each of the G longitudes of the array
     ``theta_centers``: the directions have shape (G, n, 3), while the
     weights, which do not depend on the longitude, have shape (n,).
+    The patch fits on the sphere at each of them (``DetectorPatch`` and
+    ``_longitudes`` check that), so no node angle is checked here.
     """
-    _check_patch_extent(patch, theta_centers)  # bounds every node angle: no per-node checks
     # offsets around 0 added to the centers give the nodes of a rule around
     # each center bit for bit, since 0 + x is x
     offsets, w_theta = _interval_rule(0.0, patch.span_theta, quad.points_theta)
@@ -362,8 +359,6 @@ def _sampled_moments(layout, trap, patch1, patch2, samples, rng):
     taken over blocks of ``_SAMPLE_BLOCK`` samples, the components of
     e2 - e1 formed directly and Re M, Im M as two real dot products.
     """
-    for patch in (patch1, patch2):
-        _check_patch_extent(patch, np.array([patch.theta_center]))
     angles = [center + span * (rng.random(samples) - 0.5)
               for patch in (patch1, patch2)
               for center, span in ((patch.theta_center, patch.span_theta),

@@ -144,14 +144,10 @@ def detection_probability(patch):
     Exact in theta for any width; in chi it takes ``span_chi`` for the exact factor
     2 cos(chi_center) sin(span_chi / 2), so it reads high: the exact area is 1.1% smaller
     at span_chi = pi/6, chi_center = 0 and 6.9% smaller at span_chi = pi/4, chi_center = 0.3.
-    Raises ``InvalidInputError`` where that fraction is above 1 or not finite.
+    A patch fits on the sphere (``DetectorPatch``), span_theta <= pi and span_chi < pi, so
+    the fraction is below pi/4.
     """
-    fraction = patch.span_theta * patch.span_chi / (4.0 * np.pi)
-    if not fraction <= 1.0:
-        raise InvalidInputError(
-            f"detector patch span_theta * span_chi = {patch.span_theta * patch.span_chi:.6g} "
-            "is larger than the sphere (4 pi)")
-    return fraction
+    return patch.span_theta * patch.span_chi / (4.0 * np.pi)
 
 
 def count_rate(config, v12, delta21):

@@ -19,7 +19,6 @@ from heraldsim import (
     visibility,
 )
 from heraldsim.geometry import (
-    _check_patch_extent,
     _directions,
     _longitudes,
     _quadrature_moments,
@@ -232,7 +231,6 @@ def sampled_moments_one_shot(layout, trap, patch1, patch2, samples, rng):
     two ``einsum`` projections and one complex weighted sum.
     """
     def draw(patch):
-        _check_patch_extent(patch, np.array([patch.theta_center]))
         theta = patch.theta_center + patch.span_theta * (rng.random(samples) - 0.5)
         chi = patch.chi_center + patch.span_chi * (rng.random(samples) - 0.5)
         return _directions(theta, chi)

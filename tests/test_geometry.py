@@ -1,19 +1,30 @@
 """Emitter layout, detector patches, trap model, directions and far-field phase."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heraldsim import (
     AtomPairLayout,
     DetectorPatch,
     InvalidInputError,
     Polarizer,
+    QuadratureSpec,
     TrapModel,
     detection_direction,
+    detection_probability,
     farfield_phase,
+    theta_center_for_delta21,
 )
+from heraldsim.geometry import _patch_nodes
 
-from helpers import reference_layout
+from helpers import reference_layout, reference_patch
+
+#: values no patch field takes, whatever the bounds
+NOT_AN_ANGLE = st.sampled_from([math.nan, math.inf, -math.inf, True, None, "1"])
 
 
 class TestLayout:
@@ -58,6 +69,34 @@ class TestPatchAndAccessories:
                 with pytest.raises(InvalidInputError, match=f"{name} must be a finite real"):
                     DetectorPatch(polarizer=pol, **arguments)
 
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(theta_center=st.floats(-1.0, np.pi + 1.0) | NOT_AN_ANGLE,
+           chi_center=st.floats(-2.0, 2.0) | NOT_AN_ANGLE,
+           # spans below a microradian would underflow the weight product
+           span_theta=st.just(0.0) | st.floats(1e-6, 7.0) | st.floats(-7.0, -1e-6)
+           | NOT_AN_ANGLE,
+           span_chi=st.just(0.0) | st.floats(1e-6, 4.0) | st.floats(-4.0, -1e-6)
+           | NOT_AN_ANGLE)
+    # edges 0.0084 past pi and 0.03 past pi/2: outer nodes past them too
+    @example(theta_center=3.0, chi_center=0.0, span_theta=0.3, span_chi=0.0)
+    @example(theta_center=1.0, chi_center=1.5, span_theta=0.0, span_chi=0.2)
+    def test_a_patch_that_builds_fits_on_the_sphere(self, theta_center, chi_center,
+                                                     span_theta, span_chi):
+        try:
+            patch = DetectorPatch(theta_center=theta_center, chi_center=chi_center,
+                                  span_theta=span_theta, span_chi=span_chi,
+                                  polarizer=Polarizer.linear(0.0))
+        except InvalidInputError:
+            return
+        dirs, weights = _patch_nodes(patch, QuadratureSpec(),
+                                     np.array([patch.theta_center]))
+        # e = (cos theta cos chi, sin theta cos chi, sin chi) and the weights
+        # carry cos chi: |chi| < pi/2 makes them positive, and then theta in
+        # [0, pi] makes sin theta cos chi nonnegative
+        assert (weights > 0.0).all()
+        assert (dirs[..., 1] >= 0.0).all()
+        assert detection_probability(patch) < 1.0
+
     def test_point_patch_is_allowed(self):
         patch = DetectorPatch(
             theta_center=1.0, span_theta=0.0, span_chi=0.0,
@@ -71,6 +110,15 @@ class TestPatchAndAccessories:
         for bad in (True, "1e-9", None, np.nan, np.inf):
             with pytest.raises(InvalidInputError, match="confinement must be a finite real"):
                 TrapModel(confinement=bad)
+
+
+class TestLatitudeSolve:
+    def test_latitude_past_the_reference_chi_span_solves(self):
+        # |1.4| + (pi/6) / 2 > pi/2: the reference's chi span does not fit at
+        # that latitude, but only the latitude enters the solve
+        layout, patch = reference_layout(), reference_patch(Polarizer.linear(0.0))
+        assert theta_center_for_delta21(layout, patch, 1.4, 0.0) == 1.5707963267948963
+        assert theta_center_for_delta21(layout, patch, 1.4, 1.0) == 1.448763417078838
 
 
 class TestDirections:

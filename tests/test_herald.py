@@ -108,20 +108,23 @@ class TestDetectionProbability:
         patch = reference_patch(Polarizer.linear(0.0), span_theta=0.0, span_chi=0.0)
         assert detection_probability(patch) == 0.0
 
-    def test_full_sphere_recovers_unity(self):
-        patch = reference_patch(
-            Polarizer.linear(0.0), span_theta=2.0, span_chi=2.0 * np.pi
-        )
-        value = detection_probability(patch)
-        assert value == pytest.approx(1.0, rel=1e-15)
+    def test_largest_patch_has_flat_fraction_a_quarter_pi(self):
+        # theta from pole to pole and chi just short of both poles: the
+        # largest patch that fits on the sphere, flat area pi * pi
+        widest_chi = np.nextafter(np.pi, 0.0)
+        patch = reference_patch(Polarizer.linear(0.0), span_theta=np.pi,
+                                span_chi=widest_chi)
+        assert detection_probability(patch) == pytest.approx(np.pi / 4.0, rel=1e-15)
+        for spans in ((np.nextafter(np.pi, 4.0), widest_chi), (np.pi, np.pi)):
+            with pytest.raises(InvalidInputError, match="leaves the valid"):
+                reference_patch(Polarizer.linear(0.0), span_theta=spans[0],
+                                span_chi=spans[1])
 
     @pytest.mark.parametrize("spans", [(3.0, 6.0), (1e200, 1e200)],
                              ids=["flat-area-above-one", "infinite-flat-area"])
     def test_patch_larger_than_the_sphere_raises(self, spans):
-        patch = reference_patch(Polarizer.linear(0.0), span_theta=spans[0],
-                                span_chi=spans[1])
-        with pytest.raises(InvalidInputError, match="larger than the sphere"):
-            detection_probability(patch)
+        with pytest.raises(InvalidInputError, match="leaves the valid"):
+            reference_patch(Polarizer.linear(0.0), span_theta=spans[0], span_chi=spans[1])
 
 
 class TestCountRates:
@@ -196,11 +199,10 @@ class TestAccidentalFraction:
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_patch_larger_than_the_sphere_raises_not_nan(self):
-        # at zero efficiency the singles were 0 * inf, so the fraction was nan
-        config = reference_config(detector_efficiency=0.0, span_theta=1e200,
-                                  span_chi=1e200)
-        with pytest.raises(InvalidInputError, match="larger than the sphere"):
-            accidental_fraction(config, true_rate=1.0)
+        # at zero efficiency the singles would be 0 * inf, so the fraction nan;
+        # such a patch is not built
+        with pytest.raises(InvalidInputError, match="leaves the valid"):
+            reference_config(detector_efficiency=0.0, span_theta=1e200, span_chi=1e200)
 
     def test_overflowing_accidental_rate_gives_the_limit(self):
         # dark**2 * window overflows: the fraction is 1.0, not inf / inf
@@ -535,17 +537,11 @@ class TestGeneratedStateFinitePatches:
     ], ids=["theta-edge-below-zero", "theta-edge-past-pi", "chi-edge-past-the-pole",
             "chi-edge-past-the-south-pole"])
     def test_patch_edges_outside_the_sphere_raise(self, patch):
-        # the extent is checked on the patch edges, not on the nodes: a
-        # single node at the center lies inside, the edge does not
-        config = reference_config(**patch)
-        one_node = QuadratureSpec(points_theta=1, points_chi=1)
+        # the extent is checked on the patch edges when the patch is built:
+        # the center lies inside, so a point patch there builds, the edge does not
+        reference_config(**dict(patch, span_theta=0.0, span_chi=0.0))
         with pytest.raises(InvalidInputError, match="leaves the valid"):
-            monte_carlo_state(config, samples=1000, seed=1)
-        with pytest.raises(InvalidInputError, match="leaves the valid"):
-            generated_state(config, one_node)
-        with pytest.raises(InvalidInputError, match="leaves the valid"):
-            geometry._patch_nodes(config.detector2, one_node,
-                                  np.array([config.detector2.theta_center]))
+            reference_config(**patch)
 
     def test_error_grows_with_confinement(self):
         # at quarter-period phase the coherence decay is first order,

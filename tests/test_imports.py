@@ -95,10 +95,10 @@ def test_package_exports_exactly_its_imports():
 
 
 #: what only ``geometry.py`` may read or call: the layout and trap numbers,
-#: the patch-extent check, the node rules, the patch nodes and the direction
+#: the node rules, the patch nodes, the longitude solve and the direction
 #: and phase arithmetic
 GEOMETRY_ATTRIBUTES = {"separation", "wavenumber", "confinement"}
-GEOMETRY_CALLS = {"_check_patch_extent", "detection_direction", "farfield_phase",
+GEOMETRY_CALLS = {"detection_direction", "farfield_phase",
                   "_phase", "_patch_nodes", "_phase_moments", "_longitudes",
                   "_directions", "_finite_angles", "_interval_rule", "_reference_rule",
                   "np.cos", "np.sin"}
@@ -126,10 +126,10 @@ def geometry_imports(source):
 def test_the_layering_check_sees_geometry():
     source = (
         "x = layout.separation * np.cos(theta)\nnp.sin\nsigma = trap.confinement\n"
-        "_check_patch_extent(patch)\nlayout.wavelength\ndirs, w = _patch_nodes(p, q, t)\n"
+        "_longitudes(layout, p1, p2)\nlayout.wavelength\ndirs, w = _patch_nodes(p, q, t)\n"
         "from .geometry import TrapModel, _phase_moments\nfrom .optics import g2\n"
     )
-    assert geometry_used(source) == ["_check_patch_extent", "_patch_nodes", "confinement",
+    assert geometry_used(source) == ["_longitudes", "_patch_nodes", "confinement",
                                      "np.cos", "separation"]
     assert geometry_imports(source) == ["TrapModel", "_phase_moments"]
 
@@ -189,6 +189,29 @@ def test_the_name_check_sees_every_kind_of_name():
 def test_the_weight_floor_lives_in_optics():
     found = {path.name: names_of(path.read_text(encoding="utf-8"), "MIN_HERALD_WEIGHT")
              for path in MODULES if path.name != "optics.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def strings_holding(source, text):
+    """Lines of the string constants in ``source`` that hold ``text``, f-string parts too."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and text in node.value)
+
+
+def test_the_string_check_sees_every_kind_of_string():
+    source = (
+        "raise E('patch leaves the valid range')\nx = f'{y} leaves the valid range'\n"
+        '"""doc\nleaves the valid"""\nleaves_the_valid = 1\n"leaves the\\nvalid"\n'
+    )
+    assert strings_holding(source, "leaves the valid") == [1, 2, 3]
+
+
+def test_the_patch_extent_rule_lives_in_geometry():
+    # a patch fits on the sphere when it is built; only the moved detector 2
+    # is checked again, by the longitude solve
+    found = {path.name: strings_holding(path.read_text(encoding="utf-8"), "leaves the valid")
+             for path in MODULES if path.name != "geometry.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 

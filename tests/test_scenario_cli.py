@@ -692,6 +692,18 @@ class TestUncertaintyCommand:
         assert "error:" in captured.err and named in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", [
+        ["uncertainty"], ["uncertainty", "--seed", "1", "--samples", "1000"], ["state"],
+    ], ids=["uncertainty", "monte-carlo", "state"])
+    def test_patch_past_the_pole_exit_2_when_built(self, tmp_path, capsys, command):
+        # the patch is checked when the experiment is built, before any command runs
+        doc = json.loads(Path(BASELINE).read_text())
+        doc["detector1"].update(chi_center_rad=1.3, span_chi_rad=1.0)
+        rc = main([*command, "--config", write_scenario(tmp_path, doc)])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: scenario.detector1: detector patch "
+                                           "leaves the valid chi range (-pi/2, pi/2)\n")
+
     def test_point_detector_scenario(self, capsys):
         rc = main(["uncertainty", "--config", POINT])
         assert rc == 0
