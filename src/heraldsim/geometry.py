@@ -256,16 +256,16 @@ def _reference_rule(count):
     return nodes, weights
 
 
-def _interval_rule(center, width, count):
-    """Gauss-Legendre nodes/weights on [center - width/2, center + width/2].
+def _interval_rule(width, count):
+    """Gauss-Legendre offsets from the center and weights on an interval of ``width``.
 
     Zero width collapses to a single unit-weight node at the center
     (point detector); the constant cancels in the trace normalization.
     """
     if width == 0.0:
-        return np.array([center]), np.array([1.0])
+        return np.zeros(1), np.ones(1)
     ref_nodes, ref_weights = _reference_rule(count)
-    return center + 0.5 * width * ref_nodes, 0.5 * width * ref_weights
+    return 0.5 * width * ref_nodes, 0.5 * width * ref_weights
 
 
 def _patch_nodes(patch, quad, theta_centers):
@@ -277,11 +277,11 @@ def _patch_nodes(patch, quad, theta_centers):
     The patch fits on the sphere at each of them (``DetectorPatch`` and
     ``_longitudes`` check that), so no node angle is checked here.
     """
-    # offsets around 0 added to the centers give the nodes of a rule around
-    # each center bit for bit, since 0 + x is x
-    offsets, w_theta = _interval_rule(0.0, patch.span_theta, quad.points_theta)
-    chi, w_chi = _interval_rule(patch.chi_center, patch.span_chi, quad.points_chi)
-    dirs, cos_chi = _directions((theta_centers[:, None] + offsets)[..., None], chi)
+    # center + offset gives the nodes of a rule around each center bit for bit
+    offsets, w_theta = _interval_rule(patch.span_theta, quad.points_theta)
+    chi_offsets, w_chi = _interval_rule(patch.span_chi, quad.points_chi)
+    dirs, cos_chi = _directions(np.add.outer(theta_centers, offsets)[..., None],
+                                float(patch.chi_center) + chi_offsets)
     return (dirs.reshape(len(theta_centers), -1, 3),
             np.multiply.outer(w_theta, w_chi * cos_chi).ravel())
 
@@ -321,8 +321,8 @@ def _phase_moments(layout, trap, dirs1, w1, dirs2, w2):
         decay -= 1.0
         decay *= (wavenumber * sigma) ** 2
         np.exp(decay, out=decay)
-        vectors.real[block] = sum1.real @ decay
-        vectors.imag[block] = sum1.imag @ decay
+        np.matmul(sum1.real, decay, out=vectors.real[block])
+        np.matmul(sum1.imag, decay, out=vectors.imag[block])
     # (G, 1, n2) @ (G, n2, 1): one dot product per geometry
     coherence = (vectors.reshape(len(dirs2), 1, n2) @ sum2[..., None])[:, 0, 0]
     return float(w1.sum() * w2.sum()), coherence

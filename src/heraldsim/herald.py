@@ -35,6 +35,7 @@ from .geometry import (
     _sampled_moments,
 )
 from .optics import (
+    _any,
     _check_fires,
     _check_v12_grid,
     _component_vectors,
@@ -201,27 +202,28 @@ def _figures(total_weight, coherence, v12, delta21):
 
     Takes W, M, V in [0, 1] and the nominal delta21 as arrays that
     broadcast, so one call evaluates a whole grid; ``trace`` is the
-    heralding weight.
+    heralding weight.  Operators, ``abs`` and ``.real`` serve scalars as
+    well as arrays, so one report's figures cost a few scalar operations.
     Raises ``ZeroProbabilityHeraldError`` where the herald never fires
     or the trace vanishes, ``NumericalFailureError`` where |M| exceeds W.
     """
     nominal_weight, c_target = _concurrence_closed_form(delta21, v12)  # herald weight / 2
-    _check_fires(np.min(nominal_weight))
+    _check_fires(nominal_weight)
     m = coherence / total_weight
     dephased = 1.0 + v12 * m.real
     trace = 2.0 * total_weight * dephased
-    if np.any((trace <= 0.0) | (trace < 1e-12 * total_weight)):
+    if _any((trace <= 0.0) | (trace < 1e-12 * total_weight)):
         raise ZeroProbabilityHeraldError("integrated coincidence weight vanishes over "
                                          "the detector patches")
     # W (|s><s| + |t><t|) + M |t><s| + h.c. is positive exactly when |M| <= W
-    if np.any(np.abs(coherence) > total_weight * (1.0 - EIGENVALUE_FLOOR)):
+    if _any(abs(coherence) > total_weight * (1.0 - EIGENVALUE_FLOOR)):
         raise NumericalFailureError("quadrature produced |M| > W, a non-positive average")
     # <herald|s> = a and <herald|t> = exp(1j delta21) conj(a)
     turn = np.exp(1j * delta21)
     a = 1.0 + v12 * turn
-    fidelity = ((np.abs(a) ** 2 + (m * turn * np.conj(a) ** 2).real)
+    fidelity = ((abs(a) ** 2 + (m * turn * a.conjugate() ** 2).real)
                 / (2.0 * nominal_weight * dephased))
-    c_generated = (1.0 - v12) * np.abs(m) / dephased
+    c_generated = (1.0 - v12) * abs(m) / dephased
     return c_target, c_generated, fidelity, trace
 
 
@@ -233,15 +235,17 @@ def _report(config, total_weight, coherence, delta21):
         total_weight, coherence, target.v12, target.delta21))
     # s, t only build rho = R R^dag, R = [s t] L / sqrt(trace) with L the Cholesky
     # factor of [[W, M*], [M, W]]: its trace checks them against the closed form, and
-    # its Wootters concurrence is l1 - l2 of the singular values of R^T (sy x sy) R
-    stat, phase_part = map(np.array, _component_vectors(jones1, jones2))
+    # its Wootters concurrence is l1 - l2 of the singular values of R^T (sy x sy) R.
+    # R^T has eight entries: Python complex arithmetic, one array
+    stat, phase_part = _component_vectors(jones1, jones2)
     root = math.sqrt(total_weight)
+    shift = coherence / root
     rest = math.sqrt(max(total_weight - abs(coherence) ** 2 / total_weight, 0.0))
-    factor = np.array([root * stat + (coherence / root) * phase_part,
-                       rest * phase_part]) / math.sqrt(trace)  # R^T
+    factor = np.array([[root * s + shift * t for s, t in zip(stat, phase_part)],
+                       [rest * t for t in phase_part]]) / math.sqrt(trace)  # R^T
     rho = factor.T @ factor.conj()
-    if not np.isfinite(rho).all() or abs(np.trace(rho) - 1.0) > TRACE_ATOL:
-        raise NumericalFailureError(f"quadrature produced rho with trace {np.trace(rho)}")
+    if not np.isfinite(rho).all() or abs(rho.trace() - 1.0) > TRACE_ATOL:
+        raise NumericalFailureError(f"quadrature produced rho with trace {rho.trace()}")
     lam = np.linalg.svd(factor @ _SPIN_FLIP @ factor.T, compute_uv=False)
     wootters = float(lam[0] - lam[1])
     if abs(wootters - c_generated) > 1e-9:

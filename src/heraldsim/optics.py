@@ -23,12 +23,12 @@ squared norm of this unnormalized vector is the coincidence weight
 import cmath
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, ZeroProbabilityHeraldError
-from .qcore import _as_complex_array, _unit_vector
 
 __all__ = [
     "JONES_NORM_ATOL",
@@ -67,6 +67,76 @@ def _finite_real(value, name):
     raise InvalidInputError(f"{name} must be a finite real number, got {value!r}")
 
 
+def _finite_complex(value, name):
+    """``value`` as a complex if it is a finite number (numpy's too), not a bool or a string."""
+    if type(value) is complex and cmath.isfinite(value):  # the common case, kept cheap
+        return value
+    if not isinstance(value, numbers.Complex) or isinstance(value, bool):
+        raise InvalidInputError(f"{name} must hold numbers, got {value!r}")
+    try:
+        number = complex(value)
+    except OverflowError:  # an int beyond the float range
+        number = complex(math.inf)
+    if not cmath.isfinite(number):
+        raise InvalidInputError(f"{name} contains non-finite entries")
+    return number
+
+
+def _unnest(part):
+    """An array or another sequence (not a string) as a list; anything else as
+    given, a 0-d array as its Python number."""
+    if isinstance(part, np.ndarray):
+        return part.tolist()
+    if isinstance(part, Sequence) and not isinstance(part, (str, bytes)):
+        return list(part)
+    return part
+
+
+def _complex_entries(values, shape, name):
+    """The entries of ``values``, row-major, as a list of Python complex numbers.
+
+    ``values`` nests sequences (lists, tuples, arrays) of ``shape`` (one or
+    two axes).  Each entry must pass ``_finite_complex`` as it is given,
+    before a cast to a numpy dtype could turn True or "1" into 1.  A wrong
+    nesting raises the error numpy's complex cast gives: the shape it sees,
+    or why it sees none.
+    """
+    entries = [values]
+    for size in shape:
+        parts, entries = entries, []
+        for part in parts:
+            if not isinstance(part, (list, tuple)):
+                part = _unnest(part)
+            if not (isinstance(part, (list, tuple)) and len(part) == size):
+                _raise_shape_error(values, shape, name)
+            entries += part
+    try:  # the common case: numbers as given
+        return [_finite_complex(entry, name) for entry in entries]
+    except InvalidInputError:
+        entries = [_unnest(entry) for entry in entries]
+    if any(isinstance(entry, (list, tuple)) for entry in entries):  # nested too deep
+        _raise_shape_error(values, shape, name)
+    return [_finite_complex(entry, name) for entry in entries]
+
+
+def _raise_shape_error(values, shape, name):
+    """Raise the error for ``values`` not nesting ``shape``, worded from numpy's cast."""
+    try:
+        got = np.asarray(values, dtype=complex).shape
+    except (TypeError, ValueError) as exc:  # a ragged nesting has no shape
+        raise InvalidInputError(f"{name} must hold numbers: {exc}") from None
+    raise InvalidInputError(f"{name} must have shape {shape}, got {got}")
+
+
+def _unit_vector(value, length, atol, name):
+    """``value`` as a list of ``length`` finite complex numbers with norm 1 within ``atol``."""
+    vec = _complex_entries(value, (length,), name)
+    norm = math.hypot(*map(abs, vec))
+    if abs(norm - 1.0) > atol:
+        raise InvalidInputError(f"{name} norm {norm:.12g} is not 1 within {atol:g}")
+    return vec
+
+
 def _count(value, name, minimum=1):
     """``value`` as an int if it is an integer (numpy's too) >= ``minimum``, not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
@@ -85,6 +155,11 @@ def _check_v12_grid(values):
     """Raise unless every entry of the nonempty array ``values`` lies in [0, 1]; nan does not."""
     if not (0.0 <= values.min() and values.max() <= 1.0):
         raise InvalidInputError("v12 grid must lie in [0, 1]")
+
+
+def _any(flags):
+    """Whether any of ``flags`` is set: a bool array, or the one bool of scalar figures."""
+    return flags.any() if isinstance(flags, np.ndarray) else flags
 
 
 def _read_only_arrays(record):
@@ -108,7 +183,7 @@ class Polarizer:
     jones: tuple
 
     def __post_init__(self):
-        vec = _unit_vector(self.jones, 2, JONES_NORM_ATOL, "polarizer jones")
+        vec = np.array(_unit_vector(self.jones, 2, JONES_NORM_ATOL, "polarizer jones"))
         object.__setattr__(self, "jones", tuple((vec / math.hypot(*abs(vec))).tolist()))
 
     @classmethod
@@ -128,7 +203,7 @@ class Polarizer:
     @classmethod
     def general(cls, eps_plus, eps_minus):
         """Arbitrary analyzer from any nonzero pair of finite components."""
-        parts = _as_complex_array((eps_plus, eps_minus), (2,), "analyzer").view(float)
+        parts = np.array(_complex_entries((eps_plus, eps_minus), (2,), "analyzer")).view(float)
         peak = np.abs(parts).max()
         if peak == 0.0:
             raise InvalidInputError("general analyzer must be nonzero")
@@ -157,7 +232,8 @@ def visibility(jones1, jones2):
 
 def _overlap(e1, e2):
     """|<e1, e2>|^2 of two unit vectors, capped at 1: equal analyzers may
-    otherwise round to 1 + 2**-51.  Values below 1 keep numpy's bits."""
+    otherwise round to 1 + 2**-51.  Values below 1 keep numpy's bits: its
+    ``vdot`` may fuse the multiply-adds, which Python arithmetic cannot."""
     return min(float(abs(np.vdot(e1, e2)) ** 2), 1.0)
 
 
@@ -166,7 +242,7 @@ def _component_vectors(e1, e2):
 
     The unnormalized heralded vector is ``s + t * exp(-1j * delta21)``
     in the (++, +-, -+, --) basis.  Both are 4-tuples of products of the
-    components of ``e1`` and ``e2``, Python complex numbers for lists.
+    components of ``e1`` and ``e2``.
     """
     (ep1, em1), (ep2, em2) = e1, e2
     s = (em2 * em1, em2 * ep1, ep2 * em1, ep2 * ep1)
@@ -238,9 +314,10 @@ def heralded_state(jones1, jones2, delta21):
     v12 = _overlap(e1, e2)
     weight, _ = _concurrence_closed_form(delta21, v12)
     _check_fires(weight)
-    # four amplitudes: Python complex arithmetic beats numpy's per-call cost
+    # four amplitudes: Python complex arithmetic beats numpy's per-call cost,
+    # so the state is the one array built here
     turn = cmath.exp(-1j * delta21)
-    amps = [a + b * turn for a, b in zip(*_component_vectors(e1.tolist(), e2.tolist()))]
+    amps = [a + b * turn for a, b in zip(*_component_vectors(e1, e2))]
     norm = math.hypot(*map(abs, amps))
     state = np.array(_fix_global_phase([a / norm for a in amps]))
     return HeraldedOutcome(state=state, g2=2.0 * weight, delta21=delta21, v12=v12)
@@ -276,8 +353,9 @@ def concurrence_analytic(delta21, v12):
 
 
 def _check_fires(weight):
-    """Raise the never-fires error if ``weight`` = 1 + v12 cos delta21 is below the floor."""
-    if weight < MIN_HERALD_WEIGHT:
+    """Raise the never-fires error where ``weight`` = 1 + v12 cos delta21, a float or
+    an array, is below the floor."""
+    if _any(weight < MIN_HERALD_WEIGHT):
         raise ZeroProbabilityHeraldError(
             f"1 + v12 cos(delta21) is below {MIN_HERALD_WEIGHT:g}: the herald never fires")
 

@@ -9,12 +9,10 @@ is off by more than ``STATE_NORM_ATOL`` is rejected so that upstream
 normalization bugs surface here instead of propagating.
 """
 
-import cmath
-import math
-
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
+from .optics import _complex_entries, _unit_vector
 
 __all__ = [
     "BASIS_LABELS",
@@ -52,28 +50,6 @@ _SPIN_FLIP = np.array(
 )
 
 
-def _as_complex_array(value, shape, name):
-    try:
-        arr = np.asarray(value, dtype=complex)
-    except (TypeError, ValueError) as exc:  # e.g. a string that is not a number
-        raise InvalidInputError(f"{name} must hold numbers: {exc}") from None
-    if arr.shape != shape:
-        raise InvalidInputError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not all(map(cmath.isfinite, arr.ravel().tolist())):  # <= 16 entries: no numpy call
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    return arr
-
-
-def _unit_vector(value, length, atol, name):
-    """``value`` as a finite complex vector of ``length`` with norm 1 within ``atol``."""
-    vec = _as_complex_array(value, (length,), name)
-    # the norm is only compared, so Python scalars serve: no numpy call
-    norm = math.hypot(*(abs(c) for c in vec.tolist()))
-    if abs(norm - 1.0) > atol:
-        raise InvalidInputError(f"{name} norm {norm:.12g} is not 1 within {atol:g}")
-    return vec
-
-
 def validate_state(state):
     """Check that ``state`` is a normalized two-qubit vector and return it.
 
@@ -90,10 +66,11 @@ def validate_state(state):
     Raises
     ------
     InvalidInputError
-        If the shape is wrong, entries are non-finite, or the norm
-        deviates from 1 by more than ``STATE_NORM_ATOL``.
+        If the shape is wrong, an entry is not a finite number (a bool or
+        a string is not one), or the norm deviates from 1 by more than
+        ``STATE_NORM_ATOL``.
     """
-    return _unit_vector(state, 4, STATE_NORM_ATOL, "state")
+    return np.array(_unit_vector(state, 4, STATE_NORM_ATOL, "state"))
 
 
 def validate_density(rho):
@@ -106,9 +83,10 @@ def validate_density(rho):
     Raises
     ------
     InvalidInputError
-        If any of the density-matrix conditions is violated.
+        If an entry is not a finite number (a bool or a string is not
+        one) or any of the density-matrix conditions is violated.
     """
-    mat = _as_complex_array(rho, (4, 4), "rho")
+    mat = np.array(_complex_entries(rho, (4, 4), "rho")).reshape(4, 4)
     herm_dev = np.max(np.abs(mat - mat.conj().T))
     if herm_dev > HERMITIAN_ATOL:
         raise InvalidInputError(
@@ -145,7 +123,8 @@ def concurrence_pure(state):
     float
         Concurrence in [0, 1].
     """
-    a, b, c, d = validate_state(state)
+    # four amplitudes: Python complex arithmetic, no array
+    a, b, c, d = _unit_vector(state, 4, STATE_NORM_ATOL, "state")
     return 2.0 * abs(a * d - b * c)
 
 

@@ -52,6 +52,17 @@ BASELINE = "scenarios/baseline.json"
 SCENARIOS = (BASELINE, "scenarios/point_detectors.json")
 
 
+class _NumpyReads:
+    """Stands in for numpy in one module and records each name read from it."""
+
+    def __init__(self, read):
+        self._read = read
+
+    def __getattr__(self, name):
+        self._read.append(name)
+        return getattr(np, name)
+
+
 def _oracle_report(config, points_patch, points_trap, **rule):
     """Report assembled from the brute-force node sums of ``quadrature_moments``."""
     moments = quadrature_moments(config, points_patch, points_trap, **rule)
@@ -671,6 +682,41 @@ class TestReportHealthCheck:
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         generated_state(config, quad)
         assert calls == [("svd", (2, 2))]
+
+    @pytest.mark.parametrize("jones", [
+        (Polarizer.linear(0.0).jones, Polarizer.linear(0.7).jones),
+        (np.array([0.6, 0.8j]), np.array([1.0, 0.0])),
+    ], ids=["tuples", "arrays"])
+    def test_heralded_state_builds_one_array(self, jones, monkeypatch):
+        # counts numpy names, never times them: the analyzers are checked and
+        # multiplied as Python numbers, numpy's vdot keeps the overlap's bits,
+        # the weight takes numpy's cos as the scan does, and the returned
+        # state is the one array heralded_state builds
+        read = []
+        monkeypatch.setattr(optics, "np", _NumpyReads(read))
+        heralded_state(*jones, 0.3)
+        assert [name for name in read if name != "ndarray"] == ["vdot", "cos", "array"]
+
+    @pytest.mark.parametrize("block_columns", [None, 16])
+    def test_trap_factor_takes_one_exp_per_pair_block(self, block_columns, monkeypatch):
+        # the real exp calls are the trap factor: one per (n1, columns) block
+        # of the pair matrix, 64 x 64 at 8 x 8 nodes, or 64 x 16 when a block
+        # holds 16 columns
+        scenario = load_scenario(BASELINE)
+        config, quad = scenario.experiment(), scenario.quadrature_spec()
+        if block_columns:
+            monkeypatch.setattr(geometry, "_PAIR_BLOCK_BYTES", 8 * 64 * block_columns)
+        shapes = []
+        exp = np.exp
+
+        def counting(values, *args, **kwargs):
+            if np.isrealobj(values):
+                shapes.append(np.shape(values))
+            return exp(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting)
+        generated_state(config, quad)
+        assert shapes == [(64, block_columns or 64)] * (64 // (block_columns or 64))
 
 
 class TestPatchNodes:

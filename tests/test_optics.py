@@ -17,6 +17,7 @@ from heraldsim import (
     polarizer_to_jones,
     visibility,
 )
+from heraldsim.qcore import validate_density, validate_state
 
 from helpers import heralded_state_via_operators, pure_to_density, random_jones
 
@@ -373,3 +374,64 @@ class TestAnalyticForms:
             assert concurrence_mixed(rho) == pytest.approx(
                 np.sin(alpha) ** 2, abs=1e-10
             )
+
+
+#: every entry point that reads complex components, called with ``bad`` in
+#: place of one argument: its length-2 or length-4 form, or a 4x4 matrix
+COMPLEX_ENTRY_POINTS = {
+    "heralded_state": lambda bad: heralded_state(bad[2], (1, 0), 0.3),
+    "visibility": lambda bad: visibility((1, 0), bad[2]),
+    "Polarizer": lambda bad: Polarizer(bad[2]),
+    "Polarizer.general": lambda bad: Polarizer.general(*bad[2]),
+    "concurrence_pure": lambda bad: concurrence_pure(bad[4]),
+    "validate_state": lambda bad: validate_state(bad[4]),
+    "validate_density": lambda bad: validate_density(bad[16]),
+    "concurrence_mixed": lambda bad: concurrence_mixed(bad[16]),
+}
+
+
+def _components(first, rest, wrap=tuple):
+    """Valid-looking unit vectors |0> and the projector |0><0|, entries ``first``/``rest``."""
+    return {2: wrap([first, rest]), 4: wrap([first] + [rest] * 3),
+            16: wrap([wrap([first if i == j == 0 else rest for j in range(4)])
+                      for i in range(4)])}
+
+
+#: bool and string forms of those arguments: a cast to a numpy dtype would
+#: turn each entry into the number 1 or 0
+NOT_NUMBERS = {
+    "bools": _components(True, False),
+    "strings": _components("1", "0"),
+    "numpy-bools": {n: np.array(v) for n, v in _components(True, False).items()},
+    "numpy-strings": {n: np.array(v) for n, v in _components("1", "0").items()},
+    "bool-among-floats": _components(1.0, False, wrap=list),
+}
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS)
+@pytest.mark.parametrize("entry", COMPLEX_ENTRY_POINTS)
+def test_complex_components_take_only_numbers(entry, bad):
+    with pytest.raises(InvalidInputError, match="must hold numbers"):
+        COMPLEX_ENTRY_POINTS[entry](NOT_NUMBERS[bad])
+
+
+@pytest.mark.parametrize("entry", COMPLEX_ENTRY_POINTS)
+def test_complex_components_take_numpy_and_python_numbers(entry):
+    for numbers in (_components(1, 0), _components(Fraction(1), 0.0, wrap=list),
+                    _components(np.complex64(1), np.int8(0)),
+                    _components(np.array(1.0), np.array(0j), wrap=list),
+                    {n: np.array(v, dtype=complex) for n, v in _components(1, 0).items()},
+                    # a list of array rows, or of numpy complex scalars
+                    {n: list(np.array(v, dtype=complex)) for n, v in _components(1, 0).items()}):
+        COMPLEX_ENTRY_POINTS[entry](numbers)
+
+
+@pytest.mark.parametrize("entry", COMPLEX_ENTRY_POINTS)
+def test_complex_components_of_a_wrong_nesting_fail_as_numpy_reads_them(entry):
+    # one level too deep: the shape numpy's cast sees
+    with pytest.raises(InvalidInputError, match=r"must have shape \(.*\), got \(.*, 1\)$"):
+        COMPLEX_ENTRY_POINTS[entry](_components([1], [0]))
+    # ragged: numpy's cast sees no shape
+    ragged = {2: [1, [0]], 4: [1, 0, 0, [0]], 16: [[1, 0, 0, 0]] * 3 + [[0, 0, 0]]}
+    with pytest.raises(InvalidInputError, match="must hold numbers: "):
+        COMPLEX_ENTRY_POINTS[entry](ragged)

@@ -35,6 +35,8 @@ from helpers import malus_csv_per_row, scan_csv_per_cell
 BASELINE = "scenarios/baseline.json"
 POINT = "scenarios/point_detectors.json"
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+#: stdout and scan CSV of ``uncertainty`` on each scenario file, byte for byte
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def small_scenario_dict():
@@ -767,6 +769,21 @@ class TestDeterminism:
         for path in paths:
             assert main(["surface", "--out", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("scenario, scan", [("baseline", True),
+                                                ("point_detectors", False)])
+    def test_uncertainty_reproduces_its_recorded_outputs(self, scenario, scan, tmp_path,
+                                                         capsys):
+        # every printed digit in tests/golden must come back: a speed-up that
+        # moves a report or scan figure by one ulp shows here, where
+        # perfbench/reference only guards to 1e-9.  The point-detector
+        # scenario has no scan section, so it writes no CSV
+        out = tmp_path / "scan.csv"
+        argv = ["uncertainty", "--config", f"scenarios/{scenario}.json"]
+        assert main(argv + ["--out", str(out)] * scan) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{scenario}.stdout").read_text()
+        if scan:
+            assert out.read_bytes() == (GOLDEN / f"{scenario}.csv").read_bytes()
 
 
 @settings(derandomize=True, deadline=None, max_examples=500)
