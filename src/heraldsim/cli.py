@@ -43,9 +43,9 @@ from .optics import (
     _concurrence_closed_form,
     _count,
     _finite_real,
+    _overlap,
     concurrence_analytic,
     heralded_state,
-    visibility,
 )
 from .qcore import BASIS_LABELS, concurrence_pure
 from .scenario import _scenario_errors, load_scenario, polarizer_from_values
@@ -231,7 +231,7 @@ def cmd_malus(args):
                                 "(quarter-wave phase)")
     alphas = _grid(0.0, math.pi / 2.0, args.points, "alpha").tolist()
     reference = Polarizer.linear(0.0).jones
-    v12s = np.array([visibility(reference, Polarizer.linear(alpha).jones) for alpha in alphas])
+    v12s = np.array([_overlap(reference, Polarizer.linear(alpha).jones) for alpha in alphas])
     _, values = _concurrence_closed_form(delta, v12s)
     malus = np.array([math.sin(alpha) ** 2 for alpha in alphas])
     table = np.column_stack((v12s, values, malus, np.abs(values - malus)))

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInputError
-from .optics import Polarizer, _count, _finite_real, _real_array
+from .optics import Polarizer, _count, _finite_real, _real_array, _stored_real
 
 __all__ = [
     "AtomPairLayout",
@@ -68,7 +68,7 @@ class AtomPairLayout:
 
     def __post_init__(self):
         for name in ("separation", "wavelength"):
-            if not _finite_real(getattr(self, name), name) > 0.0:
+            if not _stored_real(self, name) > 0.0:
                 raise InvalidInputError(f"{name} must be positive and finite")
 
     @property
@@ -83,9 +83,9 @@ class DetectorPatch:
 
     ``span_theta`` and ``span_chi`` are the full angular widths of the
     patch around its center; zero widths describe an ideal point
-    detector.  A patch fits on the sphere by construction: its edges
-    lie in theta in [0, pi] and chi in (-pi/2, pi/2), so nothing that
-    averages over it checks it again.
+    detector.  A patch is checked once, when it is built: its numbers
+    are stored as Python floats, its edges lie in theta in [0, pi] and
+    chi in (-pi/2, pi/2), and ``polarizer`` is a ``Polarizer``.
     """
 
     theta_center: float
@@ -95,18 +95,20 @@ class DetectorPatch:
     chi_center: float = 0.0
 
     def __post_init__(self):
-        # _finite_real hands back Python floats: the checks make no numpy call
-        if not 0.0 < (theta := _finite_real(self.theta_center, "theta_center")) < math.pi:
+        if not 0.0 < (theta := _stored_real(self, "theta_center")) < math.pi:
             raise InvalidInputError("theta_center must lie strictly inside (0, pi)")
-        if not ((span_theta := _finite_real(self.span_theta, "span_theta")) >= 0.0
-                and (span_chi := _finite_real(self.span_chi, "span_chi")) >= 0.0):
+        if not ((span_theta := _stored_real(self, "span_theta")) >= 0.0
+                and (span_chi := _stored_real(self, "span_chi")) >= 0.0):
             raise InvalidInputError("patch spans must be nonnegative and finite")
-        if not -math.pi / 2 < (chi := _finite_real(self.chi_center, "chi_center")) < math.pi / 2:
+        # implied by the extent check below, but names chi_center in theta_center_for_delta21
+        if not -math.pi / 2 < (chi := _stored_real(self, "chi_center")) < math.pi / 2:
             raise InvalidInputError("chi_center must lie strictly inside (-pi/2, pi/2)")
         if theta - 0.5 * span_theta < 0.0 or theta + 0.5 * span_theta > math.pi:
             raise InvalidInputError("detector patch leaves the valid theta range [0, pi]")
         if not abs(chi) + 0.5 * span_chi < math.pi / 2:
             raise InvalidInputError("detector patch leaves the valid chi range (-pi/2, pi/2)")
+        if not isinstance(polarizer := self.polarizer, Polarizer):
+            raise InvalidInputError(f"polarizer must be of type Polarizer, got {polarizer!r}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,7 @@ class TrapModel:
     confinement: float
 
     def __post_init__(self):
-        if not _finite_real(self.confinement, "confinement") >= 0.0:
+        if not _stored_real(self, "confinement") >= 0.0:
             raise InvalidInputError("confinement must be nonnegative and finite")
 
 
@@ -179,11 +181,10 @@ def _longitudes(layout, patch1, patch2, delta21=None):
     edges are checked here: they lie in [0, pi] exactly when
     |cos theta| <= cos(span_theta / 2), which asks |cos theta| <= 1 too.
     """
-    # the patches checked their angles when they were built
-    reference = _phase(layout, float(patch1.theta_center), float(patch1.chi_center))
-    chi2 = float(patch2.chi_center)
+    reference = _phase(layout, patch1.theta_center, patch1.chi_center)
+    chi2 = patch2.chi_center
     if delta21 is None:
-        theta2 = np.array([float(patch2.theta_center)])
+        theta2 = np.array([patch2.theta_center])
     else:
         if not np.isfinite(delta21).all():
             bad = delta21[~np.isfinite(delta21)][0].item()
@@ -281,7 +282,7 @@ def _patch_nodes(patch, quad, theta_centers):
     offsets, w_theta = _interval_rule(patch.span_theta, quad.points_theta)
     chi_offsets, w_chi = _interval_rule(patch.span_chi, quad.points_chi)
     dirs, cos_chi = _directions(np.add.outer(theta_centers, offsets)[..., None],
-                                float(patch.chi_center) + chi_offsets)
+                                patch.chi_center + chi_offsets)
     return (dirs.reshape(len(theta_centers), -1, 3),
             np.multiply.outer(w_theta, w_chi * cos_chi).ravel())
 

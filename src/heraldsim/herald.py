@@ -42,10 +42,12 @@ from .optics import (
     _concurrence_closed_form,
     _count,
     _finite_real,
+    _overlap,
     _read_only_arrays,
     _real_array,
+    _stored_real,
+    _target_state,
     g2,
-    heralded_state,
 )
 from .qcore import _SPIN_FLIP, EIGENVALUE_FLOOR, TRACE_ATOL
 
@@ -67,9 +69,9 @@ __all__ = [
 class ExperimentConfig:
     """Full description of one heralding experiment.
 
-    Rates are in events per second, the coincidence window in seconds,
-    and ``detector_efficiency`` is the combined collection/quantum
-    efficiency of one detection channel in [0, 1].
+    Rates (events/s), the coincidence window (s) and ``detector_efficiency``,
+    the combined collection/quantum efficiency of one channel in [0, 1], are
+    stored as Python floats; the four parts must be their model records.
     """
 
     layout: AtomPairLayout
@@ -82,12 +84,16 @@ class ExperimentConfig:
     coincidence_window: float = 0.0
 
     def __post_init__(self):
-        if not _finite_real(self.repetition_rate, "repetition_rate") > 0.0:
+        for name, kind in (("layout", AtomPairLayout), ("trap", TrapModel),
+                           ("detector1", DetectorPatch), ("detector2", DetectorPatch)):
+            if not isinstance(part := getattr(self, name), kind):
+                raise InvalidInputError(f"{name} must be of type {kind.__name__}, got {part!r}")
+        if not _stored_real(self, "repetition_rate") > 0.0:
             raise InvalidInputError("repetition_rate must be positive and finite")
-        if not 0.0 <= _finite_real(self.detector_efficiency, "detector_efficiency") <= 1.0:
+        if not 0.0 <= _stored_real(self, "detector_efficiency") <= 1.0:
             raise InvalidInputError("detector_efficiency must lie in [0, 1]")
         for name in ("dark_count_rate", "coincidence_window"):
-            if not _finite_real(getattr(self, name), name) >= 0.0:
+            if not _stored_real(self, name) >= 0.0:
                 raise InvalidInputError(f"{name} must be nonnegative and finite")
 
 
@@ -229,14 +235,14 @@ def _figures(total_weight, coherence, v12, delta21):
 
 def _report(config, total_weight, coherence, delta21):
     """Generated state from (W, M) next to the point-design target at phase ``delta21``."""
+    delta21 = _finite_real(delta21, "delta21")  # nan where k d overflows
     jones1, jones2 = config.detector1.polarizer.jones, config.detector2.polarizer.jones
-    target = heralded_state(jones1, jones2, delta21)
+    v12 = _overlap(jones1, jones2)  # a Polarizer holds a checked unit vector
     c_target, c_generated, fidelity, trace = map(float, _figures(
-        total_weight, coherence, target.v12, target.delta21))
-    # s, t only build rho = R R^dag, R = [s t] L / sqrt(trace) with L the Cholesky
-    # factor of [[W, M*], [M, W]]: its trace checks them against the closed form, and
-    # its Wootters concurrence is l1 - l2 of the singular values of R^T (sy x sy) R.
-    # R^T has eight entries: Python complex arithmetic, one array
+        total_weight, coherence, v12, delta21))
+    # rho = R R^dag, R = [s t] L / sqrt(trace), L the Cholesky factor of [[W, M*], [M, W]]:
+    # its trace checks s, t against the closed form, and its Wootters concurrence is l1 - l2
+    # of the singular values of R^T (sy x sy) R.  R^T: eight Python complex products, one array
     stat, phase_part = _component_vectors(jones1, jones2)
     root = math.sqrt(total_weight)
     shift = coherence / root
@@ -255,14 +261,14 @@ def _report(config, total_weight, coherence, delta21):
         )
     return UncertaintyReport(
         rho_generated=rho,
-        target_state=target.state,
+        target_state=_target_state(stat, phase_part, delta21),
         concurrence_target=c_target,
         concurrence_generated=c_generated,
         delta_c=abs(c_generated - c_target),
         fidelity=fidelity,
         heralding_weight=trace,
-        delta21_nominal=target.delta21,
-        v12=target.v12,
+        delta21_nominal=delta21,
+        v12=v12,
     )
 
 

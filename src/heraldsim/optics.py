@@ -67,6 +67,13 @@ def _finite_real(value, name):
     raise InvalidInputError(f"{name} must be a finite real number, got {value!r}")
 
 
+def _stored_real(record, name):
+    """Field ``name`` of the frozen ``record`` as ``_finite_real`` returns it, stored back."""
+    number = _finite_real(getattr(record, name), name)
+    object.__setattr__(record, name, number)
+    return number
+
+
 def _finite_complex(value, name):
     """``value`` as a complex if it is a finite number (numpy's too), not a bool or a string."""
     if type(value) is complex and cmath.isfinite(value):  # the common case, kept cheap
@@ -249,6 +256,15 @@ def _component_vectors(e1, e2):
     return s, (s[0], s[2], s[1], s[3])
 
 
+def _target_state(s, t, delta21):
+    """Normalized herald s + t exp(-1j delta21) as an array, global phase fixed."""
+    # Python complex arithmetic beats numpy's per-call cost: one array, the state
+    turn = cmath.exp(-1j * delta21)
+    amps = [a + b * turn for a, b in zip(s, t)]
+    norm = math.hypot(*map(abs, amps))
+    return np.array(_fix_global_phase([a / norm for a in amps]))
+
+
 def _fix_global_phase(state):
     """Rotate the first non-negligible amplitude to the real nonnegative axis."""
     for amp in state:
@@ -314,13 +330,8 @@ def heralded_state(jones1, jones2, delta21):
     v12 = _overlap(e1, e2)
     weight, _ = _concurrence_closed_form(delta21, v12)
     _check_fires(weight)
-    # four amplitudes: Python complex arithmetic beats numpy's per-call cost,
-    # so the state is the one array built here
-    turn = cmath.exp(-1j * delta21)
-    amps = [a + b * turn for a, b in zip(*_component_vectors(e1, e2))]
-    norm = math.hypot(*map(abs, amps))
-    state = np.array(_fix_global_phase([a / norm for a in amps]))
-    return HeraldedOutcome(state=state, g2=2.0 * weight, delta21=delta21, v12=v12)
+    return HeraldedOutcome(state=_target_state(*_component_vectors(e1, e2), delta21),
+                           g2=2.0 * weight, delta21=delta21, v12=v12)
 
 
 def _validated_v12(v12):

@@ -2,16 +2,21 @@
 
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from heraldsim import (
+    AtomPairLayout,
     CountRates,
+    DetectorPatch,
+    ExperimentConfig,
     InvalidInputError,
     NumericalFailureError,
     Polarizer,
     QuadratureSpec,
+    TrapModel,
     ZeroProbabilityHeraldError,
     accidental_fraction,
     concurrence_analytic,
@@ -99,6 +104,53 @@ def _scan_cell(config, delta21, v12):
         polarizer=Polarizer.linear(np.arccos(np.sqrt(v12))),
     )
     return dataclasses.replace(config, detector1=detector1, detector2=detector2)
+
+
+#: every number of a config's records, as ``_config_from`` builds it
+_RECORD_NUMBERS = {
+    "separation": 5e-6, "wavelength": 650e-9, "confinement": 10e-9,
+    "theta_center1": 1.5, "theta_center2": 1.6, "chi_center": 0.1,
+    "span_theta": 5e-3, "span_chi": 0.5, "repetition_rate": 5e6,
+    "detector_efficiency": 0.3, "dark_count_rate": 100.0, "coincidence_window": 1e-8,
+}
+#: how a caller may give those numbers; ``int`` takes only the integral ones
+_NUMBER_KINDS = {
+    "fraction": lambda x: Fraction(repr(x)),
+    "float32": np.float32,
+    "float64": np.float64,
+    "int": lambda x: int(x) if x.is_integer() else x,
+}
+
+
+def _config_from(number):
+    """A finite-patch config whose every record number is ``number(value)``."""
+    n = {name: number(value) for name, value in _RECORD_NUMBERS.items()}
+
+    def patch(theta_center, angle):
+        return DetectorPatch(theta_center=theta_center, chi_center=n["chi_center"],
+                             span_theta=n["span_theta"], span_chi=n["span_chi"],
+                             polarizer=Polarizer.linear(angle))
+
+    return ExperimentConfig(
+        layout=AtomPairLayout(separation=n["separation"], wavelength=n["wavelength"]),
+        trap=TrapModel(confinement=n["confinement"]),
+        detector1=patch(n["theta_center1"], 0.0),
+        detector2=patch(n["theta_center2"], 0.7),
+        repetition_rate=n["repetition_rate"],
+        detector_efficiency=n["detector_efficiency"],
+        dark_count_rate=n["dark_count_rate"],
+        coincidence_window=n["coincidence_window"],
+    )
+
+
+def _bits(value):
+    """``value`` with every float and array as its exact bits and type."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, [_bits(getattr(value, f.name))
+                                      for f in dataclasses.fields(value)]
+    return type(value).__name__, repr(value)
 
 
 def _with_delta21(config, delta):
@@ -273,6 +325,53 @@ class TestConfigValidation:
         for bad in (8.0, np.float64(8.0), "8", np.int64(0), np.bool_(True)):
             with pytest.raises(InvalidInputError, match="points_chi must be an integer"):
                 QuadratureSpec(points_chi=bad)
+
+    @pytest.mark.parametrize("kind", _NUMBER_KINDS)
+    def test_records_hold_python_floats(self, kind):
+        config = _config_from(_NUMBER_KINDS[kind])
+        records = {"config": config, "layout": config.layout, "trap": config.trap,
+                   "detector1": config.detector1, "detector2": config.detector2}
+        numbers = {f"{label}.{field.name}": getattr(record, field.name)
+                   for label, record in records.items()
+                   for field in dataclasses.fields(record)
+                   if not dataclasses.is_dataclass(getattr(record, field.name))}
+        assert len(numbers) == 15
+        assert {name: type(x) for name, x in numbers.items() if type(x) is not float} == {}
+
+    @pytest.mark.parametrize("kind", _NUMBER_KINDS)
+    def test_reports_scans_and_rates_match_the_float_twins(self, kind):
+        # a Fraction once reached numpy as an object array (TypeError), and a
+        # float32 span gave single-precision rates
+        number = _NUMBER_KINDS[kind]
+        config, twin = _config_from(number), _config_from(lambda x: float(number(x)))
+        for run in (lambda c: generated_state(c, FAST_QUAD),
+                    lambda c: monte_carlo_state(c, samples=500, seed=3),
+                    lambda c: delta_c_scan(c, FAST_QUAD, [-0.3, 0.0, 0.4], [0.2, 0.9]),
+                    lambda c: count_rate(c, 0.5, 0.3),
+                    lambda c: accidental_fraction(c, count_rate(c, 0.5, 0.3).corrected)):
+            assert _bits(run(config)) == _bits(run(twin))
+
+    @pytest.mark.parametrize("polarizer", [
+        None, (1, 0), np.array([1, 0]), Polarizer.linear(0.0).jones,
+    ], ids=["none", "tuple", "array", "jones"])
+    def test_a_patch_takes_only_a_polarizer(self, polarizer):
+        # once these built, generated_state raised a bare AttributeError while
+        # delta_c_scan and count_rate returned numbers
+        with pytest.raises(InvalidInputError, match="polarizer must be of type Polarizer"):
+            reference_patch(polarizer)
+        with pytest.raises(InvalidInputError, match="polarizer must be of type Polarizer"):
+            dataclasses.replace(reference_patch(Polarizer.linear(0.0)), polarizer=polarizer)
+
+    def test_a_config_takes_only_the_model_records(self):
+        with pytest.raises(InvalidInputError, match="layout must be of type AtomPairLayout"):
+            ExperimentConfig(layout=None, trap=None, detector1=None, detector2=None,
+                             repetition_rate=5e6)
+        config = reference_config()
+        for name, kind in (("layout", "AtomPairLayout"), ("trap", "TrapModel"),
+                           ("detector1", "DetectorPatch"), ("detector2", "DetectorPatch")):
+            for wrong in (None, config.trap if name == "layout" else config.layout):
+                with pytest.raises(InvalidInputError, match=f"{name} must be of type {kind}"):
+                    dataclasses.replace(config, **{name: wrong})
 
     @pytest.mark.parametrize("name", ["points_theta", "points_chi", "points_trap"])
     def test_quadrature_spec_rejects_bools(self, name):
@@ -528,6 +627,18 @@ class TestGeneratedStateFinitePatches:
             tracemalloc.stop()
         assert peak <= 80 * samples
 
+    def test_a_phase_past_the_float_range_raises(self):
+        # k d overflows, so the nominal phase is nan: the report names it, on both
+        # routes, before any figure or matrix is formed
+        config = dataclasses.replace(reference_config(), layout=AtomPairLayout(
+            separation=1e300, wavelength=1e-10))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for run in (lambda: generated_state(config, FAST_QUAD),
+                        lambda: monte_carlo_state(config, samples=100, seed=1)):
+                with pytest.raises(InvalidInputError,
+                                   match="delta21 must be a finite real number, got nan"):
+                    run()
+
     def test_monte_carlo_rejects_bad_sample_count(self):
         with pytest.raises(InvalidInputError):
             monte_carlo_state(reference_config(), samples=0, seed=1)
@@ -682,6 +793,45 @@ class TestReportHealthCheck:
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         generated_state(config, quad)
         assert calls == [("svd", (2, 2))]
+
+    @pytest.mark.parametrize("route", ["generated_state", "monte_carlo_state"])
+    def test_a_report_evaluates_its_herald_once(self, route, monkeypatch):
+        # counts calls, never times them: a report trusts the Polarizers of its
+        # config (no unit-vector check) and builds s, t once for rho and the target
+        scenario = load_scenario(BASELINE)
+        config, quad = scenario.experiment(), scenario.quadrature_spec()
+        calls = []
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(optics, "_unit_vector",
+                            counting("_unit_vector", optics._unit_vector))
+        components = counting("_component_vectors", _component_vectors)
+        for module in (optics, herald):
+            monkeypatch.setattr(module, "_component_vectors", components)
+        if route == "generated_state":
+            generated_state(config, quad)
+        else:
+            monte_carlo_state(config, samples=1000, seed=1)
+        assert calls == ["_component_vectors"]
+
+    def test_malus_checks_each_analyzer_once(self, monkeypatch):
+        # each Polarizer checks its own vector when it is built; the overlap
+        # is taken on the stored vectors, with no visibility call
+        names = []
+        unit_vector = optics._unit_vector
+
+        def recording(value, length, atol, name):
+            names.append(name)
+            return unit_vector(value, length, atol, name)
+
+        monkeypatch.setattr(optics, "_unit_vector", recording)
+        assert main(["malus"]) == 0
+        assert names == ["polarizer jones"] * 101
 
     @pytest.mark.parametrize("jones", [
         (Polarizer.linear(0.0).jones, Polarizer.linear(0.7).jones),

@@ -11,7 +11,9 @@ direction, phase or node function, and imports from ``geometry`` only
 the model dataclasses and the two ``(W, M, delta21)`` routes.  The
 number and count rules stay in ``optics.py``: no other module makes an
 ``isinstance(..., bool)`` test, the mark of one.  So does the herald's
-weight floor: no other module names ``MIN_HERALD_WEIGHT``.  A fresh
+weight floor: no other module names ``MIN_HERALD_WEIGHT``.  A model
+record stores its numbers as the Python floats that rule returns, so no
+module casts a record field with ``float`` again.  A fresh
 interpreter checks what importing the package and the CLI loads, so
 import-time work stays out of every command's set-up.
 """
@@ -212,6 +214,34 @@ def test_the_patch_extent_rule_lives_in_geometry():
     # is checked again, by the longitude solve
     found = {path.name: strings_holding(path.read_text(encoding="utf-8"), "leaves the valid")
              for path in MODULES if path.name != "geometry.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+#: the numbers a model record stores as Python floats when it is built
+RECORD_NUMBERS = {"theta_center", "chi_center", "span_theta", "span_chi", "separation",
+                  "wavelength", "confinement", "repetition_rate", "detector_efficiency",
+                  "dark_count_rate", "coincidence_window"}
+
+
+def record_casts(source):
+    """Lines of ``float(...)`` calls whose argument reads a record number."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and ast.unparse(node.func) == "float"
+                  and any(isinstance(part, ast.Attribute) and part.attr in RECORD_NUMBERS
+                          for arg in node.args for part in ast.walk(arg)))
+
+
+def test_the_cast_check_sees_record_numbers():
+    source = (
+        "float(patch.theta_center)\nx = 1 + float(config.detector1.chi_center)\n"
+        "float(0.5 * patch.span_theta)\nfloat(theta_center)\nfloat(patch.polarizer)\n"
+        "np.float64(layout.separation)\nfloat(g2(delta21, v12))\n"
+    )
+    assert record_casts(source) == [1, 2, 3]
+
+
+def test_records_are_trusted_once_built():
+    found = {path.name: record_casts(path.read_text(encoding="utf-8")) for path in MODULES}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
