@@ -14,16 +14,15 @@ The solid-angle measure in these coordinates is ``cos(chi) dtheta
 dchi``.  A photon reaching direction ``e`` from emitter B instead of
 emitter A is retarded by ``k * (R_B - R_A) . e``; for the unperturbed
 pair this is ``k * d * cos(theta) * cos(chi)``.  Patches and trap reach
-the heralded state only through the weight W and the phase moment
-M = sum w exp(-1j delta21) of this phase, m = M / W.  Two routes hand
-out ``(W, M, delta21)``, with delta21 the nominal phase between the
-patch centers: ``_quadrature_moments`` by quadrature, with the trap
-averaged in closed form, for the configured geometry or for detector 2
-moved to a whole array of phases at once, and ``_sampled_moments`` by
-sampling patches and trap; it holds its draws whole (56 B per
-sample), so a seed gives the stream of one draw per array, and takes
-its sums over blocks of ``_SAMPLE_BLOCK`` samples.  The patch nodes
-never leave this module.
+the heralded state only through the coherence factor m = M / W of the
+weight W and phase moment M = sum w exp(-1j delta21).  Two routes hand
+out ``(W, m, delta21)``, W the patch measure and delta21 the nominal
+phase between the patch centers: ``_quadrature_moments`` by quadrature
+with weights scaled by a power of two, the trap averaged in closed
+form, for the configured geometry or for detector 2 moved to a whole
+array of phases at once, and ``_sampled_moments`` by sampling patches
+and trap, its draws held whole (56 B per sample) and summed in blocks
+of ``_SAMPLE_BLOCK``.  Patch nodes and measure scale stay in this module.
 """
 
 import functools
@@ -53,14 +52,9 @@ _SAMPLE_BLOCK = 8192
 
 @dataclass(frozen=True)
 class AtomPairLayout:
-    """Two trapped emitters a fixed distance apart.
+    """Two trapped emitters ``separation`` = d meters apart, emitting at ``wavelength``.
 
-    Attributes
-    ----------
-    separation : float
-        Distance d between the emitters in meters, > 0.
-    wavelength : float
-        Emission wavelength in meters, > 0.
+    Both lengths are in meters and > 0, and the largest phase 2 k d must be a finite float.
     """
 
     separation: float
@@ -70,6 +64,9 @@ class AtomPairLayout:
         for name in ("separation", "wavelength"):
             if not _stored_real(self, name) > 0.0:
                 raise InvalidInputError(f"{name} must be positive and finite")
+        if not math.isfinite(2.0 * self.wavenumber * self.separation):  # bounds every phase
+            raise InvalidInputError("separation / wavelength is too large: the phase "
+                                    "2 k d between the emitters overflows the float range")
 
     @property
     def wavenumber(self):
@@ -124,6 +121,15 @@ class TrapModel:
     def __post_init__(self):
         if not _stored_real(self, "confinement") >= 0.0:
             raise InvalidInputError("confinement must be nonnegative and finite")
+
+
+def _trap_spread(layout, trap):
+    """k sigma, sigma = sqrt(2) confinement; 2 (k sigma)**2 bounds the decay exponents."""
+    k_sigma = layout.wavenumber * (math.sqrt(2.0) * trap.confinement)
+    if not math.isfinite(2.0 * k_sigma * k_sigma):
+        raise InvalidInputError("confinement is too large: the trap decay exponent "
+                                "(k sigma)**2 overflows the float range")
+    return k_sigma
 
 
 def _finite_angles(theta, chi):
@@ -258,19 +264,20 @@ def _reference_rule(count):
 
 
 def _interval_rule(width, count):
-    """Gauss-Legendre offsets from the center and weights on an interval of ``width``.
+    """Gauss-Legendre offsets, weights / 2**e and e on an interval of ``width``.
 
-    Zero width collapses to a single unit-weight node at the center
-    (point detector); the constant cancels in the trace normalization.
+    e = frexp(width)[1], so the weights are normal floats at any width.  Zero width is
+    one unit-weight node at the center (point detector), e = 0: the axis counts as 1.
     """
     if width == 0.0:
-        return np.zeros(1), np.ones(1)
+        return np.zeros(1), np.ones(1), 0
     ref_nodes, ref_weights = _reference_rule(count)
-    return 0.5 * width * ref_nodes, 0.5 * width * ref_weights
+    mantissa, exponent = math.frexp(width)
+    return 0.5 * width * ref_nodes, 0.5 * mantissa * ref_weights, exponent
 
 
 def _patch_nodes(patch, quad, theta_centers):
-    """Directions (theta-major) and measure weights (incl. cos chi) covering a patch.
+    """Directions (theta-major), measure weights (incl. cos chi) / 2**e and e of a patch.
 
     The patch is moved to each of the G longitudes of the array
     ``theta_centers``: the directions have shape (G, n, 3), while the
@@ -279,12 +286,12 @@ def _patch_nodes(patch, quad, theta_centers):
     ``_longitudes`` check that), so no node angle is checked here.
     """
     # center + offset gives the nodes of a rule around each center bit for bit
-    offsets, w_theta = _interval_rule(patch.span_theta, quad.points_theta)
-    chi_offsets, w_chi = _interval_rule(patch.span_chi, quad.points_chi)
+    offsets, w_theta, e_theta = _interval_rule(patch.span_theta, quad.points_theta)
+    chi_offsets, w_chi, e_chi = _interval_rule(patch.span_chi, quad.points_chi)
     dirs, cos_chi = _directions(np.add.outer(theta_centers, offsets)[..., None],
                                 patch.chi_center + chi_offsets)
     return (dirs.reshape(len(theta_centers), -1, 3),
-            np.multiply.outer(w_theta, w_chi * cos_chi).ravel())
+            np.multiply.outer(w_theta, w_chi * cos_chi).ravel(), e_theta + e_chi)
 
 
 def _phase_moments(layout, trap, dirs1, w1, dirs2, w2):
@@ -301,7 +308,7 @@ def _phase_moments(layout, trap, dirs1, w1, dirs2, w2):
     are the columns of one real (n1, G * n2) pair matrix.
     """
     wavenumber = layout.wavenumber
-    sigma = math.sqrt(2.0) * trap.confinement
+    k_sigma = _trap_spread(layout, trap)
     separation = layout.separation
     n1, n2 = len(w1), len(w2)
     sum1 = w1 * np.exp(1j * wavenumber * (separation * dirs1[:, 0]))
@@ -320,7 +327,7 @@ def _phase_moments(layout, trap, dirs1, w1, dirs2, w2):
         decay = np.matmul(dirs1, columns[:, block],
                           out=buffer[: n1 * (block.stop - start)].reshape(n1, -1))
         decay -= 1.0
-        decay *= (wavenumber * sigma) ** 2
+        decay *= k_sigma ** 2
         np.exp(decay, out=decay)
         np.matmul(sum1.real, decay, out=vectors.real[block])
         np.matmul(sum1.imag, decay, out=vectors.imag[block])
@@ -330,44 +337,45 @@ def _phase_moments(layout, trap, dirs1, w1, dirs2, w2):
 
 
 def _quadrature_moments(layout, trap, patch1, patch2, quad, delta21=None):
-    """(W, M, delta21) by patch quadrature, with the trap averaged in closed form.
+    """(W, m, delta21) by patch quadrature, with the trap averaged in closed form.
 
-    With no ``delta21`` this is the configured geometry: M is one
-    complex and delta21 the nominal phase between the patch centers.
-    An array of G phases moves detector 2 in longitude to each of them
-    (``_longitudes``): M and the realized nominal phases then have shape
-    (G,), from one stacked pass with detector 1's nodes built once.
+    With no ``delta21`` this is the configured geometry: m is one complex and delta21
+    the nominal phase between the patch centers.  An array of G phases moves detector 2
+    in longitude to each of them (``_longitudes``): m and the realized nominal phases
+    then have shape (G,), from one stacked pass with detector 1's nodes built once.
+    W, the patch measure, is summed over scaled weights and is 0.0 where it underflows.
     """
-    dirs1, w1 = _patch_nodes(patch1, quad, np.array([patch1.theta_center]))
+    dirs1, w1, exponent1 = _patch_nodes(patch1, quad, np.array([patch1.theta_center]))
     theta2, phases = _longitudes(layout, patch1, patch2, delta21)
-    dirs2, w2 = _patch_nodes(patch2, quad, theta2)
+    dirs2, w2, exponent2 = _patch_nodes(patch2, quad, theta2)
     total_weight, coherence = _phase_moments(layout, trap, dirs1[0], w1, dirs2, w2)
+    measure = math.ldexp(total_weight, exponent1 + exponent2)
     if delta21 is None:
-        return total_weight, complex(coherence[0]), float(phases[0])
-    return total_weight, coherence, phases
+        return measure, complex(coherence[0]) / total_weight, float(phases[0])
+    return measure, coherence / total_weight, phases
 
 
 def _sampled_moments(layout, trap, patch1, patch2, samples, rng):
-    """(W, M, delta21) from uniform patch draws weighted by cos chi and Gaussian trap draws.
+    """(W, m, delta21) from uniform patch draws weighted by cos chi and Gaussian trap draws.
 
     Sample j draws directions e1, e2 uniformly in (theta, chi) over the
     two patches and a displacement difference sigma n, n standard
-    normal, sigma = sqrt(2) * confinement.  Then W = sum cos chi1 cos chi2
-    and M = sum w exp(-1j k (d e_x + sigma n) . (e2 - e1)), w the
-    weight of the sample.  All draws are taken first and held whole
+    normal, sigma = sqrt(2) * confinement.  Then m = M / sum w for
+    M = sum w exp(-1j k (d e_x + sigma n) . (e2 - e1)), w = cos chi1 cos chi2
+    the weight of the sample, and W is the mean w times the four spans,
+    a zero span counting as 1.  All draws are taken first and held whole
     (56 B per sample), in the order theta1, chi1, theta2, chi2, n, so a
     seed gives the same stream as one draw per array; the sums are then
     taken over blocks of ``_SAMPLE_BLOCK`` samples, the components of
     e2 - e1 formed directly and Re M, Im M as two real dot products.
     """
+    k_sigma = _trap_spread(layout, trap)
     angles = [center + span * (rng.random(samples) - 0.5)
               for patch in (patch1, patch2)
               for center, span in ((patch.theta_center, patch.span_theta),
                                    (patch.chi_center, patch.span_chi))]
     normal = rng.standard_normal((samples, 3))
-    wavenumber = layout.wavenumber
-    kd = wavenumber * layout.separation
-    k_sigma = wavenumber * math.sqrt(2.0) * trap.confinement
+    kd = layout.wavenumber * layout.separation
     total_weight, real, imag = 0.0, 0.0, 0.0
     for start in range(0, samples, _SAMPLE_BLOCK):
         block = slice(start, start + _SAMPLE_BLOCK)
@@ -381,8 +389,10 @@ def _sampled_moments(layout, trap, patch1, patch2, samples, rng):
         phase *= k_sigma
         phase += kd * dx
         weight = cos1 * cos2
-        total_weight += weight.sum()
+        total_weight += float(weight.sum())
         real += weight @ np.cos(phase)
         imag -= weight @ np.sin(phase)
-    return (float(total_weight), complex(real, imag),
+    spans = math.prod(span or 1.0 for patch in (patch1, patch2)
+                      for span in (patch.span_theta, patch.span_chi))
+    return (total_weight / samples * spans, complex(real, imag) / total_weight,
             float(_longitudes(layout, patch1, patch2)[1][0]))

@@ -1,21 +1,20 @@
 """Coincidence rates and the mixed state actually generated by a herald.
 
-Finite detector patches and trap motion reach the generated state
-only through the weight W and phase moment M, m = M / W, that
-``geometry`` hands over with the nominal phase delta21 between the
-patch centers: one ``(W, M, delta21)`` call per route.  The nominal
-herald is s + t exp(-1j delta21), and unit analyzers give
-|s| = |t| = 1 and <s|t> = V, so every reported figure is closed-form
-in (W, M, V, delta21):
+Finite detector patches and trap motion reach the generated state only
+through the coherence factor m that ``geometry`` hands over with the
+patch measure W and the nominal phase delta21 between the patch centers:
+one ``(W, m, delta21)`` call per route.  The nominal herald is
+s + t exp(-1j delta21), and unit analyzers give |s| = |t| = 1 and <s|t> = V,
+so every figure is closed-form in (m, V, delta21); W scales only the weight W tr:
 
-    C_gen = (1 - V) |m| / d,  C_target = (1 - V) / w0,  tr = 2 W d,
+    C_gen = (1 - V) |m| / d,  C_target = (1 - V) / w0,  tr = 2 d,
     F = (|a|**2 + Re(m exp(1j delta21) conj(a)**2)) / (2 w0 d),
 
 with d = 1 + V Re m, w0 = 1 + V cos delta21 and a = 1 + V exp(1j delta21).
 ``generated_state`` also builds rho = R R^dag from its rank-2 factor R
 and checks its trace and the Wootters concurrence of R (one 2x2
 singular value problem) against the closed form; ``delta_c_scan``
-builds none, taking (W, M, delta21) for all its geometries from one
+builds none, taking (m, delta21) for all its geometries from one
 stacked pass and returning the whole (delta21, v12) table as columns:
 the two grid axes and one (n_delta21, n_v12) array per figure.
 """
@@ -109,9 +108,9 @@ class CountRates:
 class UncertaintyReport:
     """Generated state next to its point-design target.
 
-    ``delta_c`` is |concurrence_generated - concurrence_target| and
-    ``heralding_weight`` the integrated unnormalized G2 measure (the
-    patch-averaged G2 times the solid-angle measure of both patches).
+    ``delta_c`` is |concurrence_generated - concurrence_target| and ``heralding_weight`` the
+    integrated unnormalized G2 measure (the patch-averaged G2 times the solid-angle measure
+    of both patches, a zero-width axis counting as 1; 0.0 where that measure underflows).
     """
 
     rho_generated: np.ndarray
@@ -203,26 +202,24 @@ def accidental_fraction(config, true_rate):
     return accidental / total
 
 
-def _figures(total_weight, coherence, v12, delta21):
+def _figures(m, v12, delta21):
     """Closed-form (C_target, C_generated, fidelity, trace) of generated states.
 
-    Takes W, M, V in [0, 1] and the nominal delta21 as arrays that
-    broadcast, so one call evaluates a whole grid; ``trace`` is the
-    heralding weight.  Operators, ``abs`` and ``.real`` serve scalars as
-    well as arrays, so one report's figures cost a few scalar operations.
-    Raises ``ZeroProbabilityHeraldError`` where the herald never fires
-    or the trace vanishes, ``NumericalFailureError`` where |M| exceeds W.
+    Takes m, V in [0, 1] and the nominal delta21 as arrays that broadcast, so one call
+    evaluates a whole grid; ``trace`` = 2 d is the heralding weight per unit W.  Operators,
+    ``abs`` and ``.real`` serve scalars as well as arrays, so one report's figures cost a
+    few scalar operations.  Raises ``ZeroProbabilityHeraldError`` where the herald never
+    fires or the trace vanishes, ``NumericalFailureError`` where |m| exceeds 1.
     """
     nominal_weight, c_target = _concurrence_closed_form(delta21, v12)  # herald weight / 2
     _check_fires(nominal_weight)
-    m = coherence / total_weight
     dephased = 1.0 + v12 * m.real
-    trace = 2.0 * total_weight * dephased
-    if _any((trace <= 0.0) | (trace < 1e-12 * total_weight)):
+    trace = 2.0 * dephased
+    if _any(trace < 1e-12):
         raise ZeroProbabilityHeraldError("integrated coincidence weight vanishes over "
                                          "the detector patches")
-    # W (|s><s| + |t><t|) + M |t><s| + h.c. is positive exactly when |M| <= W
-    if _any(abs(coherence) > total_weight * (1.0 - EIGENVALUE_FLOOR)):
+    # |s><s| + |t><t| + m |t><s| + h.c. is positive exactly when |m| <= 1
+    if _any(abs(m) > 1.0 - EIGENVALUE_FLOOR):
         raise NumericalFailureError("quadrature produced |M| > W, a non-positive average")
     # <herald|s> = a and <herald|t> = exp(1j delta21) conj(a)
     turn = np.exp(1j * delta21)
@@ -233,21 +230,17 @@ def _figures(total_weight, coherence, v12, delta21):
     return c_target, c_generated, fidelity, trace
 
 
-def _report(config, total_weight, coherence, delta21):
-    """Generated state from (W, M) next to the point-design target at phase ``delta21``."""
-    delta21 = _finite_real(delta21, "delta21")  # nan where k d overflows
+def _report(config, total_weight, m, delta21):
+    """Generated state from (W, m) next to the point-design target at phase ``delta21``."""
     jones1, jones2 = config.detector1.polarizer.jones, config.detector2.polarizer.jones
     v12 = _overlap(jones1, jones2)  # a Polarizer holds a checked unit vector
-    c_target, c_generated, fidelity, trace = map(float, _figures(
-        total_weight, coherence, v12, delta21))
-    # rho = R R^dag, R = [s t] L / sqrt(trace), L the Cholesky factor of [[W, M*], [M, W]]:
+    c_target, c_generated, fidelity, trace = map(float, _figures(m, v12, delta21))
+    # rho = R R^dag, R = [s t] L / sqrt(trace), L the Cholesky factor of [[1, m*], [m, 1]]:
     # its trace checks s, t against the closed form, and its Wootters concurrence is l1 - l2
     # of the singular values of R^T (sy x sy) R.  R^T: eight Python complex products, one array
     stat, phase_part = _component_vectors(jones1, jones2)
-    root = math.sqrt(total_weight)
-    shift = coherence / root
-    rest = math.sqrt(max(total_weight - abs(coherence) ** 2 / total_weight, 0.0))
-    factor = np.array([[root * s + shift * t for s, t in zip(stat, phase_part)],
+    rest = math.sqrt(max(1.0 - abs(m) ** 2, 0.0))
+    factor = np.array([[s + m * t for s, t in zip(stat, phase_part)],
                        [rest * t for t in phase_part]]) / math.sqrt(trace)  # R^T
     rho = factor.T @ factor.conj()
     if not np.isfinite(rho).all() or abs(rho.trace() - 1.0) > TRACE_ATOL:
@@ -255,10 +248,8 @@ def _report(config, total_weight, coherence, delta21):
     lam = np.linalg.svd(factor @ _SPIN_FLIP @ factor.T, compute_uv=False)
     wootters = float(lam[0] - lam[1])
     if abs(wootters - c_generated) > 1e-9:
-        raise NumericalFailureError(
-            f"Wootters concurrence {wootters:.12g} misses the closed form "
-            f"{c_generated:.12g}"
-        )
+        raise NumericalFailureError(f"Wootters concurrence {wootters:.12g} misses the "
+                                    f"closed form {c_generated:.12g}")
     return UncertaintyReport(
         rho_generated=rho,
         target_state=_target_state(stat, phase_part, delta21),
@@ -266,7 +257,7 @@ def _report(config, total_weight, coherence, delta21):
         concurrence_generated=c_generated,
         delta_c=abs(c_generated - c_target),
         fidelity=fidelity,
-        heralding_weight=trace,
+        heralding_weight=total_weight * trace,
         delta21_nominal=delta21,
         v12=v12,
     )
@@ -298,7 +289,7 @@ def generated_state(config, quadrature=QuadratureSpec()):
         If the herald never fires at the nominal configuration.
     NumericalFailureError
         If the averaged matrix is not finite or its trace misses 1 by
-        more than ``TRACE_ATOL``, if |M| > W (a non-positive average),
+        more than ``TRACE_ATOL``, if |m| > 1 (a non-positive average),
         or if the Wootters concurrence of its rank-2 factor misses the
         closed form by more than 1e-9.
     """
@@ -309,7 +300,7 @@ def generated_state(config, quadrature=QuadratureSpec()):
 def monte_carlo_state(config, samples, seed):
     """Randomized evaluation of ``generated_state`` for cross-validation.
 
-    Samples (W, M) over the patches and the trap displacements, which
+    Samples (W, m) over the patches and the trap displacements, which
     ``generated_state`` averages by quadrature and in closed form.
     Deterministic for a fixed ``seed``; both integers are checked before any draw.
     """
@@ -327,7 +318,7 @@ def delta_c_scan(config, quadrature, delta21_values, v12_values):
     ``v12`` as the analyzer visibility: any analyzer pair with that
     overlap (linear ones at relative angle arccos(sqrt(v12)), say) gives
     the same figures.  Every longitude comes from one array solve and
-    every (W, M) from one stacked pass over the moved detector-2 nodes.
+    every m from one stacked pass over the moved detector-2 nodes.
 
     Returns
     -------
@@ -342,12 +333,11 @@ def delta_c_scan(config, quadrature, delta21_values, v12_values):
             and delta21_values.size and v12_values.size):
         raise InvalidInputError("scan grids must be nonempty and one-dimensional")
     _check_v12_grid(v12_values)
-    # the analyzers do not enter W and M: one average over all delta21 geometries
-    total_weight, coherence, phases = _quadrature_moments(
+    # the analyzers do not enter m: one average over all delta21 geometries
+    _, m, phases = _quadrature_moments(
         config.layout, config.trap, config.detector1, config.detector2, quadrature,
         delta21_values)
-    c_target, c_generated, fidelity, _ = _figures(
-        total_weight, coherence[:, None], v12_values, phases[:, None])
+    c_target, c_generated, fidelity, _ = _figures(m[:, None], v12_values, phases[:, None])
     delta_c = np.abs(c_generated - c_target)
     return ScanResult(delta21=delta21_values, v12=v12_values, delta_c=delta_c,
                       fidelity=fidelity, concurrence_target=c_target,

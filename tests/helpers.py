@@ -133,19 +133,18 @@ def fidelity_pure_target(rho, target):
     return float(np.real(vec.conj() @ validate_density(rho) @ vec))
 
 
-def matrix_route(total_weight, coherence, stat, phase_part, target):
+def matrix_route(m, stat, phase_part, target):
     """(C_target, C_generated, fidelity, trace) from the 4x4 generated state.
 
-    Oracle for the closed-form figures: builds the unnormalized average
-    W (|s><s| + |t><t|) + M |t><s| + M* |s><t|, normalizes it by its
+    Oracle for the closed-form figures: builds the average per unit
+    weight |s><s| + |t><t| + m |t><s| + m* |s><t|, normalizes it by its
     trace and runs the density-matrix checks, the Wootters concurrence
     and the fidelity with the normalized ``target``.
     """
     stat, phase_part = np.asarray(stat), np.asarray(phase_part)
-    rho_raw = (total_weight * (np.outer(stat, stat.conj())
-                               + np.outer(phase_part, phase_part.conj()))
-               + coherence * np.outer(phase_part, stat.conj())
-               + np.conj(coherence) * np.outer(stat, phase_part.conj()))
+    rho_raw = (np.outer(stat, stat.conj()) + np.outer(phase_part, phase_part.conj())
+               + m * np.outer(phase_part, stat.conj())
+               + np.conj(m) * np.outer(stat, phase_part.conj()))
     trace = float(np.real(np.trace(rho_raw)))
     rho = validate_density(rho_raw / trace)
     return (concurrence_pure(target), concurrence_mixed(rho),
@@ -218,17 +217,18 @@ def _normal_nodes(sigma, count, midpoint, truncation):
 
 
 def patch_moments(config, quad):
-    """(W, M, delta21) as ``generated_state`` takes them: the G = 1 quadrature entry."""
+    """(W, m, delta21) as ``generated_state`` takes them: the G = 1 quadrature entry."""
     return _quadrature_moments(config.layout, config.trap, config.detector1,
                                config.detector2, quad)
 
 
 def sampled_moments_one_shot(layout, trap, patch1, patch2, samples, rng):
-    """(W, M, delta21) by sampling, every sample held at once.
+    """(W, m, delta21) by sampling, every sample held at once.
 
     Oracle for the blocked ``geometry._sampled_moments``: the same draws
     in the same order, with (samples, 3) direction and offset arrays,
-    two ``einsum`` projections and one complex weighted sum.
+    two ``einsum`` projections and one complex weighted sum; W is the
+    mean weight times the patch area, a zero span counting as 1.
     """
     def draw(patch):
         theta = patch.theta_center + patch.span_theta * (rng.random(samples) - 0.5)
@@ -241,7 +241,10 @@ def sampled_moments_one_shot(layout, trap, patch1, patch2, samples, rng):
     phase = layout.wavenumber * (np.einsum("ij,ij->i", offset, dirs2)
                                  - np.einsum("ij,ij->i", offset, dirs1))
     weights = cos1 * cos2
-    return (float(weights.sum()), complex(np.sum(weights * np.exp(-1j * phase))),
+    area = ((patch1.span_theta or 1.0) * (patch1.span_chi or 1.0)
+            * (patch2.span_theta or 1.0) * (patch2.span_chi or 1.0))
+    return (float(weights.mean()) * area,
+            complex(np.sum(weights * np.exp(-1j * phase))) / float(weights.sum()),
             float(_longitudes(layout, patch1, patch2)[1][0]))
 
 
@@ -269,7 +272,7 @@ def grid_nodes(detector, points_theta, points_chi, midpoint=False):
 
 def quadrature_moments(config, points_patch, points_trap, midpoint=False,
                        trap_dims=3, truncation=5.0, rotation=np.eye(3)):
-    """Weight W and coherence M = sum w exp(-1j delta21) by explicit node sums.
+    """Weight W and coherence factor m = M / W, M = sum w exp(-1j delta21), by node sums.
 
     Oracle for the closed-form trap average.  The separation is an
     explicit vector d e_x, and ``rotation`` (orthogonal 3x3) turns it
@@ -307,7 +310,7 @@ def quadrature_moments(config, points_patch, points_trap, midpoint=False,
     sum1 = np.exp(1j * wavenumber * (offsets @ dirs1.T)) @ w1
     sum2 = np.exp(-1j * wavenumber * (offsets @ dirs2.T)) @ w2
     total_weight = float(w1.sum() * w2.sum() * du_weights.sum())
-    return total_weight, complex(np.sum(du_weights * sum1 * sum2))
+    return total_weight, complex(np.sum(du_weights * sum1 * sum2)) / total_weight
 
 
 def _fmt(value):

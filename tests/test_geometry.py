@@ -72,10 +72,11 @@ class TestPatchAndAccessories:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(theta_center=st.floats(-1.0, np.pi + 1.0) | NOT_AN_ANGLE,
            chi_center=st.floats(-2.0, 2.0) | NOT_AN_ANGLE,
-           # spans below a microradian would underflow the weight product
-           span_theta=st.just(0.0) | st.floats(1e-6, 7.0) | st.floats(-7.0, -1e-6)
+           # the weights are scaled by a power of two, so no positive span,
+           # subnormal included, underflows them
+           span_theta=st.just(0.0) | st.floats(5e-324, 7.0) | st.floats(-7.0, -1e-6)
            | NOT_AN_ANGLE,
-           span_chi=st.just(0.0) | st.floats(1e-6, 4.0) | st.floats(-4.0, -1e-6)
+           span_chi=st.just(0.0) | st.floats(5e-324, 4.0) | st.floats(-4.0, -1e-6)
            | NOT_AN_ANGLE)
     # edges 0.0084 past pi and 0.03 past pi/2: outer nodes past them too
     @example(theta_center=3.0, chi_center=0.0, span_theta=0.3, span_chi=0.0)
@@ -88,8 +89,8 @@ class TestPatchAndAccessories:
                                   polarizer=Polarizer.linear(0.0))
         except InvalidInputError:
             return
-        dirs, weights = _patch_nodes(patch, QuadratureSpec(),
-                                     np.array([patch.theta_center]))
+        dirs, weights, _ = _patch_nodes(patch, QuadratureSpec(),
+                                        np.array([patch.theta_center]))
         # e = (cos theta cos chi, sin theta cos chi, sin chi) and the weights
         # carry cos chi: |chi| < pi/2 makes them positive, and then theta in
         # [0, pi] makes sin theta cos chi nonnegative

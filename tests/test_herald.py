@@ -1,6 +1,7 @@
 """Generated-state averaging, rates, scans, and their cross-checks."""
 
 import dataclasses
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -430,6 +431,30 @@ class TestGeneratedStatePointLimit:
             generated_state(point).concurrence_generated, abs=1e-10
         )
 
+    @pytest.mark.parametrize("span", [1e-38, 1e-60, 1e-79, 1e-100, 1e-300])
+    def test_tiny_patches_are_point_detectors(self, span):
+        # the patch measure span**4 leaves the float range, but the quadrature
+        # weights are scaled by a power of two: both patches span x span give
+        # the point-design figures, and the weight is never nan
+        point = point_detector_config(Polarizer.linear(0.0), Polarizer.linear(0.3))
+        tiny = dataclasses.replace(point, **{
+            name: dataclasses.replace(getattr(point, name), span_theta=span, span_chi=span)
+            for name in ("detector1", "detector2")})
+        expected, report = generated_state(point), generated_state(tiny)
+        for name in ("concurrence_target", "concurrence_generated", "delta_c", "fidelity",
+                     "delta21_nominal", "v12"):
+            assert abs(getattr(report, name) - getattr(expected, name)) <= 1e-12
+        assert np.max(np.abs(report.rho_generated - expected.rho_generated)) <= 1e-12
+        assert not np.isnan(report.heralding_weight)
+        if span**4 >= sys.float_info.min:
+            assert abs(report.heralding_weight / span**4
+                       - expected.heralding_weight) <= 1e-12 * expected.heralding_weight
+        grids = (np.linspace(-1.0, 1.0, 5), [0.0, 0.5, 1.0])
+        expected_scan, scan = (delta_c_scan(config, FAST_QUAD, *grids)
+                               for config in (point, tiny))
+        for name in ("delta_c", "fidelity", "concurrence_target", "concurrence_generated"):
+            assert np.max(np.abs(getattr(scan, name) - getattr(expected_scan, name))) <= 1e-12
+
     def test_nominal_zero_probability_raises(self):
         config = point_detector_config(Polarizer.linear(0.0), Polarizer.linear(0.0))
         singular = _with_delta21(config, np.pi)
@@ -443,7 +468,7 @@ class TestGeneratedStatePointLimit:
         with pytest.raises(ZeroProbabilityHeraldError):
             concurrence_analytic(delta21, 1.0)
         with pytest.raises(ZeroProbabilityHeraldError):
-            herald._figures(1.0, np.exp(-1j * delta21), 1.0, delta21)
+            herald._figures(np.exp(-1j * delta21), 1.0, delta21)
         plus = polarizer_to_jones(Polarizer.linear(0.0))
         with pytest.raises(ZeroProbabilityHeraldError):
             heralded_state(plus, plus, delta21)
@@ -457,7 +482,7 @@ class TestGeneratedStatePointLimit:
         delta21 = delta21[w0 >= 0.05]
         w0 = w0[w0 >= 0.05]
         c_target, c_generated, fidelity, trace = herald._figures(
-            1.0, np.exp(-1j * delta21), v12, delta21)
+            np.exp(-1j * delta21), v12, delta21)
         assert np.max(np.abs(fidelity - 1.0)) <= 1e-12
         assert np.max(np.abs(c_generated - c_target)) <= 1e-12
         assert np.max(np.abs(trace - 2.0 * w0)) <= 1e-12
@@ -518,10 +543,10 @@ class TestGeneratedStateFinitePatches:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
-        weight, coherence, _ = patch_moments(config, quad)
-        oracle_weight, oracle_coherence = quadrature_moments(config, 64, 6)
+        weight, m, _ = patch_moments(config, quad)
+        oracle_weight, oracle_m = quadrature_moments(config, 64, 6)
         assert abs(weight - oracle_weight) <= 1e-12 * oracle_weight
-        assert abs(coherence - oracle_coherence) <= 1e-12 * abs(oracle_coherence)
+        assert abs(m - oracle_m) <= 1e-12 * abs(oracle_m)
 
     def test_wide_scan_memory_is_bounded(self):
         # 16 x 16 nodes per patch make a 512 KB pair matrix per geometry, so
@@ -546,17 +571,17 @@ class TestGeneratedStateFinitePatches:
 
     def test_moments_are_invariant_under_a_common_rotation(self):
         # the pair axis is a gauge: turning the separation and every node
-        # direction together keeps (W, M), while the oracle's trap grid
+        # direction together keeps (W, m), while the oracle's trap grid
         # stays lab-aligned, so this also checks the trap isotropy
         config = _with_delta21(reference_config(confinement=30e-9), np.pi / 2)
-        weight, coherence, _ = patch_moments(
+        weight, m, _ = patch_moments(
             config, QuadratureSpec(points_theta=6, points_chi=6))
         q, r = np.linalg.qr(np.random.default_rng(29).standard_normal((3, 3)))
         rotation = q * np.sign(np.diag(r))
         assert np.allclose(rotation @ rotation.T, np.eye(3), atol=1e-14)
-        oracle_weight, oracle_coherence = quadrature_moments(config, 6, 6, rotation=rotation)
+        oracle_weight, oracle_m = quadrature_moments(config, 6, 6, rotation=rotation)
         assert abs(weight - oracle_weight) <= 1e-12 * oracle_weight
-        assert abs(coherence - oracle_coherence) <= 1e-12 * abs(oracle_coherence)
+        assert abs(m - oracle_m) <= 1e-12 * abs(oracle_m)
 
     def test_quadrature_convergence_under_doubling(self):
         config = reference_config()
@@ -594,6 +619,20 @@ class TestGeneratedStateFinitePatches:
         sampled = monte_carlo_state(config, samples=150_000, seed=7)
         assert abs(exact.delta_c - sampled.delta_c) < 5e-4
         assert abs(exact.fidelity - sampled.fidelity) < 5e-4
+        # both weights are the patch measure, not a sum over nodes or samples
+        assert abs(sampled.heralding_weight - exact.heralding_weight) \
+            <= 1e-3 * exact.heralding_weight
+
+    def test_monte_carlo_weight_of_point_detectors_is_the_quadrature_one(self):
+        # a zero span counts as 1 on both routes
+        config = point_detector_config(Polarizer.linear(0.0), Polarizer.linear(0.3),
+                                       theta2=1.5)
+        config = dataclasses.replace(config, detector2=dataclasses.replace(
+            config.detector2, chi_center=0.4))
+        exact = generated_state(config)
+        sampled = monte_carlo_state(config, samples=1000, seed=3)
+        assert abs(sampled.heralding_weight - exact.heralding_weight) \
+            <= 1e-12 * exact.heralding_weight
 
     @pytest.mark.parametrize("samples", [1, 8191, 8192, 8193, 3 * 8192 + 7])
     @pytest.mark.parametrize("seed", [3, 11])
@@ -604,12 +643,12 @@ class TestGeneratedStateFinitePatches:
         config = dataclasses.replace(config, detector2=dataclasses.replace(
             config.detector2, theta_center=1.5, chi_center=-0.15))
         arguments = (config.layout, config.trap, config.detector1, config.detector2, samples)
-        weight, coherence, delta = geometry._sampled_moments(
+        weight, m, delta = geometry._sampled_moments(
             *arguments, np.random.default_rng(seed))
-        oracle_weight, oracle_coherence, oracle_delta = sampled_moments_one_shot(
+        oracle_weight, oracle_m, oracle_delta = sampled_moments_one_shot(
             *arguments, np.random.default_rng(seed))
         assert abs(weight - oracle_weight) <= 1e-13 * oracle_weight
-        assert abs(coherence - oracle_coherence) <= 1e-13 * oracle_weight
+        assert abs(m - oracle_m) <= 1e-13
         assert delta == oracle_delta
 
     def test_sampled_moments_memory_is_bounded(self):
@@ -628,16 +667,22 @@ class TestGeneratedStateFinitePatches:
         assert peak <= 80 * samples
 
     def test_a_phase_past_the_float_range_raises(self):
-        # k d overflows, so the nominal phase is nan: the report names it, on both
-        # routes, before any figure or matrix is formed
-        config = dataclasses.replace(reference_config(), layout=AtomPairLayout(
-            separation=1e300, wavelength=1e-10))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for run in (lambda: generated_state(config, FAST_QUAD),
-                        lambda: monte_carlo_state(config, samples=100, seed=1)):
-                with pytest.raises(InvalidInputError,
-                                   match="delta21 must be a finite real number, got nan"):
-                    run()
+        # every phase lies within 2 k d: a layout where that overflows, by a
+        # huge separation or a subnormal wavelength, is refused when it is
+        # built, so no route forms a nan phase
+        for separation, wavelength in ((1e300, 1e-10), (5e-6, 5e-324)):
+            with pytest.raises(InvalidInputError,
+                               match="separation / wavelength is too large"):
+                AtomPairLayout(separation=separation, wavelength=wavelength)
+
+    def test_a_trap_spread_past_the_float_range_raises(self):
+        # (k sqrt(2) confinement)**2 overflows: every route names the confinement
+        config = reference_config(confinement=1e150)
+        for run in (lambda: generated_state(config, FAST_QUAD),
+                    lambda: delta_c_scan(config, FAST_QUAD, [0.0], [0.5]),
+                    lambda: monte_carlo_state(config, samples=100, seed=1)):
+            with pytest.raises(InvalidInputError, match="confinement is too large"):
+                run()
 
     def test_monte_carlo_rejects_bad_sample_count(self):
         with pytest.raises(InvalidInputError):
@@ -692,12 +737,11 @@ class TestGeneratedStateFinitePatches:
 
 
 def _scenario_report(path):
-    """(config, W, M, report) of a scenario at its own quadrature."""
+    """(config, W, m, report) of a scenario at its own quadrature."""
     scenario = load_scenario(path)
     config = scenario.experiment()
-    total_weight, coherence, delta21 = patch_moments(config, scenario.quadrature_spec())
-    return (config, total_weight, coherence,
-            herald._report(config, total_weight, coherence, delta21))
+    total_weight, m, delta21 = patch_moments(config, scenario.quadrature_spec())
+    return config, total_weight, m, herald._report(config, total_weight, m, delta21)
 
 
 def _drift_concurrence(c_target, c_generated, fidelity, trace):
@@ -717,18 +761,32 @@ class TestReportHealthCheck:
 
     @pytest.mark.parametrize("path", SCENARIOS)
     def test_spectrum_is_that_of_the_two_by_two_mixing_matrix(self, path):
-        # rho = X B X^dag / tr with X = [s t]: its nonzero eigenvalues are
-        # those of B G / tr, G = X^dag X the Gram matrix, and two are 0
-        config, total_weight, coherence, report = _scenario_report(path)
+        # rho = X W B X^dag / tr with X = [s t] and the heralding weight tr:
+        # its nonzero eigenvalues are those of W B G / tr, G = X^dag X the
+        # Gram matrix, and two are 0
+        config, total_weight, m, report = _scenario_report(path)
         basis = np.array(_component_vectors(
             polarizer_to_jones(config.detector1.polarizer),
             polarizer_to_jones(config.detector2.polarizer))).T
-        mixing = np.array([[total_weight, np.conj(coherence)], [coherence, total_weight]])
+        mixing = total_weight * np.array([[1.0, np.conj(m)], [m, 1.0]])
         closed = np.sort(np.linalg.eigvals(
             mixing @ (basis.conj().T @ basis) / report.heralding_weight).real)
         spectrum = np.linalg.eigvalsh(report.rho_generated)
         assert np.max(np.abs(spectrum[2:] - closed)) <= 1e-12
         assert np.max(np.abs(spectrum[:2])) <= 1e-12
+
+    @pytest.mark.parametrize("path", SCENARIOS)
+    def test_the_patch_measure_scales_only_the_heralding_weight(self, path):
+        # the report reads the state from m alone: a measure 2**-1000 times
+        # smaller, exact in binary, moves nothing else by a bit
+        config, total_weight, m, report = _scenario_report(path)
+        scaled = herald._report(config, total_weight * 2.0**-1000, m, report.delta21_nominal)
+        assert scaled.heralding_weight == report.heralding_weight * 2.0**-1000
+        for name in ("concurrence_target", "concurrence_generated", "delta_c", "fidelity",
+                     "delta21_nominal", "v12"):
+            assert getattr(scaled, name) == getattr(report, name)
+        for name in ("rho_generated", "target_state"):
+            assert np.array_equal(getattr(scaled, name), getattr(report, name))
 
     @pytest.mark.parametrize("corrupt, message", [
         (_drift_concurrence, "misses the closed form"),
@@ -880,8 +938,9 @@ class TestPatchNodes:
     ], ids=["baseline", "off-equator", "point", "one-node", "thirteen-nodes", "one-by-13"])
     def test_nodes_match_the_meshgrid_route(self, patch, quad):
         detector = reference_patch(Polarizer.linear(0.0), **patch)
-        (dirs,), weights = geometry._patch_nodes(detector, quad,
-                                                 np.array([detector.theta_center]))
+        (dirs,), scaled, exponent = geometry._patch_nodes(detector, quad,
+                                                          np.array([detector.theta_center]))
+        weights = np.ldexp(scaled, exponent)  # exact: the weights are normal floats
         expected_dirs, expected_weights = grid_nodes(
             detector, quad.points_theta, quad.points_chi)
         assert dirs.shape == expected_dirs.shape and weights.shape == expected_weights.shape
@@ -999,10 +1058,10 @@ class TestScan:
             cell = _scan_cell(config, delta, v12)
             jones1 = polarizer_to_jones(cell.detector1.polarizer)
             jones2 = polarizer_to_jones(cell.detector2.polarizer)
-            weight, coherence, delta21 = patch_moments(cell, quad)
+            _, m, delta21 = patch_moments(cell, quad)
             target = heralded_state(jones1, jones2, delta21)
             c_target, c_generated, fidelity, _ = matrix_route(
-                weight, coherence, *_component_vectors(jones1, jones2), target.state)
+                m, *_component_vectors(jones1, jones2), target.state)
             assert abs(result.concurrence_generated[index] - c_generated) < 1e-12
             assert abs(result.concurrence_target[index] - c_target) < 1e-12
             assert abs(result.fidelity[index] - fidelity) < 1e-12
@@ -1088,7 +1147,7 @@ NEVER_FIRES_ROUTES = {
     "heralded_state": lambda capsys: _raised(
         heralded_state, [1.0, 0.0], [1.0, 0.0], np.pi),
     "concurrence_analytic": lambda capsys: _raised(concurrence_analytic, np.pi, 1.0),
-    "_figures": lambda capsys: _raised(herald._figures, 1.0, -1.0 + 0.0j, 1.0, np.pi),
+    "_figures": lambda capsys: _raised(herald._figures, -1.0 + 0.0j, 1.0, np.pi),
     "delta_c_scan": lambda capsys: _raised(
         delta_c_scan, reference_config(), FAST_QUAD, [np.pi], [1.0]),
     "cli state": _cli_error,

@@ -97,13 +97,13 @@ def test_package_exports_exactly_its_imports():
 
 
 #: what only ``geometry.py`` may read or call: the layout and trap numbers,
-#: the node rules, the patch nodes, the longitude solve and the direction
-#: and phase arithmetic
+#: the node rules, the patch nodes, the longitude solve, the trap spread and
+#: the direction and phase arithmetic
 GEOMETRY_ATTRIBUTES = {"separation", "wavenumber", "confinement"}
 GEOMETRY_CALLS = {"detection_direction", "farfield_phase",
                   "_phase", "_patch_nodes", "_phase_moments", "_longitudes",
                   "_directions", "_finite_angles", "_interval_rule", "_reference_rule",
-                  "np.cos", "np.sin"}
+                  "_trap_spread", "np.cos", "np.sin"}
 #: all that ``herald.py`` may import from ``geometry``
 GEOMETRY_INTERFACE = {"AtomPairLayout", "DetectorPatch", "QuadratureSpec", "TrapModel",
                       "_quadrature_moments", "_sampled_moments"}

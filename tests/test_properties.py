@@ -70,8 +70,7 @@ configs = st.builds(
 
 
 def _coherence_factor(config):
-    weight, coherence, _ = patch_moments(config, QUAD)
-    return coherence / weight
+    return patch_moments(config, QUAD)[1]
 
 
 def _visibility(config):
@@ -105,13 +104,13 @@ def test_concurrence_has_the_coherence_factor_closed_form(config):
 @given(configs)
 def test_closed_form_figures_match_the_matrix_route(config):
     delta21 = _heralding_delta21(config)
-    weight, coherence, _ = patch_moments(config, QUAD)
+    m = _coherence_factor(config)
     jones1 = polarizer_to_jones(config.detector1.polarizer)
     jones2 = polarizer_to_jones(config.detector2.polarizer)
     target = heralded_state(jones1, jones2, delta21)
     stat, phase_part = _component_vectors(jones1, jones2)
-    closed = herald._figures(weight, coherence, target.v12, delta21)
-    oracle = matrix_route(weight, coherence, stat, phase_part, target.state)
+    closed = herald._figures(m, target.v12, delta21)
+    oracle = matrix_route(m, stat, phase_part, target.state)
     for value, expected in zip(closed[:3], oracle[:3]):
         assert abs(value - expected) < 1e-12
     assert abs(closed[3] - oracle[3]) < 1e-12 * oracle[3]
@@ -187,7 +186,7 @@ BLOCK_WIDTHS = ("budget", "one column", "geometry - 1", "geometry + 1")
        st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8), st.sampled_from(BLOCK_WIDTHS))
 def test_stacked_moments_match_one_geometry_at_a_time(config, points_theta, points_chi,
                                                       deltas, block_width):
-    # the scan's one (W, M) pass over every delta21 geometry against the
+    # the scan's one (W, m) pass over every delta21 geometry against the
     # G = 1 pass of generated_state on each moved detector
     quad = QuadratureSpec(points_theta=points_theta, points_chi=points_chi)
     detector1, detector2 = config.detector1, config.detector2
@@ -197,16 +196,16 @@ def test_stacked_moments_match_one_geometry_at_a_time(config, points_theta, poin
              "geometry - 1": max(1, n2 - 1), "geometry + 1": n2 + 1}[block_width]
     try:
         with mock.patch.object(geometry, "_PAIR_BLOCK_BYTES", 8 * n1 * width):
-            weight, coherence, phases = geometry._quadrature_moments(
+            weight, m, phases = geometry._quadrature_moments(
                 config.layout, config.trap, detector1, detector2, quad, np.array(deltas))
     except InvalidInputError:  # out of reach, or a moved patch leaves [0, pi]
         assume(False)
-    assert coherence.shape == phases.shape == (len(deltas),)
-    for delta, stacked_coherence, phase in zip(deltas, coherence, phases):
+    assert m.shape == phases.shape == (len(deltas),)
+    for delta, stacked_m, phase in zip(deltas, m, phases):
         moved = dataclasses.replace(detector2, theta_center=theta_center_for_delta21(
             config.layout, detector1, detector2.chi_center, delta))
         cell = dataclasses.replace(config, detector2=moved)
-        one_weight, one_coherence, one_phase = patch_moments(cell, quad)
+        one_weight, one_m, one_phase = patch_moments(cell, quad)
         assert one_weight == weight
-        assert abs(stacked_coherence - one_coherence) <= 1e-15 * weight
+        assert abs(stacked_m - one_m) <= 1e-15
         assert phase == one_phase

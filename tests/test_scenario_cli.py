@@ -588,6 +588,27 @@ class TestUncertaintyCommand:
         assert captured.err == ("error: coincidence rate 2 r P1 P2 G2 overflows the "
                                 "float range\n")
 
+    @pytest.mark.parametrize("top, message", [
+        ({"separation_um": 1e306, "wavelength_nm": 0.1}, "separation / wavelength is too large"),
+        ({"confinement_nm": 1e159}, "confinement is too large"),
+    ], ids=["phase-2kd", "trap-spread"])
+    def test_a_layout_or_trap_past_the_float_range_exit_2(self, tmp_path, capsys, top,
+                                                          message):
+        # no RuntimeWarning and no traceback before the one error line
+        assert main(["uncertainty", "--config", baseline_copy(tmp_path, **top)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(rf"error: [^\n]*{message}[^\n]*\n", captured.err)
+
+    @pytest.mark.parametrize("span", [1e-38, 1e-60, 1e-79, 1e-100, 1e-300])
+    def test_tiny_patches_run_as_point_detectors(self, tmp_path, capsys, span):
+        path = baseline_copy(tmp_path, {"span_theta_mrad": span * 1e3, "span_chi_rad": span})
+        assert main(["uncertainty", "--config", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert float(parse_report(captured.out)["concurrence_generated"]) == pytest.approx(
+            1.0 / 3.0, abs=1e-12)
+
     def test_out_into_missing_directory_exit_2(self, tmp_path, capsys):
         path = write_scenario(tmp_path, small_scenario_dict())
         out = tmp_path / "absent" / "scan.csv"
@@ -784,6 +805,12 @@ class TestDeterminism:
         assert capsys.readouterr().out == (GOLDEN / f"{scenario}.stdout").read_text()
         if scan:
             assert out.read_bytes() == (GOLDEN / f"{scenario}.csv").read_bytes()
+
+    def test_monte_carlo_reproduces_its_recorded_output(self, capsys):
+        # the mc_* lines come from the sampled route, byte for byte as well
+        argv = ["uncertainty", "--config", BASELINE, "--seed", "7", "--samples", "20000"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (GOLDEN / "baseline_mc.stdout").read_text()
 
 
 @settings(derandomize=True, deadline=None, max_examples=500)
