@@ -21,12 +21,18 @@ phase between the patch centers: ``_quadrature_moments`` by quadrature
 with weights scaled by a power of two, the trap averaged in closed
 form, for the configured geometry or for detector 2 moved to a whole
 array of phases at once, and ``_sampled_moments`` by sampling patches
-and trap, its draws held whole (56 B per sample) and summed in blocks
-of ``_SAMPLE_BLOCK``.  Patch nodes and measure scale stay in this module.
+and trap.  Its draws go into per-block buffers it allocates and holds
+until the sums are taken (56 B per sample), the trap normals filled on a
+worker thread from a copy of the stream advanced past the patch angles,
+and its blocks of ``_SAMPLE_BLOCK`` samples are summed on a pool of
+min(cpu count, blocks) threads and added in block order, so a seed gives
+the serial result bit for bit.  Patch nodes and measure scale stay in
+this module.
 """
 
 import functools
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -363,35 +369,73 @@ def _sampled_moments(layout, trap, patch1, patch2, samples, rng):
     normal, sigma = sqrt(2) * confinement.  Then m = M / sum w for
     M = sum w exp(-1j k (d e_x + sigma n) . (e2 - e1)), w = cos chi1 cos chi2
     the weight of the sample, and W is the mean w times the four spans,
-    a zero span counting as 1.  All draws are taken first and held whole
-    (56 B per sample), in the order theta1, chi1, theta2, chi2, n, so a
-    seed gives the same stream as one draw per array; the sums are then
-    taken over blocks of ``_SAMPLE_BLOCK`` samples, the components of
-    e2 - e1 formed directly and Re M, Im M as two real dot products.
+    a zero span counting as 1.
+
+    The draws fill buffers allocated here, one (4, size) angle array
+    (theta1, chi1, theta2, chi2) and one (size, 3) normal array per block of
+    ``_SAMPLE_BLOCK`` samples, all held until the sums are taken (56 B per
+    sample).  ``rng.random`` takes one 64-bit output per double, so the
+    normals start 4 * samples outputs into the stream: one worker fills them
+    from a copy of the bit generator advanced that far while this thread
+    fills the angles.  A seed thus gives the stream of one draw per array in
+    the order theta1, chi1, theta2, chi2, n, and ``rng`` is left where the
+    normals end.  The blocks are summed, the components of e2 - e1 formed
+    directly and Re M, Im M as two real dot products, on a pool of
+    min(cpu count, blocks) threads (numpy releases the GIL).  A block only
+    reads its draws and returns its three sums, which this thread adds in
+    block order: the result is the serial one bit for bit.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     k_sigma = _trap_spread(layout, trap)
-    angles = [center + span * (rng.random(samples) - 0.5)
-              for patch in (patch1, patch2)
-              for center, span in ((patch.theta_center, patch.span_theta),
-                                   (patch.chi_center, patch.span_chi))]
-    normal = rng.standard_normal((samples, 3))
     kd = layout.wavenumber * layout.separation
-    total_weight, real, imag = 0.0, 0.0, 0.0
-    for start in range(0, samples, _SAMPLE_BLOCK):
-        block = slice(start, start + _SAMPLE_BLOCK)
-        theta1, chi1, theta2, chi2 = (angle[block] for angle in angles)
+    # no buffer larger than a block: the allocator reuses the freed ones call
+    # after call, where two whole-sample buffers were at times served fresh
+    # pages next to the retained old ones, raising the peak RSS by 5-11 MB
+    sizes = [min(_SAMPLE_BLOCK, samples - start) for start in range(0, samples, _SAMPLE_BLOCK)]
+    angles = [np.empty((4, size)) for size in sizes]
+    normals = [np.empty((size, 3)) for size in sizes]
+    ahead = type(rng.bit_generator)()
+    ahead.state = rng.bit_generator.state
+    ahead.advance(4 * samples)
+
+    def fill_normals():
+        generator = np.random.Generator(ahead)
+        for normal in normals:
+            generator.standard_normal(out=normal)
+
+    def block_sums(block_angles, n):
+        theta1, chi1, theta2, chi2 = block_angles
         cos1, cos2 = np.cos(chi1), np.cos(chi2)
         dx = np.cos(theta2) * cos2 - np.cos(theta1) * cos1
         dy = np.sin(theta2) * cos2 - np.sin(theta1) * cos1
         dz = np.sin(chi2) - np.sin(chi1)
-        n = normal[block]
         phase = n[:, 0] * dx + n[:, 1] * dy + n[:, 2] * dz
         phase *= k_sigma
         phase += kd * dx
         weight = cos1 * cos2
-        total_weight += float(weight.sum())
-        real += weight @ np.cos(phase)
-        imag -= weight @ np.sin(phase)
+        return weight.sum(), weight @ np.cos(phase), weight @ np.sin(phase)
+
+    ranges = [pair for patch in (patch1, patch2)
+              for pair in ((patch.theta_center, patch.span_theta),
+                           (patch.chi_center, patch.span_chi))]
+    total_weight, real, imag = 0.0, 0.0, 0.0
+    with ThreadPoolExecutor(min(os.cpu_count() or 1, len(sizes))) as pool:
+        filled = pool.submit(fill_normals)
+        for row, (center, span) in enumerate(ranges):
+            for block_angles in angles:
+                # center + span * (u - 0.5), in place, bit for bit
+                values = block_angles[row]
+                rng.random(out=values)
+                values -= 0.5
+                values *= span
+                values += center
+        filled.result()
+        for weight_sum, cos_sum, sin_sum in pool.map(block_sums, angles, normals):
+            total_weight += float(weight_sum)
+            real += cos_sum
+            imag -= sin_sum
+    rng.bit_generator.state = ahead.state
     spans = math.prod(span or 1.0 for patch in (patch1, patch2)
                       for span in (patch.span_theta, patch.span_chi))
     return (total_weight / samples * spans, complex(real, imag) / total_weight,

@@ -203,7 +203,7 @@ def accidental_fraction(config, true_rate):
 
 
 def _figures(m, v12, delta21):
-    """Closed-form (C_target, C_generated, fidelity, trace) of generated states.
+    """Closed-form (C_target, C_generated, fidelity <= 1, trace) of generated states.
 
     Takes m, V in [0, 1] and the nominal delta21 as arrays that broadcast, so one call
     evaluates a whole grid; ``trace`` = 2 d is the heralding weight per unit W.  Operators,
@@ -224,8 +224,9 @@ def _figures(m, v12, delta21):
     # <herald|s> = a and <herald|t> = exp(1j delta21) conj(a)
     turn = np.exp(1j * delta21)
     a = 1.0 + v12 * turn
-    fidelity = ((abs(a) ** 2 + (m * turn * a.conjugate() ** 2).real)
-                / (2.0 * nominal_weight * dephased))
+    # capped at 1: within an ulp of the point design the quotient rounds to 1 + 2**-52
+    fidelity = np.minimum((abs(a) ** 2 + (m * turn * a.conjugate() ** 2).real)
+                          / (2.0 * nominal_weight * dephased), 1.0)
     c_generated = (1.0 - v12) * abs(m) / dephased
     return c_target, c_generated, fidelity, trace
 

@@ -19,9 +19,11 @@ from heraldsim import (
     visibility,
 )
 from heraldsim.geometry import (
+    _SAMPLE_BLOCK,
     _directions,
     _longitudes,
     _quadrature_moments,
+    _trap_spread,
 )
 from heraldsim.optics import MIN_HERALD_WEIGHT, _concurrence_closed_form
 from heraldsim.qcore import (
@@ -245,6 +247,42 @@ def sampled_moments_one_shot(layout, trap, patch1, patch2, samples, rng):
             * (patch2.span_theta or 1.0) * (patch2.span_chi or 1.0))
     return (float(weights.mean()) * area,
             complex(np.sum(weights * np.exp(-1j * phase))) / float(weights.sum()),
+            float(_longitudes(layout, patch1, patch2)[1][0]))
+
+
+def sampled_moments_serial(layout, trap, patch1, patch2, samples, rng):
+    """(W, m, delta21) by sampling, the blocks summed one after another on one thread.
+
+    Oracle for the threaded ``geometry._sampled_moments``, bit for bit:
+    one draw per array in the order theta1, chi1, theta2, chi2, n, then
+    the same block sums of ``_SAMPLE_BLOCK`` samples added in block order.
+    """
+    k_sigma = _trap_spread(layout, trap)
+    angles = [center + span * (rng.random(samples) - 0.5)
+              for patch in (patch1, patch2)
+              for center, span in ((patch.theta_center, patch.span_theta),
+                                   (patch.chi_center, patch.span_chi))]
+    normal = rng.standard_normal((samples, 3))
+    kd = layout.wavenumber * layout.separation
+    total_weight, real, imag = 0.0, 0.0, 0.0
+    for start in range(0, samples, _SAMPLE_BLOCK):
+        block = slice(start, start + _SAMPLE_BLOCK)
+        theta1, chi1, theta2, chi2 = (angle[block] for angle in angles)
+        cos1, cos2 = np.cos(chi1), np.cos(chi2)
+        dx = np.cos(theta2) * cos2 - np.cos(theta1) * cos1
+        dy = np.sin(theta2) * cos2 - np.sin(theta1) * cos1
+        dz = np.sin(chi2) - np.sin(chi1)
+        n = normal[block]
+        phase = n[:, 0] * dx + n[:, 1] * dy + n[:, 2] * dz
+        phase *= k_sigma
+        phase += kd * dx
+        weight = cos1 * cos2
+        total_weight += float(weight.sum())
+        real += weight @ np.cos(phase)
+        imag -= weight @ np.sin(phase)
+    spans = math.prod(span or 1.0 for patch in (patch1, patch2)
+                      for span in (patch.span_theta, patch.span_chi))
+    return (total_weight / samples * spans, complex(real, imag) / total_weight,
             float(_longitudes(layout, patch1, patch2)[1][0]))
 
 

@@ -1,7 +1,9 @@
 """Generated-state averaging, rates, scans, and their cross-checks."""
 
 import dataclasses
+import os
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -50,6 +52,7 @@ from helpers import (
     reference_layout,
     reference_patch,
     sampled_moments_one_shot,
+    sampled_moments_serial,
     wrap_phase,
 )
 
@@ -431,6 +434,19 @@ class TestGeneratedStatePointLimit:
             generated_state(point).concurrence_generated, abs=1e-10
         )
 
+    def test_fidelity_is_at_most_one(self):
+        # within an ulp of the point design the closed form rounds to 1 + 2**-52
+        # or more: the baseline with both patches 1e-38 rad wide, and the v12 = 1
+        # column of its scan, read at most 1
+        config, quad, scan = _baseline_scan()
+        tiny = dataclasses.replace(config, **{
+            name: dataclasses.replace(getattr(config, name), span_theta=1e-38, span_chi=1e-38)
+            for name in ("detector1", "detector2")})
+        assert generated_state(tiny, quad).fidelity <= 1.0
+        column = scan.fidelity[:, scan.v12 == 1.0]
+        assert column.shape == (21, 1)
+        assert (column <= 1.0).all()
+
     @pytest.mark.parametrize("span", [1e-38, 1e-60, 1e-79, 1e-100, 1e-300])
     def test_tiny_patches_are_point_detectors(self, span):
         # the patch measure span**4 leaves the float range, but the quadrature
@@ -650,6 +666,43 @@ class TestGeneratedStateFinitePatches:
         assert abs(weight - oracle_weight) <= 1e-13 * oracle_weight
         assert abs(m - oracle_m) <= 1e-13
         assert delta == oracle_delta
+
+    @pytest.mark.parametrize("samples", [1, 8191, 8192, 8193, 3 * 8192 + 7, 200_000])
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("confinement", [0.0, 30e-9])
+    def test_sampled_moments_are_the_serial_sums(self, samples, seed, confinement):
+        # normals drawn beside the angles from a copy of the stream advanced by
+        # 4 * samples outputs, block sums taken on a thread pool and added in
+        # block order: the serial draws and sums bit for bit, and the stream
+        # left where the serial draws leave it
+        config = reference_config(confinement=confinement, chi_center=0.2)
+        config = dataclasses.replace(config, detector2=dataclasses.replace(
+            config.detector2, theta_center=1.5, chi_center=-0.15))
+        arguments = (config.layout, config.trap, config.detector1, config.detector2, samples)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        threads = threading.active_count()
+        assert (geometry._sampled_moments(*arguments, rng)
+                == sampled_moments_serial(*arguments, oracle_rng))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cores", [1, 8])
+    def test_sampled_moments_do_not_depend_on_the_worker_count(self, cores, monkeypatch):
+        # one worker, or more workers than this host has cores switching every
+        # microsecond: the blocks only read the draws, so the sums keep their bits
+        config = reference_config(confinement=30e-9)
+        arguments = (config.layout, config.trap, config.detector1, config.detector2,
+                     200_000)
+        expected = sampled_moments_serial(*arguments, np.random.default_rng(5))
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert geometry._sampled_moments(
+                    *arguments, np.random.default_rng(5)) == expected
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_sampled_moments_memory_is_bounded(self):
         # the draws are held whole (56 B per sample) and the sums over blocks of

@@ -246,8 +246,8 @@ def test_records_are_trusted_once_built():
 
 
 @pytest.mark.parametrize("module, absent", [
-    ("heraldsim", ["argparse", "gettext", "scipy", "hypothesis"]),
-    ("heraldsim.cli", ["scipy", "hypothesis"]),
+    ("heraldsim", ["argparse", "gettext", "scipy", "hypothesis", "concurrent.futures"]),
+    ("heraldsim.cli", ["scipy", "hypothesis", "concurrent.futures"]),
 ])
 def test_import_loads_no_heavy_module(module, absent):
     probe = f"import sys, {module}; print(' '.join(sorted(set({absent!r}) & set(sys.modules))))"

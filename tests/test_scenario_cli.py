@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -685,6 +686,31 @@ class TestUncertaintyCommand:
         assert captured.err == "error: Unable to allocate 7.28 TiB for an array\n"
         assert captured.out == ""
 
+    def test_memory_error_in_a_sample_block_exits_2(self, capsys, monkeypatch):
+        # one block of the Monte Carlo sums fails on its pool thread: the error
+        # reaches main, and the pool's threads are gone on the way out, as they
+        # are after a normal return
+        argv = ["uncertainty", "--config", BASELINE, "--seed", "7", "--samples", "20000"]
+        threads = threading.active_count()
+        assert main(argv) == 0
+        assert threading.active_count() == threads
+        capsys.readouterr()
+        cos = np.cos
+
+        def cos_failing_in_the_last_block(x, *args, **kwargs):
+            # the last block holds 20000 - 2 * 8192 samples
+            if threading.current_thread() is not threading.main_thread() \
+                    and np.shape(x) == (20000 - 2 * 8192,):
+                raise MemoryError("Unable to allocate 28.2 KiB for an array")
+            return cos(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cos", cos_failing_in_the_last_block)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: Unable to allocate 28.2 KiB for an array\n"
+        assert captured.out == ""
+        assert threading.active_count() == threads
+
     @pytest.mark.parametrize("name", ["absent.json", ""], ids=["absent", "directory"])
     def test_missing_file_exit_2(self, tmp_path, capsys, name):
         rc = main(["uncertainty", "--config", str(tmp_path / name)])
@@ -856,6 +882,17 @@ class TestDevMode:
             assert (run.returncode, run.stderr) == (0, "")
             table = out.read_text() if target == "file" else run.stdout
             assert table.count("\n") > 1
+
+
+    def test_monte_carlo_run_warns_nothing(self):
+        # the sampled route runs its sums on a thread pool: dev mode reports no
+        # warning from it, and the output is the recorded one
+        run = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m",
+                              "heraldsim.cli", "uncertainty", "--config", BASELINE,
+                              "--seed", "7", "--samples", "20000"],
+                             capture_output=True, text=True, env=SRC_ENV)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout == (GOLDEN / "baseline_mc.stdout").read_text()
 
 
 class TestRepeatedCalls:
