@@ -21,13 +21,12 @@ phase between the patch centers: ``_quadrature_moments`` by quadrature
 with weights scaled by a power of two, the trap averaged in closed
 form, for the configured geometry or for detector 2 moved to a whole
 array of phases at once, and ``_sampled_moments`` by sampling patches
-and trap.  Its draws go into per-block buffers it allocates and holds
-until the sums are taken (56 B per sample), the trap normals filled on a
-worker thread from a copy of the stream advanced past the patch angles,
-and its blocks of ``_SAMPLE_BLOCK`` samples are summed on a pool of
-min(cpu count, blocks) threads and added in block order, so a seed gives
-the serial result bit for bit.  Patch nodes and measure scale stay in
-this module.
+and trap.  It draws its blocks of ``_SAMPLE_BLOCK`` samples on the
+calling thread into a few buffers it reuses and sums them on a pool of
+at most ``_SAMPLE_WORKERS`` threads, adding the sums in block order, so
+a seed gives the serial result bit for bit and the memory held does not
+grow with the sample or core count.  Patch nodes and measure scale stay
+in this module.
 """
 
 import functools
@@ -54,6 +53,10 @@ __all__ = [
 _PAIR_BLOCK_BYTES = 8 * 2**20
 #: samples ``_sampled_moments`` sums over at once
 _SAMPLE_BLOCK = 8192
+#: most threads ``_sampled_moments`` sums blocks on: its calling thread draws a
+#: block in about half the time a thread takes to sum one, so more workers than
+#: this would mostly wait, each holding a block's temporaries
+_SAMPLE_WORKERS = 3
 
 
 @dataclass(frozen=True)
@@ -371,41 +374,43 @@ def _sampled_moments(layout, trap, patch1, patch2, samples, rng):
     the weight of the sample, and W is the mean w times the four spans,
     a zero span counting as 1.
 
-    The draws fill buffers allocated here, one (4, size) angle array
-    (theta1, chi1, theta2, chi2) and one (size, 3) normal array per block of
-    ``_SAMPLE_BLOCK`` samples, all held until the sums are taken (56 B per
-    sample).  ``rng.random`` takes one 64-bit output per double, so the
-    normals start 4 * samples outputs into the stream: one worker fills them
-    from a copy of the bit generator advanced that far while this thread
-    fills the angles.  A seed thus gives the stream of one draw per array in
-    the order theta1, chi1, theta2, chi2, n, and ``rng`` is left where the
-    normals end.  The blocks are summed, the components of e2 - e1 formed
-    directly and Re M, Im M as two real dot products, on a pool of
-    min(cpu count, blocks) threads (numpy releases the GIL).  A block only
-    reads its draws and returns its three sums, which this thread adds in
-    block order: the result is the serial one bit for bit.
+    Blocks of ``_SAMPLE_BLOCK`` samples are drawn on this thread into one
+    (4, block) angle array (theta1, chi1, theta2, chi2) and one (block, 3)
+    normal array per block in flight, and summed on a pool of workers (numpy
+    releases the GIL), the components of e2 - e1 formed directly and Re M,
+    Im M as two real dot products.  A seed gives the stream of one draw per
+    array in the order theta1, chi1, theta2, chi2, n: ``Generator.random``
+    takes one 64-bit output per double, so ``rng`` is moved by ``advance``
+    (``default_rng``'s PCG64, of period 2**128) from one row of a block to the next,
+    and the normals come from a copy of its bit generator advanced past all
+    the angles; ``rng`` is left where the normals end.  There are at most
+    ``_SAMPLE_WORKERS`` workers, no more than the cores this process may run
+    on and one fewer than the blocks: this thread sums the last block
+    itself, so a single block starts no thread.  A buffer is drawn again
+    only once its block is summed, so at most one block more than the
+    workers is held.  The blocks return their three sums, which this thread
+    adds in block order: the result is the serial one bit for bit.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     k_sigma = _trap_spread(layout, trap)
     kd = layout.wavenumber * layout.separation
-    # no buffer larger than a block: the allocator reuses the freed ones call
-    # after call, where two whole-sample buffers were at times served fresh
-    # pages next to the retained old ones, raising the peak RSS by 5-11 MB
-    sizes = [min(_SAMPLE_BLOCK, samples - start) for start in range(0, samples, _SAMPLE_BLOCK)]
-    angles = [np.empty((4, size)) for size in sizes]
-    normals = [np.empty((size, 3)) for size in sizes]
-    ahead = type(rng.bit_generator)()
+    center, span = np.array([pair for patch in (patch1, patch2)
+                             for pair in ((patch.theta_center, patch.span_theta),
+                                          (patch.chi_center, patch.span_chi))]).T[..., None]
+
+    # seeded with 0, not from the OS, as the state is overwritten at once
+    ahead = type(rng.bit_generator)(0)
     ahead.state = rng.bit_generator.state
     ahead.advance(4 * samples)
+    normals = np.random.Generator(ahead)
 
-    def fill_normals():
-        generator = np.random.Generator(ahead)
-        for normal in normals:
-            generator.standard_normal(out=normal)
-
-    def block_sums(block_angles, n):
-        theta1, chi1, theta2, chi2 = block_angles
+    def block_sums(angles, n):
+        # center + span * (u - 0.5), in place, bit for bit
+        angles -= 0.5
+        angles *= span
+        angles += center
+        theta1, chi1, theta2, chi2 = angles
         cos1, cos2 = np.cos(chi1), np.cos(chi2)
         dx = np.cos(theta2) * cos2 - np.cos(theta1) * cos1
         dy = np.sin(theta2) * cos2 - np.sin(theta1) * cos1
@@ -416,26 +421,37 @@ def _sampled_moments(layout, trap, patch1, patch2, samples, rng):
         weight = cos1 * cos2
         return weight.sum(), weight @ np.cos(phase), weight @ np.sin(phase)
 
-    ranges = [pair for patch in (patch1, patch2)
-              for pair in ((patch.theta_center, patch.span_theta),
-                           (patch.chi_center, patch.span_chi))]
-    total_weight, real, imag = 0.0, 0.0, 0.0
-    with ThreadPoolExecutor(min(os.cpu_count() or 1, len(sizes))) as pool:
-        filled = pool.submit(fill_normals)
-        for row, (center, span) in enumerate(ranges):
-            for block_angles in angles:
-                # center + span * (u - 0.5), in place, bit for bit
-                values = block_angles[row]
-                rng.random(out=values)
-                values -= 0.5
-                values *= span
-                values += center
-        filled.result()
-        for weight_sum, cos_sum, sin_sum in pool.map(block_sums, angles, normals):
-            total_weight += float(weight_sum)
-            real += cos_sum
-            imag -= sin_sum
+    blocks = -(-samples // _SAMPLE_BLOCK)
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    workers = max(1, min(_SAMPLE_WORKERS, cores, blocks - 1))
+    width = min(samples, _SAMPLE_BLOCK)
+    buffers = [(np.empty((4, width)), np.empty((width, 3)))
+               for _ in range(min(workers + 1, blocks))]
+    sums = []
+    with ThreadPoolExecutor(workers) as pool:
+        for block, start in enumerate(range(0, samples, _SAMPLE_BLOCK)):
+            if block >= len(buffers):
+                sums[block - len(buffers)].result()  # its buffers are free again
+            size = min(_SAMPLE_BLOCK, samples - start)
+            angles, n = buffers[block % len(buffers)]
+            angles, n = angles[:, :size], n[:size]
+            for row in angles:
+                rng.random(out=row)
+                rng.bit_generator.advance(samples - size)  # to this block of the next row
+            # back to the next block's first row, round the state's period 2**128
+            rng.bit_generator.advance(2**128 - 4 * samples + size)
+            normals.standard_normal(out=n)
+            if block < blocks - 1:
+                sums.append(pool.submit(block_sums, angles, n))
+        last = block_sums(angles, n)
+        sums = [future.result() for future in sums] + [last]
     rng.bit_generator.state = ahead.state
+    total_weight, real, imag = 0.0, 0.0, 0.0
+    for weight_sum, cos_sum, sin_sum in sums:
+        total_weight += float(weight_sum)
+        real += cos_sum
+        imag -= sin_sum
     spans = math.prod(span or 1.0 for patch in (patch1, patch2)
                       for span in (patch.span_theta, patch.span_chi))
     return (total_weight / samples * spans, complex(real, imag) / total_weight,

@@ -61,6 +61,13 @@ BASELINE = "scenarios/baseline.json"
 SCENARIOS = (BASELINE, "scenarios/point_detectors.json")
 
 
+def _pretend_cores(monkeypatch, cores):
+    """Make this process look as if it may run on ``cores`` cores."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+
+
 class _NumpyReads:
     """Stands in for numpy in one module and records each name read from it."""
 
@@ -686,15 +693,16 @@ class TestGeneratedStateFinitePatches:
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("cores", [1, 8])
+    @pytest.mark.parametrize("cores", [1, 64])
     def test_sampled_moments_do_not_depend_on_the_worker_count(self, cores, monkeypatch):
-        # one worker, or more workers than this host has cores switching every
-        # microsecond: the blocks only read the draws, so the sums keep their bits
+        # one worker, or as many as the cap allows switching every microsecond:
+        # a block's buffers are only drawn again once it is summed, so the sums
+        # keep their bits
         config = reference_config(confinement=30e-9)
         arguments = (config.layout, config.trap, config.detector1, config.detector2,
                      200_000)
         expected = sampled_moments_serial(*arguments, np.random.default_rng(5))
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        _pretend_cores(monkeypatch, cores)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -704,10 +712,28 @@ class TestGeneratedStateFinitePatches:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("samples, cores, most", [
+        (1, 64, 0), (8192, 64, 0), (8193, 64, 1), (3 * 8192 + 7, 64, 3),
+        (200_000, 64, geometry._SAMPLE_WORKERS), (200_000, 2, 2), (200_000, 1, 1)])
+    def test_sampled_moments_start_at_most_the_capped_workers(self, samples, cores, most,
+                                                              monkeypatch):
+        # the calling thread sums the last block, so one block starts no thread,
+        # and no more workers start than the cap, the cores or the other blocks
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        _pretend_cores(monkeypatch, cores)
+        config = reference_config()
+        geometry._sampled_moments(config.layout, config.trap, config.detector1,
+                                  config.detector2, samples, np.random.default_rng(2))
+        assert len(started) <= most
+
     def test_sampled_moments_memory_is_bounded(self):
-        # the draws are held whole (56 B per sample) and the sums over blocks of
-        # 8192 samples add little; sums over whole (samples, 3) direction and
-        # offset arrays and a complex phase array peak at 136 B per sample
+        # the calling thread draws each block into one of a few reused buffers
+        # (56 B per sample of a block) and each worker holds one block's
+        # temporaries; sums over whole (samples, 3) direction and offset arrays
+        # and a complex phase array peak at 136 B per sample
         config = reference_config()
         samples = 200_000
         tracemalloc.start()
@@ -718,6 +744,22 @@ class TestGeneratedStateFinitePatches:
         finally:
             tracemalloc.stop()
         assert peak <= 80 * samples
+
+    def test_sampled_moments_memory_does_not_grow_with_cores_or_samples(self, monkeypatch):
+        # 64 cores still give at most _SAMPLE_WORKERS workers and one buffer
+        # more: a million samples fit the bound of 200 000
+        _pretend_cores(monkeypatch, 64)
+        config = reference_config()
+        for samples in (200_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                geometry._sampled_moments(config.layout, config.trap, config.detector1,
+                                          config.detector2, samples,
+                                          np.random.default_rng(1))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 80 * 200_000
 
     def test_a_phase_past_the_float_range_raises(self):
         # every phase lies within 2 k d: a layout where that overflows, by a

@@ -686,10 +686,14 @@ class TestUncertaintyCommand:
         assert captured.err == "error: Unable to allocate 7.28 TiB for an array\n"
         assert captured.out == ""
 
-    def test_memory_error_in_a_sample_block_exits_2(self, capsys, monkeypatch):
-        # one block of the Monte Carlo sums fails on its pool thread: the error
-        # reaches main, and the pool's threads are gone on the way out, as they
-        # are after a normal return
+    @pytest.mark.parametrize("on_pool, size", [(True, 8192), (False, 20000 - 2 * 8192)],
+                             ids=["pool-block", "caller-block"])
+    def test_memory_error_in_a_sample_block_exits_2(self, on_pool, size, capsys,
+                                                     monkeypatch):
+        # one block of the Monte Carlo sums fails, on a pool thread (the first
+        # two blocks) or on the calling thread (the last): the error reaches
+        # main, and the pool's threads are gone on the way out, as they are
+        # after a normal return
         argv = ["uncertainty", "--config", BASELINE, "--seed", "7", "--samples", "20000"]
         threads = threading.active_count()
         assert main(argv) == 0
@@ -697,17 +701,16 @@ class TestUncertaintyCommand:
         capsys.readouterr()
         cos = np.cos
 
-        def cos_failing_in_the_last_block(x, *args, **kwargs):
-            # the last block holds 20000 - 2 * 8192 samples
-            if threading.current_thread() is not threading.main_thread() \
-                    and np.shape(x) == (20000 - 2 * 8192,):
-                raise MemoryError("Unable to allocate 28.2 KiB for an array")
+        def cos_failing_in_a_block(x, *args, **kwargs):
+            on_main = threading.current_thread() is threading.main_thread()
+            if on_main is not on_pool and np.shape(x) == (size,):
+                raise MemoryError("Unable to allocate 64.0 KiB for an array")
             return cos(x, *args, **kwargs)
 
-        monkeypatch.setattr(np, "cos", cos_failing_in_the_last_block)
+        monkeypatch.setattr(np, "cos", cos_failing_in_a_block)
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: Unable to allocate 28.2 KiB for an array\n"
+        assert captured.err == "error: Unable to allocate 64.0 KiB for an array\n"
         assert captured.out == ""
         assert threading.active_count() == threads
 
