@@ -21,23 +21,24 @@ phase between the patch centers: ``_quadrature_moments`` by quadrature
 with weights scaled by a power of two, the trap averaged in closed
 form, for the configured geometry or for detector 2 moved to a whole
 array of phases at once, and ``_sampled_moments`` by sampling patches
-and trap.  It draws its blocks of ``_SAMPLE_BLOCK`` samples on the
-calling thread into a few buffers it reuses and sums them on a pool of
-at most ``_SAMPLE_WORKERS`` threads, adding the sums in block order, so
-a seed gives the serial result bit for bit and the memory held does not
-grow with the sample or core count.  Patch nodes and measure scale stay
-in this module.
+and trap.  Its caller and at most ``_SAMPLE_WORKERS - 1`` other threads
+take blocks of ``_SAMPLE_BLOCK`` samples from one shared cursor, each
+drawing and summing a block in its own buffers, and the sums are added
+in block order, so a seed gives the serial result bit for bit and the
+memory held does not grow with the sample or core count.  Patch nodes
+and measure scale stay in this module.
 """
 
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .optics import Polarizer, _count, _finite_real, _real_array, _stored_real
+from .optics import Polarizer, _count, _finite_real, _real_array, _record, _stored_real
 
 __all__ = [
     "AtomPairLayout",
@@ -53,9 +54,9 @@ __all__ = [
 _PAIR_BLOCK_BYTES = 8 * 2**20
 #: samples ``_sampled_moments`` sums over at once
 _SAMPLE_BLOCK = 8192
-#: most threads ``_sampled_moments`` sums blocks on: its calling thread draws a
-#: block in about half the time a thread takes to sum one, so more workers than
-#: this would mostly wait, each holding a block's temporaries
+#: most threads ``_sampled_moments`` draws and sums blocks on, its caller included:
+#: a block's normals, drawn under one lock, are a quarter of its work (320 of 1210 us
+#: on a 2-vCPU Xeon), so more threads than this would mostly queue on the lock
 _SAMPLE_WORKERS = 3
 
 
@@ -113,8 +114,7 @@ class DetectorPatch:
             raise InvalidInputError("detector patch leaves the valid theta range [0, pi]")
         if not abs(chi) + 0.5 * span_chi < math.pi / 2:
             raise InvalidInputError("detector patch leaves the valid chi range (-pi/2, pi/2)")
-        if not isinstance(polarizer := self.polarizer, Polarizer):
-            raise InvalidInputError(f"polarizer must be of type Polarizer, got {polarizer!r}")
+        _record(self.polarizer, Polarizer, "polarizer")
 
 
 @dataclass(frozen=True)
@@ -177,6 +177,7 @@ def farfield_phase(layout, theta, chi=0.0):
     near the equator with a wide latitude opening.  Angles that are not
     finite integers or floats raise ``InvalidInputError``.
     """
+    _record(layout, AtomPairLayout, "layout")
     return _phase(layout, *_finite_angles(theta, chi))
 
 
@@ -227,10 +228,13 @@ def theta_center_for_delta21(layout, reference_patch, chi_center, delta21):
     Raises
     ------
     InvalidInputError
-        If ``delta21`` is not a finite real number, ``chi_center`` lies
+        If ``layout`` or ``reference_patch`` is not of its record type,
+        ``delta21`` is not a finite real number, ``chi_center`` lies
         outside (-pi/2, pi/2), or no longitude reaches the requested
         phase (|cos theta| > 1).
     """
+    _record(layout, AtomPairLayout, "layout")
+    _record(reference_patch, DetectorPatch, "reference_patch")
     delta21 = np.array([_finite_real(delta21, "delta21")])
     # only the latitude of detector 2 enters the solve: a point detector there
     # fits at any latitude that the reference's own spans might not
@@ -374,79 +378,85 @@ def _sampled_moments(layout, trap, patch1, patch2, samples, rng):
     the weight of the sample, and W is the mean w times the four spans,
     a zero span counting as 1.
 
-    Blocks of ``_SAMPLE_BLOCK`` samples are drawn on this thread into one
-    (4, block) angle array (theta1, chi1, theta2, chi2) and one (block, 3)
-    normal array per block in flight, and summed on a pool of workers (numpy
-    releases the GIL), the components of e2 - e1 formed directly and Re M,
-    Im M as two real dot products.  A seed gives the stream of one draw per
-    array in the order theta1, chi1, theta2, chi2, n: ``Generator.random``
-    takes one 64-bit output per double, so ``rng`` is moved by ``advance``
-    (``default_rng``'s PCG64, of period 2**128) from one row of a block to the next,
-    and the normals come from a copy of its bit generator advanced past all
-    the angles; ``rng`` is left where the normals end.  There are at most
-    ``_SAMPLE_WORKERS`` workers, no more than the cores this process may run
-    on and one fewer than the blocks: this thread sums the last block
-    itself, so a single block starts no thread.  A buffer is drawn again
-    only once its block is summed, so at most one block more than the
-    workers is held.  The blocks return their three sums, which this thread
-    adds in block order: the result is the serial one bit for bit.
+    A seed gives the stream of one draw per array in the order theta1, chi1,
+    theta2, chi2, n.  This thread and others, ``_SAMPLE_WORKERS`` at most and no
+    more than the cores or the blocks of ``_SAMPLE_BLOCK`` samples, take
+    blocks from one shared cursor.  Under a lock a thread takes a block and
+    draws its normals from a copy of the PCG64 bit generator advanced past all
+    the angles: ziggurat takes a varying number of outputs per normal, so they
+    stay in stream order.  Outside the lock it draws the block's angles from
+    its own copy, which ``advance`` moves to each row (``Generator.random``
+    takes one output per double), and sums the block in its own buffers, with
+    e2 - e1 formed directly and Re M, Im M as two real dot products.  The sums
+    are added in block order: a seed gives the serial result bit for bit and
+    leaves ``rng`` where the normals end.  After the first exception on any
+    thread no block is taken, and this thread joins the others and raises it.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     k_sigma = _trap_spread(layout, trap)
     kd = layout.wavenumber * layout.separation
     center, span = np.array([pair for patch in (patch1, patch2)
                              for pair in ((patch.theta_center, patch.span_theta),
                                           (patch.chi_center, patch.span_chi))]).T[..., None]
-
-    # seeded with 0, not from the OS, as the state is overwritten at once
-    ahead = type(rng.bit_generator)(0)
-    ahead.state = rng.bit_generator.state
-    ahead.advance(4 * samples)
-    normals = np.random.Generator(ahead)
-
-    def block_sums(angles, n):
-        # center + span * (u - 0.5), in place, bit for bit
-        angles -= 0.5
-        angles *= span
-        angles += center
-        theta1, chi1, theta2, chi2 = angles
-        cos1, cos2 = np.cos(chi1), np.cos(chi2)
-        dx = np.cos(theta2) * cos2 - np.cos(theta1) * cos1
-        dy = np.sin(theta2) * cos2 - np.sin(theta1) * cos1
-        dz = np.sin(chi2) - np.sin(chi1)
-        phase = n[:, 0] * dx + n[:, 1] * dy + n[:, 2] * dz
-        phase *= k_sigma
-        phase += kd * dx
-        weight = cos1 * cos2
-        return weight.sum(), weight @ np.cos(phase), weight @ np.sin(phase)
-
+    first = rng.bit_generator.state
+    # generators seeded with 0, not from the OS, as their state is overwritten at once
+    normals = np.random.Generator(type(rng.bit_generator)(0))
+    normals.bit_generator.state = first
+    normals.bit_generator.advance(4 * samples)
     blocks = -(-samples // _SAMPLE_BLOCK)
+    cursor, lock = iter(range(blocks)), threading.Lock()
+    sums, failures = [None] * blocks, []
+
+    def work():
+        width = min(samples, _SAMPLE_BLOCK)
+        buffers = np.empty((4, width)), np.empty((width, 3))
+        uniforms = np.random.Generator(type(rng.bit_generator)(0))
+        try:
+            while True:
+                with lock:
+                    if failures or (block := next(cursor, None)) is None:
+                        return
+                    start = block * _SAMPLE_BLOCK
+                    size = min(_SAMPLE_BLOCK, samples - start)
+                    angles, n = buffers[0][:, :size], buffers[1][:size]
+                    normals.standard_normal(out=n)
+                uniforms.bit_generator.state = first
+                uniforms.bit_generator.advance(start)
+                for row in angles:
+                    uniforms.random(out=row)
+                    uniforms.bit_generator.advance(samples - size)  # this block, next row
+                # center + span * (u - 0.5), in place, bit for bit
+                angles -= 0.5
+                angles *= span
+                angles += center
+                theta1, chi1, theta2, chi2 = angles
+                cos1, cos2 = np.cos(chi1), np.cos(chi2)
+                dx = np.cos(theta2) * cos2 - np.cos(theta1) * cos1
+                dy = np.sin(theta2) * cos2 - np.sin(theta1) * cos1
+                dz = np.sin(chi2) - np.sin(chi1)
+                phase = n[:, 0] * dx + n[:, 1] * dy + n[:, 2] * dz
+                phase *= k_sigma
+                phase += kd * dx
+                weight = cos1 * cos2
+                sums[block] = weight.sum(), weight @ np.cos(phase), weight @ np.sin(phase)
+        except BaseException as error:  # Ctrl-C too
+            failures.append(error)
+
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    workers = max(1, min(_SAMPLE_WORKERS, cores, blocks - 1))
-    width = min(samples, _SAMPLE_BLOCK)
-    buffers = [(np.empty((4, width)), np.empty((width, 3)))
-               for _ in range(min(workers + 1, blocks))]
-    sums = []
-    with ThreadPoolExecutor(workers) as pool:
-        for block, start in enumerate(range(0, samples, _SAMPLE_BLOCK)):
-            if block >= len(buffers):
-                sums[block - len(buffers)].result()  # its buffers are free again
-            size = min(_SAMPLE_BLOCK, samples - start)
-            angles, n = buffers[block % len(buffers)]
-            angles, n = angles[:, :size], n[:size]
-            for row in angles:
-                rng.random(out=row)
-                rng.bit_generator.advance(samples - size)  # to this block of the next row
-            # back to the next block's first row, round the state's period 2**128
-            rng.bit_generator.advance(2**128 - 4 * samples + size)
-            normals.standard_normal(out=n)
-            if block < blocks - 1:
-                sums.append(pool.submit(block_sums, angles, n))
-        last = block_sums(angles, n)
-        sums = [future.result() for future in sums] + [last]
-    rng.bit_generator.state = ahead.state
+    started = []
+    try:
+        for _ in range(min(_SAMPLE_WORKERS, cores, blocks) - 1):
+            (thread := threading.Thread(target=work)).start()
+            started.append(thread)
+        work()
+    except BaseException as error:  # a thread that would not start, or Ctrl-C meanwhile
+        failures.append(error)
+    finally:
+        for thread in started:
+            thread.join()
+    if failures:
+        raise failures[0]
+    rng.bit_generator.state = normals.bit_generator.state
     total_weight, real, imag = 0.0, 0.0, 0.0
     for weight_sum, cos_sum, sin_sum in sums:
         total_weight += float(weight_sum)

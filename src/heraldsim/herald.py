@@ -44,6 +44,7 @@ from .optics import (
     _overlap,
     _read_only_arrays,
     _real_array,
+    _record,
     _stored_real,
     _target_state,
     g2,
@@ -85,8 +86,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, kind in (("layout", AtomPairLayout), ("trap", TrapModel),
                            ("detector1", DetectorPatch), ("detector2", DetectorPatch)):
-            if not isinstance(part := getattr(self, name), kind):
-                raise InvalidInputError(f"{name} must be of type {kind.__name__}, got {part!r}")
+            _record(getattr(self, name), kind, name)
         if not _stored_real(self, "repetition_rate") > 0.0:
             raise InvalidInputError("repetition_rate must be positive and finite")
         if not 0.0 <= _stored_real(self, "detector_efficiency") <= 1.0:
@@ -153,6 +153,7 @@ def detection_probability(patch):
     A patch fits on the sphere (``DetectorPatch``), span_theta <= pi and span_chi < pi, so
     the fraction is below pi/4.
     """
+    _record(patch, DetectorPatch, "patch")
     return patch.span_theta * patch.span_chi / (4.0 * np.pi)
 
 
@@ -163,6 +164,7 @@ def count_rate(config, v12, delta21):
     by the squared channel efficiency, since both photons must be detected.
     Raises ``InvalidInputError`` if the coincidence rate overflows the float range.
     """
+    _record(config, ExperimentConfig, "config")
     p1 = detection_probability(config.detector1)
     p2 = detection_probability(config.detector2)
     # g2 as a float, the exact factor 2 last: only a rate past the float range overflows
@@ -185,6 +187,7 @@ def accidental_fraction(config, true_rate):
     detector (two photons per excitation cycle).  Returns ``R_acc / (R_acc + true_rate)``,
     0 when both rates vanish and 1.0, the limit, when ``R_acc`` overflows the float range.
     """
+    _record(config, ExperimentConfig, "config")
     if not (true_rate := _finite_real(true_rate, "true_rate")) >= 0.0:
         raise InvalidInputError("true_rate must be nonnegative and finite")
     dark, window = config.dark_count_rate, config.coincidence_window
@@ -286,6 +289,8 @@ def generated_state(config, quadrature=QuadratureSpec()):
 
     Raises
     ------
+    InvalidInputError
+        If ``config`` or ``quadrature`` is not of its record type.
     ZeroProbabilityHeraldError
         If the herald never fires at the nominal configuration.
     NumericalFailureError
@@ -294,6 +299,8 @@ def generated_state(config, quadrature=QuadratureSpec()):
         or if the Wootters concurrence of its rank-2 factor misses the
         closed form by more than 1e-9.
     """
+    _record(config, ExperimentConfig, "config")
+    _record(quadrature, QuadratureSpec, "quadrature")
     return _report(config, *_quadrature_moments(
         config.layout, config.trap, config.detector1, config.detector2, quadrature))
 
@@ -305,6 +312,7 @@ def monte_carlo_state(config, samples, seed):
     ``generated_state`` averages by quadrature and in closed form.
     Deterministic for a fixed ``seed``; both integers are checked before any draw.
     """
+    _record(config, ExperimentConfig, "config")
     samples = _count(samples, "samples")
     rng = np.random.default_rng(_count(seed, "seed", 0))
     return _report(config, *_sampled_moments(
@@ -328,6 +336,8 @@ def delta_c_scan(config, quadrature, delta21_values, v12_values):
         figure arrays, row i at delta21_values[i] and column j at
         v12_values[j], plus max |delta C| and min fidelity as floats.
     """
+    _record(config, ExperimentConfig, "config")
+    _record(quadrature, QuadratureSpec, "quadrature")
     delta21_values = np.array(_real_array(delta21_values, "delta21 grid"), ndmin=1)
     v12_values = np.array(_real_array(v12_values, "v12 grid"), ndmin=1)
     if not (delta21_values.ndim == v12_values.ndim == 1

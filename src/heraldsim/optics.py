@@ -151,6 +151,12 @@ def _count(value, name, minimum=1):
     return int(value)
 
 
+def _record(value, kind, name):
+    """Raise, naming ``name``, unless ``value`` is an instance of the record type ``kind``."""
+    if not isinstance(value, kind):
+        raise InvalidInputError(f"{name} must be of type {kind.__name__}, got {value!r}")
+
+
 def _real_array(values, name):
     """``values`` as a float array if it holds integers or floats, not bools or strings."""
     if (array := np.asarray(values)).dtype.kind not in "iuf":

@@ -2,6 +2,7 @@
 
 import io
 import math
+import os
 
 import numpy as np
 import scipy.linalg
@@ -250,12 +251,31 @@ def sampled_moments_one_shot(layout, trap, patch1, patch2, samples, rng):
             float(_longitudes(layout, patch1, patch2)[1][0]))
 
 
+def pretend_cores(monkeypatch, cores):
+    """Make this process look as if it may run on ``cores`` cores."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+
+
+def block_starts(patch1, samples, seed):
+    """chi1 of the first sample of each block ``_sampled_moments`` draws for ``seed``, in order.
+
+    A block's chi1 row, whose first entry this is, passes through ``np.cos``
+    once as the block is summed, so a cosine of an array starting with one of
+    these values marks a block beginning.
+    """
+    chi1 = np.random.default_rng(seed).random(2 * samples)[samples::_SAMPLE_BLOCK]
+    return (patch1.chi_center + patch1.span_chi * (chi1 - 0.5)).tolist()
+
+
 def sampled_moments_serial(layout, trap, patch1, patch2, samples, rng):
     """(W, m, delta21) by sampling, the blocks summed one after another on one thread.
 
-    Oracle for the threaded ``geometry._sampled_moments``, bit for bit:
-    one draw per array in the order theta1, chi1, theta2, chi2, n, then
-    the same block sums of ``_SAMPLE_BLOCK`` samples added in block order.
+    Oracle for ``geometry._sampled_moments``, whose threads draw and sum the
+    blocks in whatever order they take them, bit for bit: one draw per
+    array in the order theta1, chi1, theta2, chi2, n, then the same block
+    sums of ``_SAMPLE_BLOCK`` samples added in block order.
     """
     k_sigma = _trap_spread(layout, trap)
     angles = [center + span * (rng.random(samples) - 0.5)

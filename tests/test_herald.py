@@ -1,9 +1,9 @@
 """Generated-state averaging, rates, scans, and their cross-checks."""
 
 import dataclasses
-import os
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -42,11 +42,13 @@ from heraldsim.optics import _component_vectors
 from heraldsim.qcore import validate_density
 
 from helpers import (
+    block_starts,
     grid_nodes,
     matrix_route,
     nominal_phase,
     patch_moments,
     point_detector_config,
+    pretend_cores,
     quadrature_moments,
     reference_config,
     reference_layout,
@@ -59,13 +61,6 @@ from helpers import (
 FAST_QUAD = QuadratureSpec(points_theta=6, points_chi=6, points_trap=6)
 BASELINE = "scenarios/baseline.json"
 SCENARIOS = (BASELINE, "scenarios/point_detectors.json")
-
-
-def _pretend_cores(monkeypatch, cores):
-    """Make this process look as if it may run on ``cores`` cores."""
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
-                        raising=False)
 
 
 class _NumpyReads:
@@ -384,6 +379,37 @@ class TestConfigValidation:
                 with pytest.raises(InvalidInputError, match=f"{name} must be of type {kind}"):
                     dataclasses.replace(config, **{name: wrong})
 
+    @pytest.mark.parametrize("call, name, kind", [
+        (lambda c: generated_state(None), "config", "ExperimentConfig"),
+        (lambda c: generated_state(c, None), "quadrature", "QuadratureSpec"),
+        (lambda c: generated_state(c, (8, 8, 8)), "quadrature", "QuadratureSpec"),
+        (lambda c: delta_c_scan(c.layout, FAST_QUAD, [0.0], [0.5]), "config",
+         "ExperimentConfig"),
+        (lambda c: delta_c_scan(c, None, [0.0], [0.5]), "quadrature", "QuadratureSpec"),
+        (lambda c: monte_carlo_state(None, 100, 1), "config", "ExperimentConfig"),
+        (lambda c: count_rate(None, 0.5, 0.3), "config", "ExperimentConfig"),
+        (lambda c: accidental_fraction(c.detector1, 1.0), "config", "ExperimentConfig"),
+        (lambda c: detection_probability(c), "patch", "DetectorPatch"),
+        (lambda c: farfield_phase(None, 0.1), "layout", "AtomPairLayout"),
+        (lambda c: farfield_phase(c, 0.1), "layout", "AtomPairLayout"),
+        (lambda c: theta_center_for_delta21(None, c.detector1, 0.0, 0.1), "layout",
+         "AtomPairLayout"),
+        (lambda c: theta_center_for_delta21(c.layout, None, 0.0, 0.1), "reference_patch",
+         "DetectorPatch"),
+    ], ids=["state-config", "state-none-spec", "state-tuple-spec", "scan-config",
+            "scan-spec", "monte-carlo-config", "rate-config", "accidental-config",
+            "probability-patch", "phase-none-layout", "phase-config-layout",
+            "solve-layout", "solve-patch"])
+    def test_entry_points_take_only_their_records(self, call, name, kind, monkeypatch):
+        # these raised a bare AttributeError, or returned a number; the Monte
+        # Carlo route checks its config before it builds a generator
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a generator was built before the check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(InvalidInputError, match=f"^{name} must be of type {kind}, got "):
+            call(reference_config())
+
     @pytest.mark.parametrize("name", ["points_theta", "points_chi", "points_trap"])
     def test_quadrature_spec_rejects_bools(self, name):
         for flag in (True, False):
@@ -678,10 +704,11 @@ class TestGeneratedStateFinitePatches:
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("confinement", [0.0, 30e-9])
     def test_sampled_moments_are_the_serial_sums(self, samples, seed, confinement):
-        # normals drawn beside the angles from a copy of the stream advanced by
-        # 4 * samples outputs, block sums taken on a thread pool and added in
-        # block order: the serial draws and sums bit for bit, and the stream
-        # left where the serial draws leave it
+        # normals drawn in block order from a copy of the stream advanced by
+        # 4 * samples outputs, each block's angles from a copy advanced to it,
+        # the block sums taken on several threads and added in block order: the
+        # serial draws and sums bit for bit, and the stream left where the
+        # serial draws leave it
         config = reference_config(confinement=confinement, chi_center=0.2)
         config = dataclasses.replace(config, detector2=dataclasses.replace(
             config.detector2, theta_center=1.5, chi_center=-0.15))
@@ -695,14 +722,14 @@ class TestGeneratedStateFinitePatches:
 
     @pytest.mark.parametrize("cores", [1, 64])
     def test_sampled_moments_do_not_depend_on_the_worker_count(self, cores, monkeypatch):
-        # one worker, or as many as the cap allows switching every microsecond:
-        # a block's buffers are only drawn again once it is summed, so the sums
+        # one thread, or as many as the cap allows switching every microsecond:
+        # each thread draws and sums a block in its own buffers, so the sums
         # keep their bits
         config = reference_config(confinement=30e-9)
         arguments = (config.layout, config.trap, config.detector1, config.detector2,
                      200_000)
         expected = sampled_moments_serial(*arguments, np.random.default_rng(5))
-        _pretend_cores(monkeypatch, cores)
+        pretend_cores(monkeypatch, cores)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -717,23 +744,23 @@ class TestGeneratedStateFinitePatches:
         (200_000, 64, geometry._SAMPLE_WORKERS), (200_000, 2, 2), (200_000, 1, 1)])
     def test_sampled_moments_start_at_most_the_capped_workers(self, samples, cores, most,
                                                               monkeypatch):
-        # the calling thread sums the last block, so one block starts no thread,
-        # and no more workers start than the cap, the cores or the other blocks
+        # the calling thread takes blocks too, so one block starts no thread,
+        # and no more threads run than the cap, the cores or the blocks
         started = []
         start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: started.append(thread) or start(thread))
-        _pretend_cores(monkeypatch, cores)
+        pretend_cores(monkeypatch, cores)
         config = reference_config()
         geometry._sampled_moments(config.layout, config.trap, config.detector1,
                                   config.detector2, samples, np.random.default_rng(2))
         assert len(started) <= most
 
     def test_sampled_moments_memory_is_bounded(self):
-        # the calling thread draws each block into one of a few reused buffers
-        # (56 B per sample of a block) and each worker holds one block's
-        # temporaries; sums over whole (samples, 3) direction and offset arrays
-        # and a complex phase array peak at 136 B per sample
+        # each thread draws a block into its own reused buffers (56 B per
+        # sample of a block) and holds that block's temporaries; sums over
+        # whole (samples, 3) direction and offset arrays and a complex phase
+        # array peak at 136 B per sample
         config = reference_config()
         samples = 200_000
         tracemalloc.start()
@@ -746,9 +773,9 @@ class TestGeneratedStateFinitePatches:
         assert peak <= 80 * samples
 
     def test_sampled_moments_memory_does_not_grow_with_cores_or_samples(self, monkeypatch):
-        # 64 cores still give at most _SAMPLE_WORKERS workers and one buffer
-        # more: a million samples fit the bound of 200 000
-        _pretend_cores(monkeypatch, 64)
+        # 64 cores still give at most _SAMPLE_WORKERS threads, each with one
+        # pair of buffers: a million samples fit the bound of 200 000
+        pretend_cores(monkeypatch, 64)
         config = reference_config()
         for samples in (200_000, 1_000_000):
             tracemalloc.start()
@@ -760,6 +787,75 @@ class TestGeneratedStateFinitePatches:
             finally:
                 tracemalloc.stop()
             assert peak <= 80 * 200_000
+
+    @pytest.mark.parametrize("cores", [2, 64])
+    def test_a_failed_block_stops_the_rest(self, cores, monkeypatch):
+        # a worker's first block fails: no thread takes a block after that, so
+        # only blocks already taken, at most one per other thread, begin after
+        # it, and the error reaches the caller once every worker is joined.
+        # Until a worker fails the caller holds its block, and a block begun
+        # after the failure is held until the failing worker has ended, its
+        # error recorded: a block begun then was taken before the failure
+        config = reference_config(confinement=30e-9)
+        samples, seed = 200_000, 4
+        starts = block_starts(config.detector1, samples, seed)
+        workers = min(geometry._SAMPLE_WORKERS, cores)
+        pretend_cores(monkeypatch, cores)
+        log, lock, failing, failed = [], threading.Lock(), [], threading.Event()
+        cos = np.cos
+
+        def cos_failing_in_a_worker_block(x, *args, **kwargs):
+            if np.shape(x) == (geometry._SAMPLE_BLOCK,) and x[0] in starts:
+                with lock:
+                    log.append("begin")
+                    thread = threading.current_thread()
+                    if not failing and thread is not threading.main_thread():
+                        failing.append(thread)
+                        log.append("failed")
+                        failed.set()
+                        raise MemoryError("a failed block")
+                assert failed.wait(10), "no worker took a block"
+                failing[0].join(10)
+                assert not failing[0].is_alive()
+            return cos(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cos", cos_failing_in_a_worker_block)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="a failed block"):
+            geometry._sampled_moments(config.layout, config.trap, config.detector1,
+                                      config.detector2, samples,
+                                      np.random.default_rng(seed))
+        assert threading.active_count() == threads
+        assert log[log.index("failed") + 1:].count("begin") <= workers - 1
+
+    def test_blocks_finishing_out_of_order_keep_the_serial_sums(self, monkeypatch):
+        # the thread holding block 0 sleeps once while the other thread sums
+        # later blocks: the sums are still added in block order
+        config = reference_config(confinement=30e-9)
+        samples, seed = 200_000, 6
+        arguments = (config.layout, config.trap, config.detector1, config.detector2,
+                     samples)
+        oracle_rng = np.random.default_rng(seed)
+        expected = sampled_moments_serial(*arguments, oracle_rng)
+        starts = block_starts(config.detector1, samples, seed)
+        pretend_cores(monkeypatch, 2)
+        begun, asleep = [], []
+        cos = np.cos
+
+        def cos_sleeping_in_block_0(x, *args, **kwargs):
+            if np.shape(x) == (geometry._SAMPLE_BLOCK,) and x[0] in starts:
+                begun.append(x[0])
+                if x[0] == starts[0] and not asleep:
+                    asleep.append(len(begun))
+                    time.sleep(0.05)
+                    asleep.append(len(begun))
+            return cos(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cos", cos_sleeping_in_block_0)
+        rng = np.random.default_rng(seed)
+        assert geometry._sampled_moments(*arguments, rng) == expected
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert asleep[1] > asleep[0] + 1  # later blocks began while block 0 slept
 
     def test_a_phase_past_the_float_range_raises(self):
         # every phase lies within 2 k d: a layout where that overflows, by a

@@ -31,7 +31,7 @@ from heraldsim import herald
 from heraldsim.cli import _BLOCK_CELLS, _fmt, build_parser, main
 from heraldsim.scenario import polarizer_from_values
 
-from helpers import malus_csv_per_row, scan_csv_per_cell
+from helpers import malus_csv_per_row, pretend_cores, scan_csv_per_cell
 
 BASELINE = "scenarios/baseline.json"
 POINT = "scenarios/point_detectors.json"
@@ -686,25 +686,27 @@ class TestUncertaintyCommand:
         assert captured.err == "error: Unable to allocate 7.28 TiB for an array\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("on_pool, size", [(True, 8192), (False, 20000 - 2 * 8192)],
-                             ids=["pool-block", "caller-block"])
-    def test_memory_error_in_a_sample_block_exits_2(self, on_pool, size, capsys,
-                                                     monkeypatch):
-        # one block of the Monte Carlo sums fails, on a pool thread (the first
-        # two blocks) or on the calling thread (the last): the error reaches
-        # main, and the pool's threads are gone on the way out, as they are
-        # after a normal return
+    @pytest.mark.parametrize("on_caller", [False, True], ids=["worker-block", "caller-block"])
+    def test_memory_error_in_a_sample_block_exits_2(self, on_caller, capsys, monkeypatch):
+        # the first block that the worker thread, or the calling thread, takes
+        # of the three Monte Carlo blocks fails: the error reaches main, and the
+        # worker is gone on the way out, as it is after a normal return.  The
+        # other thread holds each block it begins until then, so the failing
+        # thread surely takes one
         argv = ["uncertainty", "--config", BASELINE, "--seed", "7", "--samples", "20000"]
         threads = threading.active_count()
         assert main(argv) == 0
         assert threading.active_count() == threads
         capsys.readouterr()
-        cos = np.cos
+        pretend_cores(monkeypatch, 2)
+        cos, failed = np.cos, threading.Event()
 
         def cos_failing_in_a_block(x, *args, **kwargs):
-            on_main = threading.current_thread() is threading.main_thread()
-            if on_main is not on_pool and np.shape(x) == (size,):
-                raise MemoryError("Unable to allocate 64.0 KiB for an array")
+            if np.shape(x) in ((8192,), (20000 - 2 * 8192,)):  # a block's angles
+                if (threading.current_thread() is threading.main_thread()) is on_caller:
+                    failed.set()
+                    raise MemoryError("Unable to allocate 64.0 KiB for an array")
+                assert failed.wait(10), "the failing thread took no block"
             return cos(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "cos", cos_failing_in_a_block)
@@ -888,7 +890,7 @@ class TestDevMode:
 
 
     def test_monte_carlo_run_warns_nothing(self):
-        # the sampled route runs its sums on a thread pool: dev mode reports no
+        # the sampled route sums its blocks on several threads: dev mode reports no
         # warning from it, and the output is the recorded one
         run = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m",
                               "heraldsim.cli", "uncertainty", "--config", BASELINE,
