@@ -20,8 +20,11 @@ out ``(W, m, delta21)``, W the patch measure and delta21 the nominal
 phase between the patch centers: ``_quadrature_moments`` by quadrature
 with weights scaled by a power of two, the trap averaged in closed
 form, for the configured geometry or for detector 2 moved to a whole
-array of phases at once, and ``_sampled_moments`` by sampling patches
-and trap.  Its caller and at most ``_SAMPLE_WORKERS - 1`` other threads
+array of phases at once, and ``_sampled_moments`` by sampling: each
+patch uniformly in solid angle, uniform in theta and in z = sin chi, and
+the trap along the one direction e2 - e1 its phase sees, so a sample
+costs six trig calls and one normal.  Its caller and at most
+``_SAMPLE_WORKERS - 1`` other threads
 take blocks of ``_SAMPLE_BLOCK`` samples from one shared cursor, each
 drawing and summing a block in its own buffers, and the sums are added
 in block order, so a seed gives the serial result bit for bit and the
@@ -55,8 +58,8 @@ _PAIR_BLOCK_BYTES = 8 * 2**20
 #: samples ``_sampled_moments`` sums over at once
 _SAMPLE_BLOCK = 8192
 #: most threads ``_sampled_moments`` draws and sums blocks on, its caller included:
-#: a block's normals, drawn under one lock, are a quarter of its work (320 of 1210 us
-#: on a 2-vCPU Xeon), so more threads than this would mostly queue on the lock
+#: a block's normals, drawn under one lock, are a sixth of its work (116 of 734 us on a
+#: 2-vCPU Xeon), so the lock holds back only past about six threads
 _SAMPLE_WORKERS = 3
 
 
@@ -368,35 +371,66 @@ def _quadrature_moments(layout, trap, patch1, patch2, quad, delta21=None):
     return measure, coherence / total_weight, phases
 
 
+def _zone(patch):
+    """Center and width of z = sin chi over a patch, and its measure.
+
+    Solid angle on a latitude zone is uniform in z (Archimedes' hat-box
+    theorem): z lies in [sin(chi - s/2), sin(chi + s/2)], of center
+    sin(chi) cos(s/2) and width 2 cos(chi) sin(s/2), and the patch measure
+    is span_theta times that width.  A zero span counts as in the
+    quadrature: a zero theta span as 1, a zero chi span as cos(chi).
+    """
+    half = 0.5 * patch.span_chi
+    center = math.sin(patch.chi_center) * math.cos(half)
+    width = 2.0 * math.cos(patch.chi_center) * math.sin(half)
+    measure = ((patch.span_theta or 1.0)
+               * (width if patch.span_chi else math.cos(patch.chi_center)))
+    return center, width, measure
+
+
+def _cos_latitude(z):
+    """cos chi = sqrt((1 - z)(1 + z)) from z = sin chi, clamped at 0 so no edge gives nan."""
+    cos_chi = 1.0 - z
+    cos_chi *= 1.0 + z
+    np.maximum(cos_chi, 0.0, out=cos_chi)
+    return np.sqrt(cos_chi, out=cos_chi)
+
+
 def _sampled_moments(layout, trap, patch1, patch2, samples, rng):
-    """(W, m, delta21) from uniform patch draws weighted by cos chi and Gaussian trap draws.
+    """(W, m, delta21) from directions uniform in solid angle and Gaussian trap draws.
 
-    Sample j draws directions e1, e2 uniformly in (theta, chi) over the
-    two patches and a displacement difference sigma n, n standard
-    normal, sigma = sqrt(2) * confinement.  Then m = M / sum w for
-    M = sum w exp(-1j k (d e_x + sigma n) . (e2 - e1)), w = cos chi1 cos chi2
-    the weight of the sample, and W is the mean w times the four spans,
-    a zero span counting as 1.
+    Sample j draws directions e1, e2 uniformly in solid angle over the two
+    patches: theta uniform over its span and z = sin chi uniform over the
+    patch's zone (``_zone``), so cos chi = sqrt((1 - z)(1 + z)) and every
+    sample weighs 1.  The displacement difference enters the phase only
+    through its projection on e2 - e1, which for an isotropic normal of
+    spread sigma = sqrt(2) * confinement is |e2 - e1| sigma n, n one
+    standard normal.  Then m is the plain mean of
+    exp(-1j k (d (e2 - e1)_x + sigma |e2 - e1| n)) and W the exact patch
+    measure A1 A2.
 
-    A seed gives the stream of one draw per array in the order theta1, chi1,
-    theta2, chi2, n.  This thread and others, ``_SAMPLE_WORKERS`` at most and no
+    A seed gives the stream of one draw per array in the order theta1, z1,
+    theta2, z2, n.  This thread and others, ``_SAMPLE_WORKERS`` at most and no
     more than the cores or the blocks of ``_SAMPLE_BLOCK`` samples, take
     blocks from one shared cursor.  Under a lock a thread takes a block and
     draws its normals from a copy of the PCG64 bit generator advanced past all
-    the angles: ziggurat takes a varying number of outputs per normal, so they
-    stay in stream order.  Outside the lock it draws the block's angles from
-    its own copy, which ``advance`` moves to each row (``Generator.random``
-    takes one output per double), and sums the block in its own buffers, with
-    e2 - e1 formed directly and Re M, Im M as two real dot products.  The sums
-    are added in block order: a seed gives the serial result bit for bit and
-    leaves ``rng`` where the normals end.  After the first exception on any
-    thread no block is taken, and this thread joins the others and raises it.
+    the uniforms: ziggurat takes a varying number of outputs per normal, so
+    they stay in stream order.  Outside the lock it draws the block's
+    uniforms from its own copy, which ``advance`` moves to each row
+    (``Generator.random`` takes one output per double), and sums the block
+    in its own buffers, with e2 - e1 formed directly and Re M, Im M as two
+    real sums.  The sums are added in block order: a seed gives the serial
+    result bit for bit and leaves ``rng`` where the normals end.  After the
+    first exception on any thread no block is taken, and this thread joins
+    the others and raises it.
     """
     k_sigma = _trap_spread(layout, trap)
     kd = layout.wavenumber * layout.separation
-    center, span = np.array([pair for patch in (patch1, patch2)
-                             for pair in ((patch.theta_center, patch.span_theta),
-                                          (patch.chi_center, patch.span_chi))]).T[..., None]
+    (z_center1, z_width1, measure1), (z_center2, z_width2, measure2) = map(
+        _zone, (patch1, patch2))
+    center, span = np.array([
+        (patch1.theta_center, patch1.span_theta), (z_center1, z_width1),
+        (patch2.theta_center, patch2.span_theta), (z_center2, z_width2)]).T[..., None]
     first = rng.bit_generator.state
     # generators seeded with 0, not from the OS, as their state is overwritten at once
     normals = np.random.Generator(type(rng.bit_generator)(0))
@@ -408,7 +442,7 @@ def _sampled_moments(layout, trap, patch1, patch2, samples, rng):
 
     def work():
         width = min(samples, _SAMPLE_BLOCK)
-        buffers = np.empty((4, width)), np.empty((width, 3))
+        buffers = np.empty((4, width)), np.empty(width)
         uniforms = np.random.Generator(type(rng.bit_generator)(0))
         try:
             while True:
@@ -417,27 +451,30 @@ def _sampled_moments(layout, trap, patch1, patch2, samples, rng):
                         return
                     start = block * _SAMPLE_BLOCK
                     size = min(_SAMPLE_BLOCK, samples - start)
-                    angles, n = buffers[0][:, :size], buffers[1][:size]
+                    rows, n = buffers[0][:, :size], buffers[1][:size]
                     normals.standard_normal(out=n)
                 uniforms.bit_generator.state = first
                 uniforms.bit_generator.advance(start)
-                for row in angles:
+                for row in rows:
                     uniforms.random(out=row)
                     uniforms.bit_generator.advance(samples - size)  # this block, next row
                 # center + span * (u - 0.5), in place, bit for bit
-                angles -= 0.5
-                angles *= span
-                angles += center
-                theta1, chi1, theta2, chi2 = angles
-                cos1, cos2 = np.cos(chi1), np.cos(chi2)
+                rows -= 0.5
+                rows *= span
+                rows += center
+                theta1, z1, theta2, z2 = rows
+                cos1, cos2 = _cos_latitude(z1), _cos_latitude(z2)
                 dx = np.cos(theta2) * cos2 - np.cos(theta1) * cos1
                 dy = np.sin(theta2) * cos2 - np.sin(theta1) * cos1
-                dz = np.sin(chi2) - np.sin(chi1)
-                phase = n[:, 0] * dx + n[:, 1] * dy + n[:, 2] * dz
+                dz = z2 - z1
+                phase = dx * dx
+                phase += dy * dy
+                phase += dz * dz
+                np.sqrt(phase, out=phase)
+                phase *= n
                 phase *= k_sigma
                 phase += kd * dx
-                weight = cos1 * cos2
-                sums[block] = weight.sum(), weight @ np.cos(phase), weight @ np.sin(phase)
+                sums[block] = np.cos(phase).sum(), np.sin(phase).sum()
         except BaseException as error:  # Ctrl-C too
             failures.append(error)
 
@@ -457,12 +494,9 @@ def _sampled_moments(layout, trap, patch1, patch2, samples, rng):
     if failures:
         raise failures[0]
     rng.bit_generator.state = normals.bit_generator.state
-    total_weight, real, imag = 0.0, 0.0, 0.0
-    for weight_sum, cos_sum, sin_sum in sums:
-        total_weight += float(weight_sum)
+    real, imag = 0.0, 0.0
+    for cos_sum, sin_sum in sums:
         real += cos_sum
         imag -= sin_sum
-    spans = math.prod(span or 1.0 for patch in (patch1, patch2)
-                      for span in (patch.span_theta, patch.span_chi))
-    return (total_weight / samples * spans, complex(real, imag) / total_weight,
+    return (measure1 * measure2, complex(real, imag) / samples,
             float(_longitudes(layout, patch1, patch2)[1][0]))

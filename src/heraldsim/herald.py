@@ -308,8 +308,9 @@ def generated_state(config, quadrature=QuadratureSpec()):
 def monte_carlo_state(config, samples, seed):
     """Randomized evaluation of ``generated_state`` for cross-validation.
 
-    Samples (W, m) over the patches and the trap displacements, which
-    ``generated_state`` averages by quadrature and in closed form.
+    Samples m over the patches, uniformly in solid angle, and over the
+    trap displacements, which ``generated_state`` averages by quadrature
+    and in closed form; W is the exact patch measure on both routes.
     Deterministic for a fixed ``seed``; both integers are checked before any draw.
     """
     _record(config, ExperimentConfig, "config")

@@ -229,6 +229,7 @@ class Polarizer:
 
 def polarizer_to_jones(polarizer):
     """Unit Jones vector (eps_plus, eps_minus) of an analyzer setting as an array."""
+    _record(polarizer, Polarizer, "polarizer")
     return np.array(polarizer.jones)
 
 

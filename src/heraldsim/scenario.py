@@ -16,6 +16,7 @@ import contextlib
 import copy
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import InvalidInputError, ScenarioError
 from .geometry import AtomPairLayout, DetectorPatch, QuadratureSpec, TrapModel
 from .herald import ExperimentConfig
-from .optics import Polarizer, _count, _finite_real
+from .optics import Polarizer, _count, _finite_real, _record
 
 __all__ = ["Scenario", "load_scenario", "save_scenario", "polarizer_from_values"]
 
@@ -221,8 +222,16 @@ class Scenario:
         return QuadratureSpec(**self.document["quadrature"])
 
 
+def _file_path(path):
+    """``path`` as a str, if it is a str or an ``os.PathLike``; no file descriptor."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise InvalidInputError(f"path must be a str or os.PathLike, got {path!r}")
+    return os.fsdecode(path)
+
+
 def load_scenario(path):
     """Parse a scenario JSON file, rejecting unknown keys and non-finite numbers."""
+    path = _file_path(path)
     with open(path, "r", encoding="utf-8") as handle:
         try:
             raw = json.load(handle)
@@ -232,7 +241,23 @@ def load_scenario(path):
 
 
 def save_scenario(scenario, path):
-    """Write a scenario document; the written file re-parses identically."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(scenario.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    """Write a scenario document; the written file re-parses identically.
+
+    Both arguments are checked before any file is opened, and the document
+    goes to a new file in the target's directory that then replaces the
+    target, so a failed save leaves an existing file as it was.
+    """
+    _record(scenario, Scenario, "scenario")
+    text = json.dumps(scenario.to_dict(), indent=2, sort_keys=True) + "\n"
+    path = _file_path(path)
+    directory, name = os.path.split(path)
+    temporary = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    handle = open(temporary, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temporary)
+        raise

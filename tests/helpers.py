@@ -229,9 +229,38 @@ def sampled_moments_one_shot(layout, trap, patch1, patch2, samples, rng):
     """(W, m, delta21) by sampling, every sample held at once.
 
     Oracle for the blocked ``geometry._sampled_moments``: the same draws
-    in the same order, with (samples, 3) direction and offset arrays,
-    two ``einsum`` projections and one complex weighted sum; W is the
-    mean weight times the patch area, a zero span counting as 1.
+    in the same order (theta and z = sin chi of each patch, then one
+    normal per sample), with (samples, 3) direction arrays, an ``einsum``
+    for |e2 - e1| and one complex mean; W is the patch measure from
+    sin(chi + s/2) - sin(chi - s/2), a zero span counting as in the
+    quadrature.
+    """
+    def draw(patch):
+        theta = patch.theta_center + patch.span_theta * (rng.random(samples) - 0.5)
+        low, high = (math.sin(patch.chi_center + sign * 0.5 * patch.span_chi)
+                     for sign in (-1, 1))
+        z = low + (high - low) * rng.random(samples)
+        cos_chi = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+        area = (patch.span_theta or 1.0) * ((high - low) if patch.span_chi
+                                            else math.cos(patch.chi_center))
+        return np.stack([np.cos(theta) * cos_chi, np.sin(theta) * cos_chi, z], axis=1), area
+
+    (dirs1, area1), (dirs2, area2) = draw(patch1), draw(patch2)
+    difference = dirs2 - dirs1
+    distance = np.sqrt(np.einsum("ij,ij->i", difference, difference))
+    offset = math.sqrt(2.0) * trap.confinement * rng.standard_normal(samples)
+    phase = layout.wavenumber * (layout.separation * difference[:, 0] + offset * distance)
+    return (area1 * area2, complex(np.mean(np.exp(-1j * phase))),
+            float(_longitudes(layout, patch1, patch2)[1][0]))
+
+
+def sampled_terms_weighted_angles(layout, trap, patch1, patch2, samples, rng):
+    """Weights cos chi1 cos chi2 and terms exp(-1j phase) of a weighted-angle estimator.
+
+    Statistical oracle for ``geometry._sampled_moments``: theta and chi
+    uniform over each patch, each sample weighted by cos chi1 cos chi2,
+    and a three-component trap normal projected on e2 - e1.  The ratio
+    ``sum w e / sum w`` estimates the same m by other draws.
     """
     def draw(patch):
         theta = patch.theta_center + patch.span_theta * (rng.random(samples) - 0.5)
@@ -243,12 +272,7 @@ def sampled_moments_one_shot(layout, trap, patch1, patch2, samples, rng):
     offset[:, 0] += layout.separation
     phase = layout.wavenumber * (np.einsum("ij,ij->i", offset, dirs2)
                                  - np.einsum("ij,ij->i", offset, dirs1))
-    weights = cos1 * cos2
-    area = ((patch1.span_theta or 1.0) * (patch1.span_chi or 1.0)
-            * (patch2.span_theta or 1.0) * (patch2.span_chi or 1.0))
-    return (float(weights.mean()) * area,
-            complex(np.sum(weights * np.exp(-1j * phase))) / float(weights.sum()),
-            float(_longitudes(layout, patch1, patch2)[1][0]))
+    return cos1 * cos2, np.exp(-1j * phase)
 
 
 def pretend_cores(monkeypatch, cores):
@@ -259,14 +283,14 @@ def pretend_cores(monkeypatch, cores):
 
 
 def block_starts(patch1, samples, seed):
-    """chi1 of the first sample of each block ``_sampled_moments`` draws for ``seed``, in order.
+    """theta1 of the first sample of each block ``_sampled_moments`` draws for ``seed``, in order.
 
-    A block's chi1 row, whose first entry this is, passes through ``np.cos``
+    A block's theta1 row, whose first entry this is, passes through ``np.cos``
     once as the block is summed, so a cosine of an array starting with one of
     these values marks a block beginning.
     """
-    chi1 = np.random.default_rng(seed).random(2 * samples)[samples::_SAMPLE_BLOCK]
-    return (patch1.chi_center + patch1.span_chi * (chi1 - 0.5)).tolist()
+    theta1 = np.random.default_rng(seed).random(samples)[::_SAMPLE_BLOCK]
+    return (patch1.theta_center + patch1.span_theta * (theta1 - 0.5)).tolist()
 
 
 def sampled_moments_serial(layout, trap, patch1, patch2, samples, rng):
@@ -274,35 +298,35 @@ def sampled_moments_serial(layout, trap, patch1, patch2, samples, rng):
 
     Oracle for ``geometry._sampled_moments``, whose threads draw and sum the
     blocks in whatever order they take them, bit for bit: one draw per
-    array in the order theta1, chi1, theta2, chi2, n, then the same block
-    sums of ``_SAMPLE_BLOCK`` samples added in block order.
+    array in the order theta1, z1, theta2, z2 (z = sin chi uniform over
+    each patch's zone), n, then the same block sums of ``_SAMPLE_BLOCK``
+    samples added in block order.
     """
     k_sigma = _trap_spread(layout, trap)
-    angles = [center + span * (rng.random(samples) - 0.5)
-              for patch in (patch1, patch2)
-              for center, span in ((patch.theta_center, patch.span_theta),
-                                   (patch.chi_center, patch.span_chi))]
-    normal = rng.standard_normal((samples, 3))
+    rows, area = [], 1.0
+    for patch in (patch1, patch2):
+        half = 0.5 * patch.span_chi
+        z_center = math.sin(patch.chi_center) * math.cos(half)
+        z_width = 2.0 * math.cos(patch.chi_center) * math.sin(half)
+        rows += [center + span * (rng.random(samples) - 0.5)
+                 for center, span in ((patch.theta_center, patch.span_theta),
+                                      (z_center, z_width))]
+        area *= (patch.span_theta or 1.0) * (z_width if patch.span_chi
+                                             else math.cos(patch.chi_center))
+    normal = rng.standard_normal(samples)
     kd = layout.wavenumber * layout.separation
-    total_weight, real, imag = 0.0, 0.0, 0.0
+    real, imag = 0.0, 0.0
     for start in range(0, samples, _SAMPLE_BLOCK):
         block = slice(start, start + _SAMPLE_BLOCK)
-        theta1, chi1, theta2, chi2 = (angle[block] for angle in angles)
-        cos1, cos2 = np.cos(chi1), np.cos(chi2)
+        theta1, z1, theta2, z2 = (row[block] for row in rows)
+        cos1, cos2 = (np.sqrt(np.maximum((1.0 - z) * (1.0 + z), 0.0)) for z in (z1, z2))
         dx = np.cos(theta2) * cos2 - np.cos(theta1) * cos1
         dy = np.sin(theta2) * cos2 - np.sin(theta1) * cos1
-        dz = np.sin(chi2) - np.sin(chi1)
-        n = normal[block]
-        phase = n[:, 0] * dx + n[:, 1] * dy + n[:, 2] * dz
-        phase *= k_sigma
-        phase += kd * dx
-        weight = cos1 * cos2
-        total_weight += float(weight.sum())
-        real += weight @ np.cos(phase)
-        imag -= weight @ np.sin(phase)
-    spans = math.prod(span or 1.0 for patch in (patch1, patch2)
-                      for span in (patch.span_theta, patch.span_chi))
-    return (total_weight / samples * spans, complex(real, imag) / total_weight,
+        dz = z2 - z1
+        phase = kd * dx + k_sigma * (normal[block] * np.sqrt(dx * dx + dy * dy + dz * dz))
+        real += np.cos(phase).sum()
+        imag -= np.sin(phase).sum()
+    return (area, complex(real, imag) / samples,
             float(_longitudes(layout, patch1, patch2)[1][0]))
 
 

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +56,7 @@ from helpers import (
     reference_patch,
     sampled_moments_one_shot,
     sampled_moments_serial,
+    sampled_terms_weighted_angles,
     wrap_phase,
 )
 
@@ -700,12 +702,111 @@ class TestGeneratedStateFinitePatches:
         assert abs(m - oracle_m) <= 1e-13
         assert delta == oracle_delta
 
+    @pytest.mark.parametrize("detector1, detector2", [
+        ({}, {}),
+        ({"span_chi": 0.0, "chi_center": 0.3}, {"span_chi": 0.0}),
+        ({"span_theta": 0.0, "span_chi": 0.0}, {"span_theta": 0.0, "span_chi": 0.0,
+                                                "chi_center": 0.4, "theta_center": 1.5}),
+        ({"span_theta": 1e-300}, {}),
+        ({"span_chi": 1e-300, "chi_center": -0.2}, {}),
+        ({"span_theta": 1e-300, "span_chi": 1e-300}, {}),  # 1e-600 underflows on both
+        # patch edges within 1e-9 of the north and the south pole
+        ({"chi_center": 0.3, "span_chi": 2 * (np.pi / 2 - 0.3 - 1e-9)},
+         {"chi_center": -0.3, "span_chi": 2 * (np.pi / 2 - 0.3 - 1e-9)}),
+    ], ids=["baseline", "zero-chi-span", "point-detectors", "tiny-theta-span",
+            "tiny-chi-span", "tiny-spans", "poles"])
+    def test_sampled_weight_is_the_quadrature_measure(self, detector1, detector2):
+        # every sample weighs 1 and W is the exact measure A1 A2, a zero span
+        # counting as it does in the quadrature; near a pole cos chi is clamped
+        # at 0, so no sample warns or gives nan
+        config = reference_config(confinement=30e-9)
+        config = dataclasses.replace(
+            config, detector1=dataclasses.replace(config.detector1, **detector1),
+            detector2=dataclasses.replace(config.detector2, **detector2))
+        arguments = (config.layout, config.trap, config.detector1, config.detector2)
+        exact = geometry._quadrature_moments(*arguments, QuadratureSpec())[0]
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            weight, m, _ = geometry._sampled_moments(*arguments, 20_000,
+                                                     np.random.default_rng(1))
+        assert abs(weight - exact) <= 1e-12 * exact
+        assert np.isfinite(m) and abs(m) <= 1.0
+
+    def test_cos_latitude_of_a_rounded_edge_is_zero(self):
+        # z = sin chi a rounding past +-1, as at the edge of a patch within rounding
+        # of a pole, gives cos chi = 0, not nan
+        z = np.array([np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0), 1.0, -1.0, 0.0])
+        with np.errstate(all="raise"):
+            assert geometry._cos_latitude(z).tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+
+    def test_sampled_and_weighted_angle_estimators_agree_with_fine_quadrature(self):
+        # draws uniform in solid angle with one trap normal, and draws uniform
+        # in angle weighted by cos chi1 cos chi2 with three trap normals: both
+        # within 5 standard errors of 48 x 48 nodes, on 40 mrad patches off the
+        # equator and a 60 nm trap
+        config = reference_config(confinement=60e-9, span_theta=40e-3, chi_center=0.2)
+        config = dataclasses.replace(config, detector2=dataclasses.replace(
+            config.detector2, theta_center=1.5, chi_center=-0.15))
+        arguments = (config.layout, config.trap, config.detector1, config.detector2)
+        exact = geometry._quadrature_moments(*arguments, QuadratureSpec(48, 48))[1]
+        samples = 20_000
+        for seed in range(10):
+            m = geometry._sampled_moments(*arguments, samples, np.random.default_rng(seed))[1]
+            # every term has modulus 1, so its mean square deviation is 1 - |m|**2
+            assert abs(m - exact) <= 5 * np.sqrt((1 - abs(m) ** 2) / samples)
+            weight, terms = sampled_terms_weighted_angles(*arguments, samples,
+                                                          np.random.default_rng(seed))
+            ratio = weight @ terms / weight.sum()
+            error = np.sqrt(np.sum(weight ** 2 * np.abs(terms - ratio) ** 2)) / weight.sum()
+            assert abs(ratio - exact) <= 5 * error
+
+    def test_a_block_takes_one_normal_row_and_six_trig_calls(self, monkeypatch):
+        # counts, never times: each block draws one (size,) normal row and calls
+        # np.cos / np.sin six times, on its two longitude rows and its phase,
+        # never on a latitude row
+        config = reference_config(confinement=30e-9, chi_center=0.2)
+        samples, seed = 3 * geometry._SAMPLE_BLOCK + 7, 8
+        latitudes = np.random.default_rng(seed).random(4 * samples).reshape(4, samples)[1::2]
+        normal_rows, trig_rows = [], []
+
+        class CountingGenerator(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                normal_rows.append(np.shape(kwargs.get("out", args[0] if args else ())))
+                return super().standard_normal(*args, **kwargs)
+
+        def counting(function):
+            def trig(x, *args, **kwargs):
+                trig_rows.append(np.array(x, copy=True))
+                return function(x, *args, **kwargs)
+            return trig
+
+        monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+        for name in ("cos", "sin"):
+            monkeypatch.setattr(np, name, counting(getattr(np, name)))
+        geometry._sampled_moments(config.layout, config.trap, config.detector1,
+                                  config.detector2, samples, np.random.default_rng(seed))
+        monkeypatch.undo()
+        sizes = [min(geometry._SAMPLE_BLOCK, samples - start)
+                 for start in range(0, samples, geometry._SAMPLE_BLOCK)]
+        assert sorted(normal_rows) == sorted((size,) for size in sizes)
+        # the nominal phase of the patch centers takes its trig on single values
+        array_rows = [row for row in trig_rows if row.size > 1]
+        assert sorted(len(row) for row in array_rows) == sorted(6 * sizes)
+        patches = (config.detector1, config.detector2)
+        for patch, rows in zip(patches, latitudes):
+            half = 0.5 * patch.span_chi
+            z = (np.sin(patch.chi_center) * np.cos(half)
+                 + 2 * np.cos(patch.chi_center) * np.sin(half) * (rows - 0.5))
+            starts = set(z[::geometry._SAMPLE_BLOCK].tolist())
+            chi = set(np.arcsin(z[::geometry._SAMPLE_BLOCK]).tolist())
+            assert not any(row[0] in starts | chi for row in array_rows)
+
     @pytest.mark.parametrize("samples", [1, 8191, 8192, 8193, 3 * 8192 + 7, 200_000])
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("confinement", [0.0, 30e-9])
     def test_sampled_moments_are_the_serial_sums(self, samples, seed, confinement):
         # normals drawn in block order from a copy of the stream advanced by
-        # 4 * samples outputs, each block's angles from a copy advanced to it,
+        # 4 * samples outputs, each block's uniforms from a copy advanced to it,
         # the block sums taken on several threads and added in block order: the
         # serial draws and sums bit for bit, and the stream left where the
         # serial draws leave it
@@ -757,7 +858,7 @@ class TestGeneratedStateFinitePatches:
         assert len(started) <= most
 
     def test_sampled_moments_memory_is_bounded(self):
-        # each thread draws a block into its own reused buffers (56 B per
+        # each thread draws a block into its own reused buffers (40 B per
         # sample of a block) and holds that block's temporaries; sums over
         # whole (samples, 3) direction and offset arrays and a complex phase
         # array peak at 136 B per sample
