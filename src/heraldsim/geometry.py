@@ -23,13 +23,12 @@ form, for the configured geometry or for detector 2 moved to a whole
 array of phases at once, and ``_sampled_moments`` by sampling: each
 patch uniformly in solid angle, uniform in theta and in z = sin chi, and
 the trap along the one direction e2 - e1 its phase sees, so a sample
-costs six trig calls and one normal.  Its caller and at most
-``_SAMPLE_WORKERS - 1`` other threads
-take blocks of ``_SAMPLE_BLOCK`` samples from one shared cursor, each
-drawing and summing a block in its own buffers, and the sums are added
-in block order, so a seed gives the serial result bit for bit and the
-memory held does not grow with the sample or core count.  Patch nodes
-and measure scale stay in this module.
+costs six trig calls and one normal.  It draws each block of
+``_SAMPLE_BLOCK`` samples from its own stream of the seed; its caller and
+at most ``_SAMPLE_WORKERS - 1`` other threads take the blocks from one
+shared cursor, and the sums are added in block order, so a seed gives one
+result on any number of threads and the buffers held do not grow with the
+sample or core count.  Patch nodes and measure scale stay in this module.
 """
 
 import functools
@@ -58,8 +57,8 @@ _PAIR_BLOCK_BYTES = 8 * 2**20
 #: samples ``_sampled_moments`` sums over at once
 _SAMPLE_BLOCK = 8192
 #: most threads ``_sampled_moments`` draws and sums blocks on, its caller included:
-#: a block's normals, drawn under one lock, are a sixth of its work (116 of 734 us on a
-#: 2-vCPU Xeon), so the lock holds back only past about six threads
+#: each holds about 0.9 MB, its buffer and one block's temporaries, so a call holds
+#: under 3 MB however many cores the machine has (2.8 MB at 1M samples, 64 cores)
 _SAMPLE_WORKERS = 3
 
 
@@ -396,7 +395,7 @@ def _cos_latitude(z):
     return np.sqrt(cos_chi, out=cos_chi)
 
 
-def _sampled_moments(layout, trap, patch1, patch2, samples, rng):
+def _sampled_moments(layout, trap, patch1, patch2, samples, seed):
     """(W, m, delta21) from directions uniform in solid angle and Gaussian trap draws.
 
     Sample j draws directions e1, e2 uniformly in solid angle over the two
@@ -409,20 +408,16 @@ def _sampled_moments(layout, trap, patch1, patch2, samples, rng):
     exp(-1j k (d (e2 - e1)_x + sigma |e2 - e1| n)) and W the exact patch
     measure A1 A2.
 
-    A seed gives the stream of one draw per array in the order theta1, z1,
-    theta2, z2, n.  This thread and others, ``_SAMPLE_WORKERS`` at most and no
-    more than the cores or the blocks of ``_SAMPLE_BLOCK`` samples, take
-    blocks from one shared cursor.  Under a lock a thread takes a block and
-    draws its normals from a copy of the PCG64 bit generator advanced past all
-    the uniforms: ziggurat takes a varying number of outputs per normal, so
-    they stay in stream order.  Outside the lock it draws the block's
-    uniforms from its own copy, which ``advance`` moves to each row
-    (``Generator.random`` takes one output per double), and sums the block
-    in its own buffers, with e2 - e1 formed directly and Re M, Im M as two
-    real sums.  The sums are added in block order: a seed gives the serial
-    result bit for bit and leaves ``rng`` where the normals end.  After the
-    first exception on any thread no block is taken, and this thread joins
-    the others and raises it.
+    Block b of ``_SAMPLE_BLOCK`` samples draws from its own PCG64 stream,
+    ``SeedSequence(seed, spawn_key=(b,))``, the same as
+    ``default_rng(seed).spawn(blocks)[b]``: its (4, size) uniform rows
+    theta1, z1, theta2, z2, then its (size,) normals.  This thread and
+    others, ``_SAMPLE_WORKERS`` at most and no more than the cores or the
+    blocks, take blocks from one shared cursor, and each draws and sums a
+    block in its own buffer, with e2 - e1 formed directly and Re M, Im M as
+    two real sums.  The sums are added in block order, so the result depends on
+    ``(seed, samples)`` alone.  After the first exception on any thread no
+    block is taken, and this thread joins the others and raises it.
     """
     k_sigma = _trap_spread(layout, trap)
     kd = layout.wavenumber * layout.separation
@@ -431,33 +426,24 @@ def _sampled_moments(layout, trap, patch1, patch2, samples, rng):
     center, span = np.array([
         (patch1.theta_center, patch1.span_theta), (z_center1, z_width1),
         (patch2.theta_center, patch2.span_theta), (z_center2, z_width2)]).T[..., None]
-    first = rng.bit_generator.state
-    # generators seeded with 0, not from the OS, as their state is overwritten at once
-    normals = np.random.Generator(type(rng.bit_generator)(0))
-    normals.bit_generator.state = first
-    normals.bit_generator.advance(4 * samples)
     blocks = -(-samples // _SAMPLE_BLOCK)
     cursor, lock = iter(range(blocks)), threading.Lock()
     sums, failures = [None] * blocks, []
 
     def work():
-        width = min(samples, _SAMPLE_BLOCK)
-        buffers = np.empty((4, width)), np.empty(width)
-        uniforms = np.random.Generator(type(rng.bit_generator)(0))
+        buffer = np.empty(5 * min(samples, _SAMPLE_BLOCK))
         try:
             while True:
                 with lock:
                     if failures or (block := next(cursor, None)) is None:
                         return
-                    start = block * _SAMPLE_BLOCK
-                    size = min(_SAMPLE_BLOCK, samples - start)
-                    rows, n = buffers[0][:, :size], buffers[1][:size]
-                    normals.standard_normal(out=n)
-                uniforms.bit_generator.state = first
-                uniforms.bit_generator.advance(start)
-                for row in rows:
-                    uniforms.random(out=row)
-                    uniforms.bit_generator.advance(samples - size)  # this block, next row
+                size = min(_SAMPLE_BLOCK, samples - block * _SAMPLE_BLOCK)
+                draws = buffer[: 5 * size].reshape(5, size)
+                rows, n = draws[:4], draws[4]
+                rng = np.random.Generator(np.random.PCG64(
+                    np.random.SeedSequence(seed, spawn_key=(block,))))
+                rng.random(out=rows)
+                rng.standard_normal(out=n)
                 # center + span * (u - 0.5), in place, bit for bit
                 rows -= 0.5
                 rows *= span
@@ -493,7 +479,6 @@ def _sampled_moments(layout, trap, patch1, patch2, samples, rng):
             thread.join()
     if failures:
         raise failures[0]
-    rng.bit_generator.state = normals.bit_generator.state
     real, imag = 0.0, 0.0
     for cos_sum, sin_sum in sums:
         real += cos_sum

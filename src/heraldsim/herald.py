@@ -311,13 +311,13 @@ def monte_carlo_state(config, samples, seed):
     Samples m over the patches, uniformly in solid angle, and over the
     trap displacements, which ``generated_state`` averages by quadrature
     and in closed form; W is the exact patch measure on both routes.
-    Deterministic for a fixed ``seed``; both integers are checked before any draw.
+    Deterministic for a fixed ``seed``, whatever the number of threads the
+    samples are drawn and summed on; both integers are checked before any draw.
     """
     _record(config, ExperimentConfig, "config")
-    samples = _count(samples, "samples")
-    rng = np.random.default_rng(_count(seed, "seed", 0))
+    samples, seed = _count(samples, "samples"), _count(seed, "seed", 0)
     return _report(config, *_sampled_moments(
-        config.layout, config.trap, config.detector1, config.detector2, samples, rng))
+        config.layout, config.trap, config.detector1, config.detector2, samples, seed))
 
 
 def delta_c_scan(config, quadrature, delta21_values, v12_values):

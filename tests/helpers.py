@@ -225,30 +225,46 @@ def patch_moments(config, quad):
                                config.detector2, quad)
 
 
-def sampled_moments_one_shot(layout, trap, patch1, patch2, samples, rng):
+def block_draws(seed, samples):
+    """Uniforms (4, size) and normals (size,) of each block ``_sampled_moments`` draws, in order.
+
+    Block b of ``_SAMPLE_BLOCK`` samples draws from child b of
+    ``default_rng(seed).spawn``, the stream ``_sampled_moments`` builds as
+    ``SeedSequence(seed, spawn_key=(b,))``: the rows theta1, z1, theta2, z2
+    of uniforms, then the normals.
+    """
+    starts = range(0, samples, _SAMPLE_BLOCK)
+    return [(rng.random((4, size)), rng.standard_normal(size))
+            for rng, size in zip(np.random.default_rng(seed).spawn(len(starts)),
+                                 (min(_SAMPLE_BLOCK, samples - start) for start in starts))]
+
+
+def sampled_moments_one_shot(layout, trap, patch1, patch2, samples, seed):
     """(W, m, delta21) by sampling, every sample held at once.
 
     Oracle for the blocked ``geometry._sampled_moments``: the same draws
-    in the same order (theta and z = sin chi of each patch, then one
-    normal per sample), with (samples, 3) direction arrays, an ``einsum``
-    for |e2 - e1| and one complex mean; W is the patch measure from
-    sin(chi + s/2) - sin(chi - s/2), a zero span counting as in the
-    quadrature.
+    (``block_draws``) joined into whole arrays, with (samples, 3) direction
+    arrays, an ``einsum`` for |e2 - e1| and one complex mean; W is the patch
+    measure from sin(chi + s/2) - sin(chi - s/2), a zero span counting as in
+    the quadrature.
     """
-    def draw(patch):
-        theta = patch.theta_center + patch.span_theta * (rng.random(samples) - 0.5)
+    uniforms, normals = (np.concatenate(parts, axis=-1)
+                         for parts in zip(*block_draws(seed, samples)))
+
+    def draw(patch, theta_u, z_u):
+        theta = patch.theta_center + patch.span_theta * (theta_u - 0.5)
         low, high = (math.sin(patch.chi_center + sign * 0.5 * patch.span_chi)
                      for sign in (-1, 1))
-        z = low + (high - low) * rng.random(samples)
+        z = low + (high - low) * z_u
         cos_chi = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
         area = (patch.span_theta or 1.0) * ((high - low) if patch.span_chi
                                             else math.cos(patch.chi_center))
         return np.stack([np.cos(theta) * cos_chi, np.sin(theta) * cos_chi, z], axis=1), area
 
-    (dirs1, area1), (dirs2, area2) = draw(patch1), draw(patch2)
+    (dirs1, area1), (dirs2, area2) = draw(patch1, *uniforms[:2]), draw(patch2, *uniforms[2:])
     difference = dirs2 - dirs1
     distance = np.sqrt(np.einsum("ij,ij->i", difference, difference))
-    offset = math.sqrt(2.0) * trap.confinement * rng.standard_normal(samples)
+    offset = math.sqrt(2.0) * trap.confinement * normals
     phase = layout.wavenumber * (layout.separation * difference[:, 0] + offset * distance)
     return (area1 * area2, complex(np.mean(np.exp(-1j * phase))),
             float(_longitudes(layout, patch1, patch2)[1][0]))
@@ -289,41 +305,37 @@ def block_starts(patch1, samples, seed):
     once as the block is summed, so a cosine of an array starting with one of
     these values marks a block beginning.
     """
-    theta1 = np.random.default_rng(seed).random(samples)[::_SAMPLE_BLOCK]
-    return (patch1.theta_center + patch1.span_theta * (theta1 - 0.5)).tolist()
+    return [patch1.theta_center + patch1.span_theta * (uniforms[0, 0] - 0.5)
+            for uniforms, _ in block_draws(seed, samples)]
 
 
-def sampled_moments_serial(layout, trap, patch1, patch2, samples, rng):
-    """(W, m, delta21) by sampling, the blocks summed one after another on one thread.
+def sampled_moments_serial(layout, trap, patch1, patch2, samples, seed):
+    """(W, m, delta21) by sampling, the blocks drawn and summed one after another on one thread.
 
     Oracle for ``geometry._sampled_moments``, whose threads draw and sum the
-    blocks in whatever order they take them, bit for bit: one draw per
-    array in the order theta1, z1, theta2, z2 (z = sin chi uniform over
-    each patch's zone), n, then the same block sums of ``_SAMPLE_BLOCK``
-    samples added in block order.
+    blocks in whatever order they take them, bit for bit: each block's own
+    draws (``block_draws``), z = sin chi uniform over each patch's zone, and
+    the block sums of ``_SAMPLE_BLOCK`` samples added in block order.
     """
     k_sigma = _trap_spread(layout, trap)
-    rows, area = [], 1.0
+    centers, area = [], 1.0
     for patch in (patch1, patch2):
         half = 0.5 * patch.span_chi
         z_center = math.sin(patch.chi_center) * math.cos(half)
         z_width = 2.0 * math.cos(patch.chi_center) * math.sin(half)
-        rows += [center + span * (rng.random(samples) - 0.5)
-                 for center, span in ((patch.theta_center, patch.span_theta),
-                                      (z_center, z_width))]
+        centers += [(patch.theta_center, patch.span_theta), (z_center, z_width)]
         area *= (patch.span_theta or 1.0) * (z_width if patch.span_chi
                                              else math.cos(patch.chi_center))
-    normal = rng.standard_normal(samples)
     kd = layout.wavenumber * layout.separation
     real, imag = 0.0, 0.0
-    for start in range(0, samples, _SAMPLE_BLOCK):
-        block = slice(start, start + _SAMPLE_BLOCK)
-        theta1, z1, theta2, z2 = (row[block] for row in rows)
+    for uniforms, normal in block_draws(seed, samples):
+        theta1, z1, theta2, z2 = (center + span * (row - 0.5)
+                                  for (center, span), row in zip(centers, uniforms))
         cos1, cos2 = (np.sqrt(np.maximum((1.0 - z) * (1.0 + z), 0.0)) for z in (z1, z2))
         dx = np.cos(theta2) * cos2 - np.cos(theta1) * cos1
         dy = np.sin(theta2) * cos2 - np.sin(theta1) * cos1
         dz = z2 - z1
-        phase = kd * dx + k_sigma * (normal[block] * np.sqrt(dx * dx + dy * dy + dz * dz))
+        phase = kd * dx + k_sigma * (normal * np.sqrt(dx * dx + dy * dy + dz * dz))
         real += np.cos(phase).sum()
         imag -= np.sin(phase).sum()
     return (area, complex(real, imag) / samples,

@@ -43,6 +43,7 @@ from heraldsim.optics import _component_vectors
 from heraldsim.qcore import validate_density
 
 from helpers import (
+    block_draws,
     block_starts,
     grid_nodes,
     matrix_route,
@@ -404,11 +405,11 @@ class TestConfigValidation:
             "solve-layout", "solve-patch"])
     def test_entry_points_take_only_their_records(self, call, name, kind, monkeypatch):
         # these raised a bare AttributeError, or returned a number; the Monte
-        # Carlo route checks its config before it builds a generator
+        # Carlo route checks its config before it builds a block's generator
         def no_draws(*args, **kwargs):
             raise AssertionError("a generator was built before the check")
 
-        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        monkeypatch.setattr(np.random, "Generator", no_draws)
         with pytest.raises(InvalidInputError, match=f"^{name} must be of type {kind}, got "):
             call(reference_config())
 
@@ -694,10 +695,8 @@ class TestGeneratedStateFinitePatches:
         config = dataclasses.replace(config, detector2=dataclasses.replace(
             config.detector2, theta_center=1.5, chi_center=-0.15))
         arguments = (config.layout, config.trap, config.detector1, config.detector2, samples)
-        weight, m, delta = geometry._sampled_moments(
-            *arguments, np.random.default_rng(seed))
-        oracle_weight, oracle_m, oracle_delta = sampled_moments_one_shot(
-            *arguments, np.random.default_rng(seed))
+        weight, m, delta = geometry._sampled_moments(*arguments, seed)
+        oracle_weight, oracle_m, oracle_delta = sampled_moments_one_shot(*arguments, seed)
         assert abs(weight - oracle_weight) <= 1e-13 * oracle_weight
         assert abs(m - oracle_m) <= 1e-13
         assert delta == oracle_delta
@@ -727,8 +726,7 @@ class TestGeneratedStateFinitePatches:
         exact = geometry._quadrature_moments(*arguments, QuadratureSpec())[0]
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            weight, m, _ = geometry._sampled_moments(*arguments, 20_000,
-                                                     np.random.default_rng(1))
+            weight, m, _ = geometry._sampled_moments(*arguments, 20_000, 1)
         assert abs(weight - exact) <= 1e-12 * exact
         assert np.isfinite(m) and abs(m) <= 1.0
 
@@ -751,7 +749,7 @@ class TestGeneratedStateFinitePatches:
         exact = geometry._quadrature_moments(*arguments, QuadratureSpec(48, 48))[1]
         samples = 20_000
         for seed in range(10):
-            m = geometry._sampled_moments(*arguments, samples, np.random.default_rng(seed))[1]
+            m = geometry._sampled_moments(*arguments, samples, seed)[1]
             # every term has modulus 1, so its mean square deviation is 1 - |m|**2
             assert abs(m - exact) <= 5 * np.sqrt((1 - abs(m) ** 2) / samples)
             weight, terms = sampled_terms_weighted_angles(*arguments, samples,
@@ -766,7 +764,8 @@ class TestGeneratedStateFinitePatches:
         # never on a latitude row
         config = reference_config(confinement=30e-9, chi_center=0.2)
         samples, seed = 3 * geometry._SAMPLE_BLOCK + 7, 8
-        latitudes = np.random.default_rng(seed).random(4 * samples).reshape(4, samples)[1::2]
+        latitudes = np.concatenate([uniforms for uniforms, _ in block_draws(seed, samples)],
+                                   axis=1)[1::2]
         normal_rows, trig_rows = [], []
 
         class CountingGenerator(np.random.Generator):
@@ -784,7 +783,7 @@ class TestGeneratedStateFinitePatches:
         for name in ("cos", "sin"):
             monkeypatch.setattr(np, name, counting(getattr(np, name)))
         geometry._sampled_moments(config.layout, config.trap, config.detector1,
-                                  config.detector2, samples, np.random.default_rng(seed))
+                                  config.detector2, samples, seed)
         monkeypatch.undo()
         sizes = [min(geometry._SAMPLE_BLOCK, samples - start)
                  for start in range(0, samples, geometry._SAMPLE_BLOCK)]
@@ -805,38 +804,36 @@ class TestGeneratedStateFinitePatches:
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("confinement", [0.0, 30e-9])
     def test_sampled_moments_are_the_serial_sums(self, samples, seed, confinement):
-        # normals drawn in block order from a copy of the stream advanced by
-        # 4 * samples outputs, each block's uniforms from a copy advanced to it,
-        # the block sums taken on several threads and added in block order: the
-        # serial draws and sums bit for bit, and the stream left where the
-        # serial draws leave it
+        # each block drawn from its own stream and summed on one of several
+        # threads, the block sums added in block order: the serial draws and
+        # sums bit for bit
         config = reference_config(confinement=confinement, chi_center=0.2)
         config = dataclasses.replace(config, detector2=dataclasses.replace(
             config.detector2, theta_center=1.5, chi_center=-0.15))
         arguments = (config.layout, config.trap, config.detector1, config.detector2, samples)
-        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         threads = threading.active_count()
-        assert (geometry._sampled_moments(*arguments, rng)
-                == sampled_moments_serial(*arguments, oracle_rng))
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert (geometry._sampled_moments(*arguments, seed)
+                == sampled_moments_serial(*arguments, seed))
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("cores", [1, 64])
-    def test_sampled_moments_do_not_depend_on_the_worker_count(self, cores, monkeypatch):
-        # one thread, or as many as the cap allows switching every microsecond:
-        # each thread draws and sums a block in its own buffers, so the sums
-        # keep their bits
+    @pytest.mark.parametrize("samples", [3 * 8192 + 7, 200_000])
+    @pytest.mark.parametrize("cores", [1, 2, 3, 64])
+    def test_sampled_moments_do_not_depend_on_the_worker_count(self, cores, samples,
+                                                               monkeypatch):
+        # one thread, or as many as the cores and the cap allow switching every
+        # microsecond, a partial last block on any of them: each thread draws a
+        # block from the block's own stream and sums it in its own buffer, so
+        # the sums keep their bits
         config = reference_config(confinement=30e-9)
         arguments = (config.layout, config.trap, config.detector1, config.detector2,
-                     200_000)
-        expected = sampled_moments_serial(*arguments, np.random.default_rng(5))
+                     samples)
+        expected = sampled_moments_serial(*arguments, 5)
         pretend_cores(monkeypatch, cores)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                assert geometry._sampled_moments(
-                    *arguments, np.random.default_rng(5)) == expected
+                assert geometry._sampled_moments(*arguments, 5) == expected
         finally:
             sys.setswitchinterval(interval)
 
@@ -854,7 +851,7 @@ class TestGeneratedStateFinitePatches:
         pretend_cores(monkeypatch, cores)
         config = reference_config()
         geometry._sampled_moments(config.layout, config.trap, config.detector1,
-                                  config.detector2, samples, np.random.default_rng(2))
+                                  config.detector2, samples, 2)
         assert len(started) <= most
 
     def test_sampled_moments_memory_is_bounded(self):
@@ -867,7 +864,7 @@ class TestGeneratedStateFinitePatches:
         tracemalloc.start()
         try:
             geometry._sampled_moments(config.layout, config.trap, config.detector1,
-                                      config.detector2, samples, np.random.default_rng(1))
+                                      config.detector2, samples, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -882,8 +879,7 @@ class TestGeneratedStateFinitePatches:
             tracemalloc.start()
             try:
                 geometry._sampled_moments(config.layout, config.trap, config.detector1,
-                                          config.detector2, samples,
-                                          np.random.default_rng(1))
+                                          config.detector2, samples, 1)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -924,8 +920,7 @@ class TestGeneratedStateFinitePatches:
         threads = threading.active_count()
         with pytest.raises(MemoryError, match="a failed block"):
             geometry._sampled_moments(config.layout, config.trap, config.detector1,
-                                      config.detector2, samples,
-                                      np.random.default_rng(seed))
+                                      config.detector2, samples, seed)
         assert threading.active_count() == threads
         assert log[log.index("failed") + 1:].count("begin") <= workers - 1
 
@@ -936,8 +931,7 @@ class TestGeneratedStateFinitePatches:
         samples, seed = 200_000, 6
         arguments = (config.layout, config.trap, config.detector1, config.detector2,
                      samples)
-        oracle_rng = np.random.default_rng(seed)
-        expected = sampled_moments_serial(*arguments, oracle_rng)
+        expected = sampled_moments_serial(*arguments, seed)
         starts = block_starts(config.detector1, samples, seed)
         pretend_cores(monkeypatch, 2)
         begun, asleep = [], []
@@ -953,9 +947,7 @@ class TestGeneratedStateFinitePatches:
             return cos(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "cos", cos_sleeping_in_block_0)
-        rng = np.random.default_rng(seed)
-        assert geometry._sampled_moments(*arguments, rng) == expected
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert geometry._sampled_moments(*arguments, seed) == expected
         assert asleep[1] > asleep[0] + 1  # later blocks began while block 0 slept
 
     def test_a_phase_past_the_float_range_raises(self):

@@ -672,7 +672,8 @@ class TestUncertaintyCommand:
         assert captured.out == ""
 
     def test_sample_count_too_large_for_memory_exits_2(self, tmp_path, capsys, monkeypatch):
-        # stands in for the draws of a huge --samples: no real allocation is tried
+        # an allocation the machine cannot meet, raised in the sampled route: a huge
+        # --samples itself is not refused, it runs (see the README's exit codes)
         def out_of_memory(*args):
             raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
