@@ -22,13 +22,15 @@ with weights scaled by a power of two, the trap averaged in closed
 form, for the configured geometry or for detector 2 moved to a whole
 array of phases at once, and ``_sampled_moments`` by sampling: each
 patch uniformly in solid angle, uniform in theta and in z = sin chi, and
-the trap along the one direction e2 - e1 its phase sees, so a sample
-costs six trig calls and one normal.  It draws each block of
+the trap along the one direction e2 - e1 its phase sees.  By the
+half-angle identities a sample costs three ``tan`` calls, on theta1 / 2,
+theta2 / 2 and half its phase, and one normal.  It draws each block of
 ``_SAMPLE_BLOCK`` samples from its own stream of the seed; its caller and
 at most ``_SAMPLE_WORKERS - 1`` other threads take the blocks from one
-shared cursor, and the sums are added in block order, so a seed gives one
-result on any number of threads and the buffers held do not grow with the
-sample or core count.  Patch nodes and measure scale stay in this module.
+shared cursor, and the block sums go into one running sum in block order,
+so a seed gives one result on any number of threads and the memory held
+does not grow with the sample, block or core count.  Patch nodes and
+measure scale stay in this module.
 """
 
 import functools
@@ -57,8 +59,8 @@ _PAIR_BLOCK_BYTES = 8 * 2**20
 #: samples ``_sampled_moments`` sums over at once
 _SAMPLE_BLOCK = 8192
 #: most threads ``_sampled_moments`` draws and sums blocks on, its caller included:
-#: each holds about 0.9 MB, its buffer and one block's temporaries, so a call holds
-#: under 3 MB however many cores the machine has (2.8 MB at 1M samples, 64 cores)
+#: each holds about 0.46 MB, its buffer of seven block rows, so a call holds under
+#: 1.5 MB however many cores the machine has (1.4 MB at 1M samples, 64 cores)
 _SAMPLE_WORKERS = 3
 
 
@@ -387,12 +389,13 @@ def _zone(patch):
     return center, width, measure
 
 
-def _cos_latitude(z):
-    """cos chi = sqrt((1 - z)(1 + z)) from z = sin chi, clamped at 0 so no edge gives nan."""
-    cos_chi = 1.0 - z
-    cos_chi *= 1.0 + z
-    np.maximum(cos_chi, 0.0, out=cos_chi)
-    return np.sqrt(cos_chi, out=cos_chi)
+def _cos_latitude(z, scratch):
+    """cos chi = sqrt((1 - z)(1 + z)) over z = sin chi in place, clamped at 0: no edge gives nan."""
+    np.add(z, 1.0, out=scratch)
+    np.subtract(1.0, z, out=z)
+    z *= scratch
+    np.maximum(z, 0.0, out=z)
+    return np.sqrt(z, out=z)
 
 
 def _sampled_moments(layout, trap, patch1, patch2, samples, seed):
@@ -404,9 +407,17 @@ def _sampled_moments(layout, trap, patch1, patch2, samples, seed):
     sample weighs 1.  The displacement difference enters the phase only
     through its projection on e2 - e1, which for an isotropic normal of
     spread sigma = sqrt(2) * confinement is |e2 - e1| sigma n, n one
-    standard normal.  Then m is the plain mean of
-    exp(-1j k (d (e2 - e1)_x + sigma |e2 - e1| n)) and W the exact patch
+    standard normal.  Then m is the plain mean of exp(-1j p),
+    p = k (d (e2 - e1)_x + sigma |e2 - e1| n), and W the exact patch
     measure A1 A2.
+
+    A sample costs three ``tan`` calls, by the half-angle identities.  The
+    longitude rows hold theta / 2 (halving is exact), and with
+    t = tan(theta / 2) and q = cos chi / (1 + t**2) a direction has
+    cos(theta) cos(chi) = 2 q - cos chi and sin(theta) cos(chi) = 2 t q.
+    With T = tan(p / 2) and D = 1 / (1 + T**2), cos p = 2 D - 1 and
+    sin p = 2 T D, so a block of ``size`` samples sums
+    2 sum D - size and 2 sum T D.
 
     Block b of ``_SAMPLE_BLOCK`` samples draws from its own PCG64 stream,
     ``SeedSequence(seed, spawn_key=(b,))``, the same as
@@ -414,53 +425,80 @@ def _sampled_moments(layout, trap, patch1, patch2, samples, seed):
     theta1, z1, theta2, z2, then its (size,) normals.  This thread and
     others, ``_SAMPLE_WORKERS`` at most and no more than the cores or the
     blocks, take blocks from one shared cursor, and each draws and sums a
-    block in its own buffer, with e2 - e1 formed directly and Re M, Im M as
-    two real sums.  The sums are added in block order, so the result depends on
-    ``(seed, samples)`` alone.  After the first exception on any thread no
-    block is taken, and this thread joins the others and raises it.
+    block in place in its own buffer of seven rows.  The block sums are
+    added to one running sum in block order, a block finished out of turn
+    waiting for its turn, so the result depends on ``(seed, samples)``
+    alone.  After the first exception on any thread no block is taken, and
+    this thread joins the others and raises it.
     """
     k_sigma = _trap_spread(layout, trap)
     kd = layout.wavenumber * layout.separation
     (z_center1, z_width1, measure1), (z_center2, z_width2, measure2) = map(
         _zone, (patch1, patch2))
     center, span = np.array([
-        (patch1.theta_center, patch1.span_theta), (z_center1, z_width1),
-        (patch2.theta_center, patch2.span_theta), (z_center2, z_width2)]).T[..., None]
+        (0.5 * patch1.theta_center, 0.5 * patch1.span_theta), (z_center1, z_width1),
+        (0.5 * patch2.theta_center, 0.5 * patch2.span_theta), (z_center2, z_width2)]).T[..., None]
     blocks = -(-samples // _SAMPLE_BLOCK)
     cursor, lock = iter(range(blocks)), threading.Lock()
-    sums, failures = [None] * blocks, []
+    early, failures = {}, []
+    turn, real, imag = 0, 0.0, 0.0
 
     def work():
-        buffer = np.empty(5 * min(samples, _SAMPLE_BLOCK))
+        nonlocal turn, real, imag
+        buffer = np.empty(7 * min(samples, _SAMPLE_BLOCK))
+        sums = None
         try:
             while True:
                 with lock:
+                    if sums is not None:  # add it, and the blocks held after it, in order
+                        early[block] = sums
+                        while turn in early:
+                            cos_sum, sin_sum = early.pop(turn)
+                            real += cos_sum
+                            imag -= sin_sum
+                            turn += 1
                     if failures or (block := next(cursor, None)) is None:
                         return
                 size = min(_SAMPLE_BLOCK, samples - block * _SAMPLE_BLOCK)
-                draws = buffer[: 5 * size].reshape(5, size)
-                rows, n = draws[:4], draws[4]
+                rows = buffer[: 7 * size].reshape(7, size)
+                draws, (half1, z1, half2, z2, n, dz, scratch) = rows[:4], rows
                 rng = np.random.Generator(np.random.PCG64(
                     np.random.SeedSequence(seed, spawn_key=(block,))))
-                rng.random(out=rows)
+                rng.random(out=draws)
                 rng.standard_normal(out=n)
                 # center + span * (u - 0.5), in place, bit for bit
-                rows -= 0.5
-                rows *= span
-                rows += center
-                theta1, z1, theta2, z2 = rows
-                cos1, cos2 = _cos_latitude(z1), _cos_latitude(z2)
-                dx = np.cos(theta2) * cos2 - np.cos(theta1) * cos1
-                dy = np.sin(theta2) * cos2 - np.sin(theta1) * cos1
-                dz = z2 - z1
-                phase = dx * dx
-                phase += dy * dy
-                phase += dz * dz
+                draws -= 0.5
+                draws *= span
+                draws += center
+                np.subtract(z2, z1, out=dz)
+                for half, z in ((half1, z1), (half2, z2)):
+                    _cos_latitude(z, scratch)
+                    np.tan(half, out=half)
+                    np.multiply(half, half, out=scratch)
+                    scratch += 1.0
+                    np.divide(z, scratch, out=scratch)  # q
+                    half *= scratch  # t q = sin(theta) cos(chi) / 2
+                    scratch += scratch
+                    z -= scratch  # cos chi - 2 q = -cos(theta) cos(chi)
+                dx = np.subtract(z1, z2, out=z1)
+                dy = np.subtract(half2, half1, out=half2)
+                dy += dy
+                phase = np.multiply(dx, dx, out=scratch)
+                dy *= dy
+                phase += dy
+                dz *= dz
+                phase += dz
                 np.sqrt(phase, out=phase)
                 phase *= n
-                phase *= k_sigma
-                phase += kd * dx
-                sums[block] = np.cos(phase).sum(), np.sin(phase).sum()
+                phase *= 0.5 * k_sigma
+                dx *= 0.5 * kd
+                phase += dx  # p / 2, bit for bit
+                np.tan(phase, out=phase)
+                cos_sq = np.multiply(phase, phase, out=dx)
+                cos_sq += 1.0
+                np.divide(1.0, cos_sq, out=cos_sq)  # D = cos(p / 2)**2
+                phase *= cos_sq
+                sums = 2.0 * cos_sq.sum() - size, 2.0 * phase.sum()
         except BaseException as error:  # Ctrl-C too
             failures.append(error)
 
@@ -479,9 +517,5 @@ def _sampled_moments(layout, trap, patch1, patch2, samples, seed):
             thread.join()
     if failures:
         raise failures[0]
-    real, imag = 0.0, 0.0
-    for cos_sum, sin_sum in sums:
-        real += cos_sum
-        imag -= sin_sum
     return (measure1 * measure2, complex(real, imag) / samples,
             float(_longitudes(layout, patch1, patch2)[1][0]))

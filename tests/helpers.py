@@ -299,23 +299,22 @@ def pretend_cores(monkeypatch, cores):
 
 
 def block_starts(patch1, samples, seed):
-    """theta1 of the first sample of each block ``_sampled_moments`` draws for ``seed``, in order.
+    """theta1 / 2 of the first sample of each block ``_sampled_moments`` draws for ``seed``.
 
-    A block's theta1 row, whose first entry this is, passes through ``np.cos``
-    once as the block is summed, so a cosine of an array starting with one of
+    A block's theta1 / 2 row, whose first entry this is, passes through ``np.tan``
+    once as the block is summed, so a tangent of an array starting with one of
     these values marks a block beginning.
     """
-    return [patch1.theta_center + patch1.span_theta * (uniforms[0, 0] - 0.5)
+    return [0.5 * patch1.theta_center + 0.5 * patch1.span_theta * (uniforms[0, 0] - 0.5)
             for uniforms, _ in block_draws(seed, samples)]
 
 
-def sampled_moments_serial(layout, trap, patch1, patch2, samples, seed):
-    """(W, m, delta21) by sampling, the blocks drawn and summed one after another on one thread.
+def _serial_block_sums(layout, trap, patch1, patch2, samples, seed, block_sums):
+    """(W, m, delta21) from each block's drawn angles, the block sums added in block order.
 
-    Oracle for ``geometry._sampled_moments``, whose threads draw and sum the
-    blocks in whatever order they take them, bit for bit: each block's own
-    draws (``block_draws``), z = sin chi uniform over each patch's zone, and
-    the block sums of ``_SAMPLE_BLOCK`` samples added in block order.
+    Each block's own draws (``block_draws``), z = sin chi uniform over each
+    patch's zone: ``block_sums(kd, k_sigma, theta1, cos1, theta2, cos2, dz,
+    normal)`` gives the block's sums of cos p and sin p.
     """
     k_sigma = _trap_spread(layout, trap)
     centers, area = [], 1.0
@@ -332,14 +331,57 @@ def sampled_moments_serial(layout, trap, patch1, patch2, samples, seed):
         theta1, z1, theta2, z2 = (center + span * (row - 0.5)
                                   for (center, span), row in zip(centers, uniforms))
         cos1, cos2 = (np.sqrt(np.maximum((1.0 - z) * (1.0 + z), 0.0)) for z in (z1, z2))
-        dx = np.cos(theta2) * cos2 - np.cos(theta1) * cos1
-        dy = np.sin(theta2) * cos2 - np.sin(theta1) * cos1
-        dz = z2 - z1
-        phase = kd * dx + k_sigma * (normal * np.sqrt(dx * dx + dy * dy + dz * dz))
-        real += np.cos(phase).sum()
-        imag -= np.sin(phase).sum()
+        cos_sum, sin_sum = block_sums(kd, k_sigma, theta1, cos1, theta2, cos2, z2 - z1,
+                                      normal)
+        real += cos_sum
+        imag -= sin_sum
     return (area, complex(real, imag) / samples,
             float(_longitudes(layout, patch1, patch2)[1][0]))
+
+
+def _half_angle_sums(kd, k_sigma, theta1, cos1, theta2, cos2, dz, normal):
+    """Sums of cos p and sin p from three tangents a sample, as ``_sampled_moments`` takes them."""
+    minus_x, half_y = [], []
+    for theta, cos_chi in ((theta1, cos1), (theta2, cos2)):
+        t = np.tan(0.5 * theta)
+        q = cos_chi / (t * t + 1.0)
+        minus_x.append(cos_chi - 2.0 * q)
+        half_y.append(t * q)
+    dx = minus_x[0] - minus_x[1]
+    dy = 2.0 * (half_y[1] - half_y[0])
+    tangent = np.tan(0.5 * kd * dx
+                     + 0.5 * k_sigma * (normal * np.sqrt(dx * dx + dy * dy + dz * dz)))
+    cos_sq = 1.0 / (tangent * tangent + 1.0)
+    return 2.0 * cos_sq.sum() - len(cos_sq), 2.0 * (tangent * cos_sq).sum()
+
+
+def _direct_trig_sums(kd, k_sigma, theta1, cos1, theta2, cos2, dz, normal):
+    """Sums of cos p and sin p from cos and sin of both longitudes and of the phase."""
+    dx = np.cos(theta2) * cos2 - np.cos(theta1) * cos1
+    dy = np.sin(theta2) * cos2 - np.sin(theta1) * cos1
+    phase = kd * dx + k_sigma * (normal * np.sqrt(dx * dx + dy * dy + dz * dz))
+    return np.cos(phase).sum(), np.sin(phase).sum()
+
+
+def sampled_moments_serial(layout, trap, patch1, patch2, samples, seed):
+    """(W, m, delta21) by sampling, the blocks drawn and summed one after another on one thread.
+
+    Oracle for ``geometry._sampled_moments``, whose threads draw and sum the
+    blocks in whatever order they take them, bit for bit: the same half-angle
+    sums of each block of ``_SAMPLE_BLOCK`` samples, added in block order.
+    """
+    return _serial_block_sums(layout, trap, patch1, patch2, samples, seed, _half_angle_sums)
+
+
+def sampled_moments_direct_trig(layout, trap, patch1, patch2, samples, seed):
+    """(W, m, delta21) by sampling, each block summed by cos and sin calls.
+
+    Independent oracle for the half-angle arithmetic of
+    ``geometry._sampled_moments``: the same per-block draws, with
+    cos(theta) cos(chi), sin(theta) cos(chi) and exp(-1j p) taken by six
+    ``cos`` and ``sin`` calls a sample.
+    """
+    return _serial_block_sums(layout, trap, patch1, patch2, samples, seed, _direct_trig_sums)
 
 
 def nominal_phase(config):

@@ -732,10 +732,11 @@ class TestGeneratedStateFinitePatches:
 
     def test_cos_latitude_of_a_rounded_edge_is_zero(self):
         # z = sin chi a rounding past +-1, as at the edge of a patch within rounding
-        # of a pole, gives cos chi = 0, not nan
+        # of a pole, gives cos chi = 0, not nan; it is written over z
         z = np.array([np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0), 1.0, -1.0, 0.0])
         with np.errstate(all="raise"):
-            assert geometry._cos_latitude(z).tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+            assert geometry._cos_latitude(z, np.empty_like(z)) is z
+        assert z.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
 
     def test_sampled_and_weighted_angle_estimators_agree_with_fine_quadrature(self):
         # draws uniform in solid angle with one trap normal, and draws uniform
@@ -758,47 +759,64 @@ class TestGeneratedStateFinitePatches:
             error = np.sqrt(np.sum(weight ** 2 * np.abs(terms - ratio) ** 2)) / weight.sum()
             assert abs(ratio - exact) <= 5 * error
 
-    def test_a_block_takes_one_normal_row_and_six_trig_calls(self, monkeypatch):
+    def test_a_block_takes_one_normal_row_and_three_tan_calls(self, monkeypatch):
         # counts, never times: each block draws one (size,) normal row and calls
-        # np.cos / np.sin six times, on its two longitude rows and its phase,
-        # never on a latitude row
+        # np.tan three times, on its two halved longitude rows and its half
+        # phase, never on a latitude row, and takes np.cos / np.sin of no array
         config = reference_config(confinement=30e-9, chi_center=0.2)
         samples, seed = 3 * geometry._SAMPLE_BLOCK + 7, 8
-        latitudes = np.concatenate([uniforms for uniforms, _ in block_draws(seed, samples)],
-                                   axis=1)[1::2]
-        normal_rows, trig_rows = [], []
+        uniforms = np.concatenate([uniforms for uniforms, _ in block_draws(seed, samples)],
+                                  axis=1)
+        normal_rows, tan_rows, trig_rows = [], [], []
 
         class CountingGenerator(np.random.Generator):
             def standard_normal(self, *args, **kwargs):
                 normal_rows.append(np.shape(kwargs.get("out", args[0] if args else ())))
                 return super().standard_normal(*args, **kwargs)
 
-        def counting(function):
+        def counting(function, rows):
             def trig(x, *args, **kwargs):
-                trig_rows.append(np.array(x, copy=True))
+                rows.append(np.array(x, copy=True))
                 return function(x, *args, **kwargs)
             return trig
 
         monkeypatch.setattr(np.random, "Generator", CountingGenerator)
-        for name in ("cos", "sin"):
-            monkeypatch.setattr(np, name, counting(getattr(np, name)))
+        for name, rows in (("tan", tan_rows), ("cos", trig_rows), ("sin", trig_rows)):
+            monkeypatch.setattr(np, name, counting(getattr(np, name), rows))
         geometry._sampled_moments(config.layout, config.trap, config.detector1,
                                   config.detector2, samples, seed)
         monkeypatch.undo()
         sizes = [min(geometry._SAMPLE_BLOCK, samples - start)
                  for start in range(0, samples, geometry._SAMPLE_BLOCK)]
         assert sorted(normal_rows) == sorted((size,) for size in sizes)
+        assert sorted(len(row) for row in tan_rows) == sorted(3 * sizes)
         # the nominal phase of the patch centers takes its trig on single values
-        array_rows = [row for row in trig_rows if row.size > 1]
-        assert sorted(len(row) for row in array_rows) == sorted(6 * sizes)
+        assert not [row for row in trig_rows if row.size > 1]
         patches = (config.detector1, config.detector2)
-        for patch, rows in zip(patches, latitudes):
+        firsts = {row[0] for row in tan_rows}
+        for patch, theta_u, z_u in zip(patches, uniforms[0::2], uniforms[1::2]):
+            halves = (0.5 * patch.theta_center
+                      + 0.5 * patch.span_theta * (theta_u[::geometry._SAMPLE_BLOCK] - 0.5))
+            assert set(halves.tolist()) <= firsts
             half = 0.5 * patch.span_chi
             z = (np.sin(patch.chi_center) * np.cos(half)
-                 + 2 * np.cos(patch.chi_center) * np.sin(half) * (rows - 0.5))
+                 + 2 * np.cos(patch.chi_center) * np.sin(half) * (z_u - 0.5))
             starts = set(z[::geometry._SAMPLE_BLOCK].tolist())
             chi = set(np.arcsin(z[::geometry._SAMPLE_BLOCK]).tolist())
-            assert not any(row[0] in starts | chi for row in array_rows)
+            assert not firsts & (starts | chi)
+
+    def test_half_phase_sums_are_cos_and_sin_of_any_phase(self):
+        # with T = tan(p / 2) and D = 1 / (1 + T**2), 2 D - 1 = cos p and
+        # 2 T D = sin p within 2 ulp of 1, for phases from 1e-300 to 1e101 rad
+        # of either sign: numpy's tan reduces every argument as its cos and sin do
+        rng = np.random.default_rng(0)
+        phases = np.concatenate([np.geomspace(1e-300, 1e101, 100_000),
+                                 rng.uniform(-1e6, 1e6, 100_000)])
+        phases = np.concatenate([phases, -phases])
+        tangent = np.tan(0.5 * phases)
+        cos_sq = 1.0 / (tangent * tangent + 1.0)
+        assert np.abs(2.0 * cos_sq - 1.0 - np.cos(phases)).max() <= 2**-51
+        assert np.abs(2.0 * tangent * cos_sq - np.sin(phases)).max() <= 2**-51
 
     @pytest.mark.parametrize("samples", [1, 8191, 8192, 8193, 3 * 8192 + 7, 200_000])
     @pytest.mark.parametrize("seed", [3, 11])
@@ -855,8 +873,8 @@ class TestGeneratedStateFinitePatches:
         assert len(started) <= most
 
     def test_sampled_moments_memory_is_bounded(self):
-        # each thread draws a block into its own reused buffers (40 B per
-        # sample of a block) and holds that block's temporaries; sums over
+        # each thread draws and sums a block in place in its own reused
+        # buffer (56 B per sample of a block); sums over
         # whole (samples, 3) direction and offset arrays and a complex phase
         # array peak at 136 B per sample
         config = reference_config()
@@ -872,7 +890,7 @@ class TestGeneratedStateFinitePatches:
 
     def test_sampled_moments_memory_does_not_grow_with_cores_or_samples(self, monkeypatch):
         # 64 cores still give at most _SAMPLE_WORKERS threads, each with one
-        # pair of buffers: a million samples fit the bound of 200 000
+        # buffer: a million samples fit the bound of 200 000
         pretend_cores(monkeypatch, 64)
         config = reference_config()
         for samples in (200_000, 1_000_000):
@@ -884,6 +902,26 @@ class TestGeneratedStateFinitePatches:
             finally:
                 tracemalloc.stop()
             assert peak <= 80 * 200_000
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_sampled_moments_memory_does_not_grow_with_the_block_count(self, cores,
+                                                                      monkeypatch):
+        # the block sums go into one running sum in block order, a block
+        # finished out of turn waiting in a small dict: 500 blocks peak within
+        # 4 KB of 50, where a slot and a tuple kept for every block read
+        # 25-46 KB more at 500
+        pretend_cores(monkeypatch, cores)
+        config = reference_config()
+        peaks = []
+        for blocks in (50, 500):
+            tracemalloc.start()
+            try:
+                geometry._sampled_moments(config.layout, config.trap, config.detector1,
+                                          config.detector2, blocks * geometry._SAMPLE_BLOCK, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 4096
 
     @pytest.mark.parametrize("cores", [2, 64])
     def test_a_failed_block_stops_the_rest(self, cores, monkeypatch):
@@ -899,9 +937,9 @@ class TestGeneratedStateFinitePatches:
         workers = min(geometry._SAMPLE_WORKERS, cores)
         pretend_cores(monkeypatch, cores)
         log, lock, failing, failed = [], threading.Lock(), [], threading.Event()
-        cos = np.cos
+        tan = np.tan
 
-        def cos_failing_in_a_worker_block(x, *args, **kwargs):
+        def tan_failing_in_a_worker_block(x, *args, **kwargs):
             if np.shape(x) == (geometry._SAMPLE_BLOCK,) and x[0] in starts:
                 with lock:
                     log.append("begin")
@@ -914,9 +952,9 @@ class TestGeneratedStateFinitePatches:
                 assert failed.wait(10), "no worker took a block"
                 failing[0].join(10)
                 assert not failing[0].is_alive()
-            return cos(x, *args, **kwargs)
+            return tan(x, *args, **kwargs)
 
-        monkeypatch.setattr(np, "cos", cos_failing_in_a_worker_block)
+        monkeypatch.setattr(np, "tan", tan_failing_in_a_worker_block)
         threads = threading.active_count()
         with pytest.raises(MemoryError, match="a failed block"):
             geometry._sampled_moments(config.layout, config.trap, config.detector1,
@@ -935,18 +973,18 @@ class TestGeneratedStateFinitePatches:
         starts = block_starts(config.detector1, samples, seed)
         pretend_cores(monkeypatch, 2)
         begun, asleep = [], []
-        cos = np.cos
+        tan = np.tan
 
-        def cos_sleeping_in_block_0(x, *args, **kwargs):
+        def tan_sleeping_in_block_0(x, *args, **kwargs):
             if np.shape(x) == (geometry._SAMPLE_BLOCK,) and x[0] in starts:
                 begun.append(x[0])
                 if x[0] == starts[0] and not asleep:
                     asleep.append(len(begun))
                     time.sleep(0.05)
                     asleep.append(len(begun))
-            return cos(x, *args, **kwargs)
+            return tan(x, *args, **kwargs)
 
-        monkeypatch.setattr(np, "cos", cos_sleeping_in_block_0)
+        monkeypatch.setattr(np, "tan", tan_sleeping_in_block_0)
         assert geometry._sampled_moments(*arguments, seed) == expected
         assert asleep[1] > asleep[0] + 1  # later blocks began while block 0 slept
 

@@ -103,7 +103,7 @@ GEOMETRY_ATTRIBUTES = {"separation", "wavenumber", "confinement"}
 GEOMETRY_CALLS = {"detection_direction", "farfield_phase",
                   "_phase", "_patch_nodes", "_phase_moments", "_longitudes",
                   "_directions", "_finite_angles", "_interval_rule", "_reference_rule",
-                  "_trap_spread", "np.cos", "np.sin"}
+                  "_trap_spread", "np.cos", "np.sin", "np.tan"}
 #: all that ``herald.py`` may import from ``geometry``
 GEOMETRY_INTERFACE = {"AtomPairLayout", "DetectorPatch", "QuadratureSpec", "TrapModel",
                       "_quadrature_moments", "_sampled_moments"}

@@ -7,8 +7,9 @@ visibility V, so the generated concurrence has the closed form
 ``herald._figures`` are checked against the 4x4 matrix route of
 ``helpers.matrix_route``, and every report against the Wootters
 concurrence of its own 4x4 matrix (``generated_state`` itself checks
-only the rank-2 factor).  Draws are derandomized, so every run checks
-the same examples.
+only the rank-2 factor).  The sampled route's half-angle sums are checked
+against ``cos`` and ``sin`` calls on the same draws.  Draws are
+derandomized, so every run checks the same examples.
 """
 
 import dataclasses
@@ -37,7 +38,13 @@ from heraldsim import (
 )
 from heraldsim.optics import _component_vectors
 
-from helpers import matrix_route, nominal_phase, patch_moments
+from helpers import (
+    block_draws,
+    matrix_route,
+    nominal_phase,
+    patch_moments,
+    sampled_moments_direct_trig,
+)
 
 QUAD = QuadratureSpec(points_theta=6, points_chi=6)
 #: draws whose nominal herald weight 1 + V cos(delta21) falls below this
@@ -209,3 +216,51 @@ def test_stacked_moments_match_one_geometry_at_a_time(config, points_theta, poin
         assert one_weight == weight
         assert abs(stacked_m - one_m) <= 1e-15
         assert phase == one_phase
+
+
+@st.composite
+def sampled_patches(draw):
+    """Patches up to the limits of the sphere, some with edges at theta = 0 and pi.
+
+    A center of pi/2 with a full span reaches theta = 0, the float below pi
+    reaches theta = pi, where tan(theta / 2) is 1.6e16, and 5e-324 sits at 0;
+    chi centers next to +-pi/2 and chi spans to within 1e-9 of a pole reach
+    cos chi near 0.  Fractions 0 give zero spans.
+    """
+    theta = draw(st.floats(1e-3, np.pi - 1e-3)
+                 | st.sampled_from([5e-324, np.pi / 2, np.nextafter(np.pi, 0.0)]))
+    chi = draw(st.floats(-1.5, 1.5)
+               | st.sampled_from([0.0, np.nextafter(np.pi / 2, 0.0),
+                                  -np.nextafter(np.pi / 2, 0.0)]))
+    fractions = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    span_theta = draw(fractions) * 2.0 * min(theta, np.pi - theta)
+    span_chi = draw(fractions) * (1.0 - 1e-9) * (np.pi - 2.0 * abs(chi))
+    try:
+        return DetectorPatch(theta, span_theta, span_chi, Polarizer.linear(0.0), chi)
+    except InvalidInputError:  # a span a rounding past its limit
+        assume(False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(sampled_patches(), sampled_patches(),
+       st.builds(AtomPairLayout, separation=st.floats(1e-7, 1e-4) | st.floats(1e-4, 0.1),
+                 wavelength=st.floats(400e-9, 900e-9)),
+       st.just(0.0) | st.floats(0.0, 1e-5), st.integers(1, 2 * 8192 + 3),
+       st.integers(0, 2**32 - 1))
+def test_sampled_moments_match_the_direct_trig_sums(patch1, patch2, layout, confinement,
+                                                    samples, seed):
+    # three tangents a sample against six cos / sin calls on the same draws,
+    # over phases up to about 1e6 rad.  The half-angle identities are exact,
+    # so the routes differ by rounding alone: 2 D - 1 and 2 T D are within
+    # 2 ulp of cos p and sin p at any p, and each route rounds a direction
+    # component within 2 ulp of 1, which the phase scales by up to
+    # k d + k sigma |n|
+    trap = TrapModel(confinement)
+    arguments = (layout, trap, patch1, patch2, samples, seed)
+    weight, m, delta = geometry._sampled_moments(*arguments)
+    direct_weight, direct_m, direct_delta = sampled_moments_direct_trig(*arguments)
+    normal = max(np.abs(normals).max() for _, normals in block_draws(seed, samples))
+    scale = (layout.wavenumber * layout.separation
+             + geometry._trap_spread(layout, trap) * normal)
+    assert (weight, delta) == (direct_weight, direct_delta)
+    assert abs(m - direct_m) <= 1e-14 + 2**-48 * scale

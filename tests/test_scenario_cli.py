@@ -700,17 +700,17 @@ class TestUncertaintyCommand:
         assert threading.active_count() == threads
         capsys.readouterr()
         pretend_cores(monkeypatch, 2)
-        cos, failed = np.cos, threading.Event()
+        tan, failed = np.tan, threading.Event()
 
-        def cos_failing_in_a_block(x, *args, **kwargs):
-            if np.shape(x) in ((8192,), (20000 - 2 * 8192,)):  # a block's angles
+        def tan_failing_in_a_block(x, *args, **kwargs):
+            if np.shape(x) in ((8192,), (20000 - 2 * 8192,)):  # a block's half angles
                 if (threading.current_thread() is threading.main_thread()) is on_caller:
                     failed.set()
                     raise MemoryError("Unable to allocate 64.0 KiB for an array")
                 assert failed.wait(10), "the failing thread took no block"
-            return cos(x, *args, **kwargs)
+            return tan(x, *args, **kwargs)
 
-        monkeypatch.setattr(np, "cos", cos_failing_in_a_block)
+        monkeypatch.setattr(np, "tan", tan_failing_in_a_block)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: Unable to allocate 64.0 KiB for an array\n"
